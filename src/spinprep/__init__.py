@@ -8,7 +8,9 @@ __version__ = "0.1.0"
 from .spin_core import (
     ObservableReport,
     SpinEnsembleState,
+    dicke_squeezing,
     fidelity,
+    log_css_amplitudes,
     make_css,
     make_dicke,
     make_superposition_target,
@@ -35,11 +37,14 @@ from .pulse_optics import (
 from .measurement import (
     MeasurementRecord,
     MeasurementSetting,
+    Posterior,
+    PosteriorError,
     acceptance_probability,
     apply_measurement,
     compose,
     log_weights,
     outcome_pdf,
+    posterior_batch,
     sample_outcome,
     sample_outcomes,
 )
@@ -47,9 +52,12 @@ from .protocols import (
     DssResult,
     LongPulsePlan,
     SuperpositionResult,
+    dss_rows,
     dss_with_repeated_outcome,
     long_pulse_plan,
     prepare_dss,
     prepare_superposition,
     repetitive_dss,
+    repetitive_dss_rows,
+    superposition_rows,
 )

@@ -17,22 +17,21 @@ import json
 import math
 import os
 import sys
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .measurement import MeasurementSetting, apply_measurement, outcome_pdf, sample_outcomes
+from .measurement import MeasurementSetting, posterior_batch, sample_outcomes
 from .pulse_optics import PULSE_KINDS, CavityParams, feasibility
 from .protocols import (
+    dss_rows,
     dss_with_repeated_outcome,
     prepare_dss,
-    prepare_superposition,
-    repetitive_dss,
+    repetitive_dss_rows,
+    superposition_rows,
 )
-from .spin_core import make_css, observables, prob_distribution
+from .spin_core import log_css_amplitudes, make_css
 
 
 class UsageError(Exception):
@@ -141,6 +140,11 @@ def _emit(result: SweepResult, out: str | None, fmt: str) -> None:
             writer(result, fh)
 
 
+def _zip_columns(values: np.ndarray, columns) -> list[tuple]:
+    """Rows (value, column_0[i], column_1[i], ...) as plain Python numbers."""
+    return list(zip(values.tolist(), *(np.asarray(c).tolist() for c in columns)))
+
+
 def _slug(x: float) -> str:
     return f"{x:g}".replace(".", "p").replace("-", "m")
 
@@ -153,10 +157,12 @@ _FIG2_CHIS = (0.05, 0.1, 0.2)
 _FIG2_RATIOS = (("third", 1.0 / 3.0), ("half", 0.5), ("full", 1.0))
 
 
-def _superposition_pm(n_atoms: int, chi_x: float, outcome: float) -> np.ndarray:
-    setting = MeasurementSetting(chi_x=chi_x)
-    post, _ = apply_measurement(make_css(n_atoms), setting, outcome)
-    return np.array([p for _, p in prob_distribution(post)])
+def _superposition_pm(n_atoms: int, chi_x, outcomes) -> list[list[float]]:
+    """P(m) of the CSS conditioned on each amplitude-quadrature record."""
+    probs, _ = posterior_batch(
+        log_css_amplitudes(n_atoms), outcomes, chi_x=chi_x, reduce=lambda post: post.probs
+    )
+    return probs.tolist()
 
 
 def cmd_fig2(sub: str, n_atoms: int, chi_x: float | None, seed: int) -> SweepResult:
@@ -165,30 +171,23 @@ def cmd_fig2(sub: str, n_atoms: int, chi_x: float | None, seed: int) -> SweepRes
         chis = [chi_x] if chi_x is not None else list(_FIG2_CHIS)
         spec = SweepSpec("fig2", "a", "m", None, {"N": n_atoms, "chi_x": chis}, seed)
         columns = ["m"] + [f"p_chi_{_slug(c)}" for c in chis]
-        dists = [_superposition_pm(n_atoms, c, -c * s / 2.0) for c in chis]
+        dists = _superposition_pm(n_atoms, chis, [-c * s / 2.0 for c in chis])
         m_vals = np.arange(n_atoms + 1) - s
-        rows = [tuple([m] + [d[i] for d in dists]) for i, m in enumerate(m_vals)]
-        return SweepResult(spec, columns, rows)
+        return SweepResult(spec, columns, list(zip(m_vals.tolist(), *dists)))
     if sub == "b":
         chi = chi_x if chi_x is not None else 0.2
         spec = SweepSpec("fig2", "b", "m", None, {"N": n_atoms, "chi_x": chi}, seed)
         columns = ["m"] + [f"p_xl_{name}" for name, _ in _FIG2_RATIOS]
-        dists = [_superposition_pm(n_atoms, chi, -chi * s * r) for _, r in _FIG2_RATIOS]
+        dists = _superposition_pm(n_atoms, chi, [-chi * s * r for _, r in _FIG2_RATIOS])
         m_vals = np.arange(n_atoms + 1) - s
-        rows = [tuple([m] + [d[i] for d in dists]) for i, m in enumerate(m_vals)]
-        return SweepResult(spec, columns, rows)
+        return SweepResult(spec, columns, list(zip(m_vals.tolist(), *dists)))
     if sub == "c":
         grid = {"start": 0.02, "stop": 0.5, "count": 25, "scale": "linear"}
         spec = SweepSpec("fig2", "c", "chi_x", grid, {"N": n_atoms}, seed)
         columns = ["chi_x"] + [f"f_xl_{name}" for name, _ in _FIG2_RATIOS]
-        rows = []
-        for chi in spec.points():
-            fids = [
-                prepare_superposition(n_atoms, chi, -chi * s * r).fidelity_vs_target
-                for _, r in _FIG2_RATIOS
-            ]
-            rows.append((chi, *fids))
-        return SweepResult(spec, columns, rows)
+        chis = spec.points()
+        fids = [superposition_rows(n_atoms, chis, -chis * s * r)[0] for _, r in _FIG2_RATIOS]
+        return SweepResult(spec, columns, _zip_columns(chis, fids))
     raise UsageError(f"unknown fig2 subvariant {sub!r}")
 
 
@@ -199,20 +198,17 @@ def cmd_fig3(sub: str, n_atoms: int | None, chi_p: float | None, seed: int) -> S
         grid = {"start": -1.0, "stop": 1.0, "count": 41, "scale": "linear"}
         spec = SweepSpec("fig3", "a", "outcome_fraction", grid, {"N": n, "chi_p": chis}, seed)
         columns = ["outcome_fraction"] + [f"xi_d_chi_{_slug(c)}" for c in chis]
-        rows = []
-        for frac in spec.points():
-            xis = [prepare_dss(n, c, frac * c * n / 2.0).xi_d for c in chis]
-            rows.append((frac, *xis))
-        return SweepResult(spec, columns, rows)
+        fracs = spec.points()
+        xis = [dss_rows(n, c, fracs * c * n / 2.0)[0] for c in chis]
+        return SweepResult(spec, columns, _zip_columns(fracs, xis))
     if sub == "b":
         ns = [n_atoms] if n_atoms is not None else [40, 80, 120]
         grid = {"start": 0.05, "stop": 2.0, "count": 40, "scale": "linear"}
         spec = SweepSpec("fig3", "b", "chi_p", grid, {"N": ns}, seed)
         columns = ["chi_p"] + [f"xi_d_n{n}" for n in ns]
-        rows = [
-            (chi, *[prepare_dss(n, chi, 0.0).xi_d for n in ns]) for chi in spec.points()
-        ]
-        return SweepResult(spec, columns, rows)
+        chis = spec.points()
+        xis = [dss_rows(n, chis, 0.0)[0] for n in ns]
+        return SweepResult(spec, columns, _zip_columns(chis, xis))
     if sub == "c":
         chi = chi_p if chi_p is not None else 2.0
         ns = [n_atoms] if n_atoms is not None else list(range(10, 121, 2))
@@ -249,11 +245,9 @@ def cmd_fig4(
         grid = {"start": 0.05, "stop": 2.0, "count": 40, "scale": "linear"}
         spec = SweepSpec("fig4", "b", "chi_p", grid, {"N": n, "n": rounds}, seed)
         columns = ["chi_p"] + [f"xi_d_n{r}" for r in rounds]
-        rows = [
-            (chi, *[repetitive_dss(n, chi, r).xi_d for r in rounds])
-            for chi in spec.points()
-        ]
-        return SweepResult(spec, columns, rows)
+        chis = spec.points()
+        xis = [repetitive_dss_rows(n, chis, r) for r in rounds]
+        return SweepResult(spec, columns, _zip_columns(chis, xis))
     if sub == "c":
         chis = [chi_p] if chi_p is not None else [0.2, 0.4]
         max_rounds = n_rounds if n_rounds is not None else 40
@@ -264,10 +258,9 @@ def cmd_fig4(
             + [f"n_opt_chi_{_slug(c)}" for c in chis]
         )
         markers = [(2.0 / c) ** 2 for c in chis]
-        rows = []
-        for r in range(1, max_rounds + 1):
-            xis = [repetitive_dss(n, c, r).xi_d for c in chis]
-            rows.append((r, *xis, *markers))
+        rounds = np.arange(1, max_rounds + 1)
+        xis = [repetitive_dss_rows(n, c, rounds) for c in chis]
+        rows = [(*row, *markers) for row in _zip_columns(rounds, xis)]
         return SweepResult(spec, columns, rows)
     raise UsageError(f"unknown fig4 subvariant {sub!r}")
 
@@ -303,24 +296,15 @@ def cmd_sample(
     outcomes = sample_outcomes(css, setting, n_shots, seed)
     fixed = {"N": n_atoms, "chi_x": chi_x, "chi_p": chi_p, "eta": eta, "n_shots": n_shots}
     spec = SweepSpec("sample", protocol, "shot", None, fixed, seed)
-    rows = []
     if protocol == "dss":
         columns = ["shot", "outcome", "density", "xi_d"]
-        for i, y in enumerate(outcomes):
-            post, density = apply_measurement(css, setting, float(y))
-            rows.append((i, float(y), density, observables(post).xi_d))
+        xi_d, log_density = dss_rows(n_atoms, chi_p, outcomes, eta)
+        values = (xi_d,)
     else:
         columns = ["shot", "outcome", "density", "fidelity", "target_m_c"]
-        # sampled records legitimately land on either side of zero; the
-        # single-packet warning is only meaningful for hand-picked records
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            for i, y in enumerate(outcomes):
-                res = prepare_superposition(n_atoms, chi_x, float(y), eta)
-                density = outcome_pdf(css, setting, float(y))
-                rows.append(
-                    (i, float(y), density, res.fidelity_vs_target, res.target_m_c)
-                )
+        fid, m_c, _, _, log_density = superposition_rows(n_atoms, chi_x, outcomes, eta)
+        values = (fid, m_c)
+    rows = _zip_columns(np.arange(n_shots), (outcomes, np.exp(log_density), *values))
     return SweepResult(spec, columns, rows)
 
 
@@ -335,27 +319,15 @@ SWEEP_PROTOCOLS = {
 }
 
 
-def _sweep_point(protocol: str, param: str, value: float, fixed: dict, point_seed):
-    merged = dict(fixed)
-    merged[param] = value
+def _sweep_values(protocol: str, params: dict) -> list[np.ndarray]:
+    """Result columns after ``value``; any parameter may hold one value per record."""
+    n_atoms, eta = int(params["N"]), params.get("eta", 0.0)
     if protocol == "dss":
-        res = prepare_dss(
-            int(merged["N"]), merged["chi_p"], merged["outcome"], merged.get("eta", 0.0)
-        )
-        return (value, res.xi_d)
+        xi_d, _ = dss_rows(n_atoms, params["chi_p"], params["outcome"], eta)
+        return [xi_d]
     if protocol == "superposition":
-        res = prepare_superposition(
-            int(merged["N"]), merged["chi_x"], merged["outcome"], merged.get("eta", 0.0)
-        )
-        return (
-            value,
-            res.fidelity_vs_target,
-            res.target_m_c,
-            res.packet_separation,
-            res.packet_width,
-        )
-    res = repetitive_dss(int(merged["N"]), merged["chi_p"], int(round(merged["n"])))
-    return (value, res.xi_d)
+        return list(superposition_rows(n_atoms, params["chi_x"], params["outcome"], eta)[:4])
+    return [repetitive_dss_rows(n_atoms, params["chi_p"], np.rint(params["n"]))]
 
 
 _SWEEP_COLUMNS = {
@@ -365,7 +337,7 @@ _SWEEP_COLUMNS = {
 }
 
 
-def cmd_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
+def cmd_sweep(spec: SweepSpec) -> SweepResult:
     protocol = spec.subvariant
     if protocol not in SWEEP_PROTOCOLS:
         raise UsageError(
@@ -377,18 +349,13 @@ def cmd_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             f"choose from {SWEEP_PROTOCOLS[protocol]['params']}"
         )
     points = spec.points()
-    # per-point seeds keyed on (master seed, grid index); order-independent
-    seeds = [np.random.SeedSequence((spec.seed, i)) for i in range(points.size)]
-
-    def evaluate(i: int):
-        return _sweep_point(protocol, spec.param, float(points[i]), spec.fixed, seeds[i])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(evaluate, range(points.size)))
+    if spec.param == "N":
+        # each N has its own level count, so each point is a batch of one record
+        blocks = [_sweep_values(protocol, {**spec.fixed, "N": n}) for n in points]
+        columns = [np.concatenate(c) for c in zip(*blocks)]
     else:
-        rows = [evaluate(i) for i in range(points.size)]
-    return SweepResult(spec, _SWEEP_COLUMNS[protocol], rows)
+        columns = _sweep_values(protocol, {**spec.fixed, spec.param: points})
+    return SweepResult(spec, _SWEEP_COLUMNS[protocol], _zip_columns(points, columns))
 
 
 # --------------------------------------------------------------------------
@@ -541,7 +508,6 @@ def _build_parser() -> _Parser:
     pw.add_argument("--outcome", type=float, default=0.0)
     pw.add_argument("--eta", type=float, default=0.0)
     pw.add_argument("--n", type=int, default=1)
-    pw.add_argument("--workers", type=int, default=1)
     add_io(pw)
 
     cfg = _external_config()
@@ -580,7 +546,7 @@ def main(argv=None) -> int:
                 "outcome": args.outcome, "eta": args.eta, "n": args.n,
             }
             spec = SweepSpec("sweep", args.protocol, args.param, grid, fixed, args.seed)
-            result = cmd_sweep(spec, workers=args.workers)
+            result = cmd_sweep(spec)
         else:  # pragma: no cover - argparse enforces choices
             raise UsageError(f"unknown command {args.command!r}")
         _emit(result, args.out, args.format)

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import MeasurementSetting, apply_measurement, compose, sample_outcome
+from .measurement import (
+    MeasurementSetting,
+    apply_measurement,
+    compose,
+    posterior_batch,
+    sample_outcome,
+)
 from .pulse_optics import (
     LONG_EXPONENTIAL,
     CavityParams,
@@ -25,9 +31,9 @@ from .pulse_optics import (
 )
 from .spin_core import (
     SpinEnsembleState,
-    fidelity,
+    dicke_squeezing,
+    log_css_amplitudes,
     make_css,
-    make_superposition_target,
     observables,
     prob_distribution,
 )
@@ -101,13 +107,102 @@ class LongPulsePlan:
     achievable: bool
 
 
-def _snap_to_lattice(n_atoms: int, value: float) -> float:
+def _snap_to_lattice(n_atoms: int, value):
     """Nearest non-negative lattice m to ``value``; ties round toward zero."""
     s = n_atoms / 2.0
     k_min = math.ceil(s - 1e-9)  # index of the smallest non-negative m
-    k = math.ceil(value + s - 0.5)
-    k = min(max(k, k_min), n_atoms)
+    k = np.clip(np.ceil(np.asarray(value) + s - 0.5), k_min, n_atoms)
     return k - s
+
+
+def _packet_geometry(n_atoms: int, chi_x, outcome):
+    """Target m_c, packet separation and packet width per amplitude-quadrature record.
+
+    A non-negative record collapses to a single packet at m = 0: separation
+    0, infinite width, and the smallest non-negative lattice point as m_c.
+    """
+    depth = np.maximum(-np.asarray(outcome, dtype=float), 0.0)
+    center = np.sqrt(depth / chi_x)
+    with np.errstate(divide="ignore"):
+        width = 1.0 / (2.0 * np.sqrt(depth * chi_x))
+    return _snap_to_lattice(n_atoms, center), 2.0 * center, width
+
+
+def _target_fidelity(a_plus, a_minus, m_c, eta):
+    """|<target|post>|^2 from the post amplitudes at m_c and -m_c.
+
+    The target is (e^{i eta m_c} |m_c> + e^{-i eta m_c} |-m_c>) / sqrt(2), or
+    |S, 0> when m_c = 0 (then ``a_plus`` and ``a_minus`` are the same level).
+    """
+    turn = np.exp(1j * eta * m_c)
+    pair = (np.conj(turn) * a_plus + turn * a_minus) / math.sqrt(2.0)
+    return np.abs(np.where(m_c == 0.0, a_plus, pair)) ** 2
+
+
+def _condition_css(n_atoms: int, setting: MeasurementSetting, outcome: float) -> SpinEnsembleState:
+    """The CSS conditioned on one record: the one-record case of the kernel."""
+    amps, _ = posterior_batch(
+        log_css_amplitudes(n_atoms), outcome, setting.chi_x, setting.chi_p, setting.eta
+    )
+    return SpinEnsembleState(n_atoms, amps[0])
+
+
+def _require_positive(name: str, value) -> None:
+    if not np.all(np.asarray(value) > 0):
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def superposition_rows(n_atoms: int, chi_x, outcomes, eta=0.0):
+    """Amplitude-quadrature preparation from the CSS for a batch of records.
+
+    ``chi_x``, ``outcomes`` and ``eta`` broadcast to one value per record.
+    Returns arrays (fidelity, target m_c, packet separation, packet width,
+    log record density), each row equal to :func:`prepare_superposition`
+    for that record, without materializing any post state.
+    """
+    _require_positive("chi_x", chi_x)
+    per_record = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (chi_x, outcomes, eta))
+    )
+    m_c, separation, width = _packet_geometry(n_atoms, *per_record[:2])
+    k_plus = np.rint(m_c + n_atoms / 2.0).astype(int)
+
+    def fidelity_rows(post):
+        k = k_plus[post.rows]
+        a_plus, a_minus = post.amplitude_at(k), post.amplitude_at(n_atoms - k)
+        return _target_fidelity(a_plus, a_minus, m_c[post.rows], post.eta)
+
+    fid, log_density = posterior_batch(
+        log_css_amplitudes(n_atoms), outcomes, chi_x=chi_x, eta=eta, reduce=fidelity_rows
+    )
+    return fid, m_c, separation, width, log_density
+
+
+def dss_rows(n_atoms: int, chi_p, outcomes, eta=0.0):
+    """Phase-quadrature preparation from the CSS for a batch of records.
+
+    ``chi_p``, ``outcomes`` and ``eta`` broadcast to one value per record.
+    Returns arrays (xi_D, log record density), each row equal to
+    :func:`prepare_dss` for that record.
+    """
+    _require_positive("chi_p", chi_p)
+    return posterior_batch(
+        log_css_amplitudes(n_atoms), outcomes, chi_p=chi_p, eta=eta,
+        reduce=lambda post: dicke_squeezing(post.probs),
+    )
+
+
+def repetitive_dss_rows(n_atoms: int, chi_p, n_rounds):
+    """xi_D of the all-zero repetitive protocol for a batch of (chi_p, n) settings.
+
+    n rounds that all record 0 equal one round at sqrt(n) chi_p recording 0,
+    the exact composition identity of :func:`spinprep.measurement.compose`.
+    """
+    n_rounds = np.asarray(n_rounds)
+    if np.any(n_rounds < 1):
+        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
+    xi, _ = dss_rows(n_atoms, np.asarray(chi_p, dtype=float) * np.sqrt(n_rounds), 0.0)
+    return xi
 
 
 def prepare_superposition(
@@ -120,26 +215,20 @@ def prepare_superposition(
     point, carrying the same accumulated phase.  A positive record is allowed
     but produces a single packet at m = 0 (flagged with a warning).
     """
-    if not chi_x > 0:
-        raise ValueError(f"chi_x must be positive, got {chi_x}")
+    _require_positive("chi_x", chi_x)
     if outcome > 0:
         warnings.warn(
             "positive amplitude-quadrature record: state collapses to a single "
             "packet at m = 0",
             stacklevel=2,
         )
-        m_c = 0.0 if n_atoms % 2 == 0 else 0.5
-        separation, width = 0.0, math.inf
-    else:
-        m_c = _snap_to_lattice(n_atoms, math.sqrt(-outcome / chi_x))
-        separation = 2.0 * math.sqrt(-outcome / chi_x)
-        width = math.inf if outcome == 0 else 1.0 / (2.0 * math.sqrt(-outcome * chi_x))
-    setting = MeasurementSetting(chi_x=chi_x, eta=eta)
-    post, _ = apply_measurement(make_css(n_atoms), setting, outcome)
-    target = make_superposition_target(n_atoms, m_c, eta)
+    m_c, separation, width = (float(v) for v in _packet_geometry(n_atoms, chi_x, outcome))
+    post = _condition_css(n_atoms, MeasurementSetting(chi_x=chi_x, eta=eta), outcome)
+    k_plus = round(m_c + n_atoms / 2.0)
+    amps = post.amplitudes
     return SuperpositionResult(
         post_state=post,
-        fidelity_vs_target=fidelity(post, target),
+        fidelity_vs_target=float(_target_fidelity(amps[k_plus], amps[n_atoms - k_plus], m_c, eta)),
         target_m_c=m_c,
         packet_separation=separation,
         packet_width=width,
@@ -156,16 +245,14 @@ def prepare_dss(
     [-chi_p S, chi_p S] are allowed but exponentially improbable and are
     flagged with a warning.
     """
-    if not chi_p > 0:
-        raise ValueError(f"chi_p must be positive, got {chi_p}")
+    _require_positive("chi_p", chi_p)
     edge = chi_p * n_atoms / 2.0
     if abs(outcome) > edge:
         warnings.warn(
             f"record {outcome} lies outside the likely window [{-edge}, {edge}]",
             stacklevel=2,
         )
-    setting = MeasurementSetting(chi_p=chi_p, eta=eta)
-    post, _ = apply_measurement(make_css(n_atoms), setting, outcome)
+    post = _condition_css(n_atoms, MeasurementSetting(chi_p=chi_p, eta=eta), outcome)
     return DssResult(
         post_state=post, xi_d=observables(post).xi_d, outcome=outcome, n_rounds=1
     )
@@ -183,7 +270,7 @@ def dss_with_repeated_outcome(
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     setting = MeasurementSetting(chi_p=chi_p, eta=eta)
     eff_setting, eff_outcome, _ = compose([(setting, outcome)] * n_rounds)
-    post, _ = apply_measurement(make_css(n_atoms), eff_setting, eff_outcome)
+    post = _condition_css(n_atoms, eff_setting, eff_outcome)
     return DssResult(
         post_state=post, xi_d=observables(post).xi_d, outcome=outcome, n_rounds=n_rounds
     )
@@ -205,8 +292,7 @@ def repetitive_dss(
     the rounds sequentially, so the reported squeezing reflects honest
     conditional statistics; it requires a ``seed`` (or Generator).
     """
-    if not chi_p > 0:
-        raise ValueError(f"chi_p must be positive, got {chi_p}")
+    _require_positive("chi_p", chi_p)
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     if outcome_policy == "all_zero":

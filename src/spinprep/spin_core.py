@@ -112,18 +112,27 @@ def _check_atom_count(n_atoms) -> int:
     return int(n_atoms)
 
 
+def log_css_amplitudes(n_atoms: int) -> np.ndarray:
+    """Log amplitudes of the coherent spin state along +x, index k <-> m = k - S.
+
+    log a_m = (1/2) log C(2S, S+m) - S log 2 through log-gamma, so no level
+    underflows however far it sits from m = 0.  This is the prior the
+    measurement kernel conditions; it is never exponentiated before the
+    update.
+    """
+    n = _check_atom_count(n_atoms)
+    k = np.arange(n + 1)
+    return 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)) - 0.5 * n * _LN2
+
+
 def make_css(n_atoms: int) -> SpinEnsembleState:
     """Coherent spin state along +x, Sx |psi> = S |psi>.
 
     Amplitudes are the square roots of the symmetric binomial distribution,
-    2^{-S} C(2S, S+m)^{1/2}; evaluated through log-gamma so that large N
-    does not overflow.
+    2^{-S} C(2S, S+m)^{1/2}, exponentiated from :func:`log_css_amplitudes`;
+    levels below the float range become exact zeros.
     """
-    n = _check_atom_count(n_atoms)
-    k = np.arange(n + 1)
-    log_amp = 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)) - 0.5 * n * _LN2
-    amps = np.exp(log_amp)
-    return SpinEnsembleState.from_unnormalized(n, amps)
+    return SpinEnsembleState.from_unnormalized(n_atoms, np.exp(log_css_amplitudes(n_atoms)))
 
 
 def make_dicke(n_atoms: int, m: float) -> SpinEnsembleState:
@@ -156,24 +165,28 @@ def make_superposition_target(n_atoms: int, m_c: float, eta: float = 0.0) -> Spi
     return SpinEnsembleState(n, amps)
 
 
+def _z_moments(probs, n_atoms: int):
+    """<Sz>, <Sz^2>, Var Sz, <Sx^2 + Sy^2> and xi_D along the last axis of ``probs``."""
+    m = np.arange(n_atoms + 1) - n_atoms / 2.0
+    mean_sz = probs @ m
+    mean_sz2 = probs @ (m * m)
+    # rounding can push the variance a hair below zero; clamp
+    var_sz = np.maximum(mean_sz2 - mean_sz * mean_sz, 0.0)
+    s = n_atoms / 2.0
+    mean_perp2 = s * (s + 1.0) - mean_sz2
+    return mean_sz, mean_sz2, var_sz, mean_perp2, n_atoms * (var_sz + 0.25) / mean_perp2
+
+
 def observables(state: SpinEnsembleState) -> ObservableReport:
     """Spin-z moments, transverse second moment, and the squeezing parameter."""
-    p = np.abs(state.amplitudes) ** 2
-    m = state.m_values
-    mean_sz = float(p @ m)
-    mean_sz2 = float(p @ (m * m))
-    # rounding can push the variance a hair below zero; clamp
-    var_sz = max(mean_sz2 - mean_sz * mean_sz, 0.0)
-    s = state.total_spin
-    mean_perp2 = s * (s + 1.0) - mean_sz2
-    xi_d = state.atom_count * (var_sz + 0.25) / mean_perp2
-    return ObservableReport(
-        mean_sz=mean_sz,
-        mean_sz2=mean_sz2,
-        var_sz=var_sz,
-        mean_sx2_plus_sy2=mean_perp2,
-        xi_d=xi_d,
-    )
+    moments = _z_moments(np.abs(state.amplitudes) ** 2, state.atom_count)
+    return ObservableReport(*(float(v) for v in moments))
+
+
+def dicke_squeezing(probs) -> np.ndarray:
+    """xi_D for each row of level probabilities (last axis: the N+1 levels)."""
+    probs = np.asarray(probs, dtype=float)
+    return _z_moments(probs, probs.shape[-1] - 1)[-1]
 
 
 def prob_distribution(state: SpinEnsembleState) -> list[tuple[float, float]]:

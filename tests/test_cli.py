@@ -5,7 +5,18 @@ import numpy as np
 import pytest
 
 from _oracles import chi_square_gof
-from spinprep import MeasurementSetting, make_css, prepare_dss
+from spinprep import (
+    MeasurementSetting,
+    apply_measurement,
+    fidelity,
+    make_css,
+    make_superposition_target,
+    observables,
+    outcome_pdf,
+    prepare_dss,
+    prepare_superposition,
+    repetitive_dss,
+)
 from spinprep.cli import main, read_result
 
 
@@ -204,6 +215,26 @@ def test_sample_superposition_runs(tmp_path):
     assert np.all((0.0 <= fid) & (fid <= 1.0))
 
 
+def test_sample_rows_equal_per_shot_updates(tmp_path):
+    # reference: the per-shot path, one update of the CSS per shot, the
+    # mixture density and the overlap with the explicit target state
+    res, _ = run(tmp_path, "sample", "dss", "--N", "40", "--chi-p", "0.3",
+                 "--eta", "0.05", "--n-shots", "50", "--seed", "3", name="dss.csv")
+    setting = MeasurementSetting(chi_p=0.3, eta=0.05)
+    for _, y, density, xi_d in res["rows"]:
+        post, _ = apply_measurement(make_css(40), setting, y)
+        assert density == pytest.approx(outcome_pdf(make_css(40), setting, y), rel=1e-12)
+        assert xi_d == pytest.approx(observables(post).xi_d, abs=1e-12)
+    res, _ = run(tmp_path, "sample", "superposition", "--N", "21", "--chi-x", "0.1",
+                 "--eta", "0.07", "--n-shots", "50", "--seed", "5", name="sup.csv")
+    setting = MeasurementSetting(chi_x=0.1, eta=0.07)
+    for _, y, density, fid, m_c in res["rows"]:
+        post, _ = apply_measurement(make_css(21), setting, y)
+        target = make_superposition_target(21, m_c, 0.07)
+        assert density == pytest.approx(outcome_pdf(make_css(21), setting, y), rel=1e-12)
+        assert fid == pytest.approx(fidelity(post, target), abs=1e-12)
+
+
 def test_sample_outcomes_match_mixture(tmp_path):
     res, _ = run(
         tmp_path, "sample", "dss", "--N", "40", "--chi-p", "0.4",
@@ -224,14 +255,44 @@ def test_sample_usage_errors(tmp_path):
 # ---------------------------------------------------------------- sweep
 
 
-def test_sweep_parallel_equals_serial(tmp_path):
-    base = ["sweep", "superposition", "--param", "chi_x", "--start", "0.05",
-            "--stop", "0.5", "--count", "9", "--N", "60", "--outcome", "-3.0"]
-    p1 = tmp_path / "serial.csv"
-    p2 = tmp_path / "parallel.csv"
-    assert main(base + ["--out", str(p1)]) == 0
-    assert main(base + ["--workers", "3", "--out", str(p2)]) == 0
-    assert p1.read_bytes() == p2.read_bytes()
+def test_sweep_batch_equals_per_point_calls(tmp_path):
+    # a sweep runs as one batch; each row must equal the stand-alone protocol
+    # call at that point, whatever the batch around it
+    base = ["--start", "0.05", "--stop", "0.5", "--count", "9", "--N", "60"]
+    res, _ = run(tmp_path, "sweep", "superposition", "--param", "chi_x", *base,
+                 "--outcome", "-3.0", "--eta", "0.3", name="sup.csv")
+    for chi, fid, m_c, sep, width in res["rows"]:
+        ref = prepare_superposition(60, chi, -3.0, 0.3)
+        assert fid == pytest.approx(ref.fidelity_vs_target, abs=1e-12)
+        assert (m_c, sep, width) == (
+            ref.target_m_c, ref.packet_separation, ref.packet_width
+        )
+    res, _ = run(tmp_path, "sweep", "dss", "--param", "outcome", "--start", "-9",
+                 "--stop", "9", "--count", "13", "--N", "41", "--chi-p", "0.7",
+                 "--eta", "0.2", name="dss.csv")
+    direct = [prepare_dss(41, 0.7, y, 0.2).xi_d for y in column(res, "value")]
+    np.testing.assert_allclose(column(res, "xi_d"), direct, rtol=0, atol=1e-12)
+    res, _ = run(tmp_path, "sweep", "repetitive_dss", "--param", "chi_p", *base,
+                 "--n", "7", name="rep.csv")
+    direct = [repetitive_dss(60, chi, 7).xi_d for chi in column(res, "value")]
+    np.testing.assert_allclose(column(res, "xi_d"), direct, rtol=0, atol=1e-12)
+
+
+def test_sweep_far_tail_records(tmp_path):
+    res, _ = run(tmp_path, "sweep", "dss", "--N", "3000", "--chi-p", "1",
+                 "--param", "outcome", "--start", "-1250", "--stop", "-1000",
+                 "--count", "6")
+    xi = column(res, "xi_d")
+    assert np.all((1.0 / 3002 <= xi) & (xi <= 1.0))
+
+
+def test_numeric_failure_exits_2(capsys):
+    # the squared residual of a 1e200 record overflows, so the update keeps
+    # no finite mass: a numeric failure, not a usage error
+    argv = ["sweep", "dss", "--param", "outcome", "--start=-1e200", "--stop=1e200",
+            "--count", "2"]
+    assert main(argv) == 2
+    assert "numeric failure" in capsys.readouterr().err
 
 
 def test_sweep_log_scale(tmp_path):

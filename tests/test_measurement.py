@@ -16,6 +16,7 @@ from spinprep import (
     make_css,
     make_dicke,
     outcome_pdf,
+    posterior_batch,
     prob_distribution,
     sample_outcome,
     sample_outcomes,
@@ -149,6 +150,22 @@ def test_update_shift_ignores_unoccupied_levels():
     assert density == 0.0  # true value e^{-40000} underflows the float range
 
 
+def test_kernel_numeric_failures_are_arithmetic_errors():
+    # empty support and records whose update keeps no finite mass are numeric
+    # failures, kept apart from ValueError, which the CLI reports as usage errors
+    cases = [
+        (np.full(5, -np.inf), 0.0),
+        (np.zeros(5), math.nan),
+        (np.zeros(5), 1e200),  # the squared residual overflows
+    ]
+    for log_prior, outcome in cases:
+        with pytest.raises(ArithmeticError) as info:
+            posterior_batch(log_prior, outcome, chi_p=1.0)
+        assert not isinstance(info.value, ValueError)
+    with pytest.raises(ValueError):
+        posterior_batch(np.zeros(5), 0.0, chi_p=-1.0)
+
+
 def test_density_equals_outcome_pdf():
     rng = np.random.default_rng(11)
     for n, setting in [
@@ -213,6 +230,16 @@ def test_sample_outcome_deterministic_and_serializable():
     blob = json.dumps(rec1.to_json())
     back = MeasurementRecord.from_json(json.loads(blob))
     assert back == rec1
+
+
+def test_sample_outcome_fresh_entropy():
+    state = make_css(12)
+    setting = MeasurementSetting(chi_p=0.4)
+    rec = sample_outcome(state, setting, None)
+    assert rec.seed is None
+    assert rec.probability_density == pytest.approx(
+        outcome_pdf(state, setting, rec.outcome), rel=1e-15
+    )
 
 
 def test_sample_dicke_outcome_mean():

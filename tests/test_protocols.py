@@ -133,6 +133,15 @@ def test_dss_saturates_toward_ideal():
         assert xis[-1] * (n + 2) == pytest.approx(1.0, abs=0.02)
 
 
+@pytest.mark.parametrize("outcome", [-1250.0, -1200.0, -1150.0, -1100.0, -1050.0, -1000.0])
+def test_dss_far_tail_record(outcome):
+    # the record selects levels near m = -outcome, deep in the CSS tail, where
+    # linear CSS amplitudes are ~1e-226 and the edge levels underflow to zero
+    res = prepare_dss(3000, 1.0, outcome)
+    assert np.sum(np.abs(res.post_state.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert 1.0 / 3002 <= res.xi_d <= 1.0
+
+
 def test_dss_out_of_range_record_warns():
     with pytest.warns(UserWarning):
         prepare_dss(40, 0.4, 9.0)
