@@ -26,7 +26,6 @@ from .measurement import MeasurementSetting, posterior_batch, sample_outcomes
 from .pulse_optics import PULSE_KINDS, CavityParams, feasibility
 from .protocols import (
     dss_rows,
-    dss_with_repeated_outcome,
     prepare_dss,
     repetitive_dss_rows,
     superposition_rows,
@@ -234,12 +233,14 @@ def cmd_fig4(
             "fig4", "a", "outcome_fraction", grid, {"N": n, "chi_p": chi, "n": rounds}, seed
         )
         columns = ["outcome_fraction"] + [f"xi_d_n{r}" for r in rounds]
-        rows = []
-        for frac in spec.points():
-            outcome = frac * chi * n / 2.0
-            xis = [dss_with_repeated_outcome(n, chi, r, outcome).xi_d for r in rounds]
-            rows.append((frac, *xis))
-        return SweepResult(spec, columns, rows)
+        if min(rounds) < 1:
+            raise UsageError(f"--n must be >= 1, got {min(rounds)}")
+        fracs = spec.points()
+        outcomes = fracs * chi * n / 2.0
+        # r rounds that each record Y equal one round recording sqrt(r) Y at
+        # sqrt(r) chi_p: the exact composition identity of measurement.compose
+        xis = [dss_rows(n, chi * math.sqrt(r), math.sqrt(r) * outcomes)[0] for r in rounds]
+        return SweepResult(spec, columns, _zip_columns(fracs, xis))
     if sub == "b":
         rounds = [n_rounds] if n_rounds is not None else [1, 5, 25]
         grid = {"start": 0.05, "stop": 2.0, "count": 40, "scale": "linear"}

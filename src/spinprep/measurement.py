@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.special import erfc
 
 from .spin_core import NORM_TOL, SpinEnsembleState
 
@@ -355,20 +355,17 @@ def acceptance_probability(
 ) -> float:
     """Probability that the record falls within ``half_width`` of ``target``.
 
-    Composite-Simpson quadrature of :func:`outcome_pdf` over the window; an
-    infinite half-width integrates over the full support of the mixture and
-    returns 1 up to quadrature error.
+    Level m contributes P(m) times the window mass of its variance-1/2
+    Gaussian centered at c_m = -(chi_x m^2 + chi_p m).  By the Gaussian's
+    symmetry that mass is (1/2)[erfc(d_m - h) - erfc(d_m + h)] with
+    d_m = |target - c_m| and h the half-width: the erf-difference closed form
+    written so that windows far in a tail keep full relative precision.  An
+    infinite half-width gives exactly sum_m P(m).
     """
     if not half_width > 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
-    centers = _centers(setting, _m_values(state.atom_count))
-    if math.isinf(half_width):
-        lo = float(centers.min()) - 15.0
-        hi = float(centers.max()) + 15.0
-    else:
-        lo, hi = target - half_width, target + half_width
-    n_points = max(2001, int(math.ceil((hi - lo) / 0.01)))
-    if n_points % 2 == 0:
-        n_points += 1
-    grid = np.linspace(lo, hi, n_points)
-    return float(simpson(outcome_pdf(state, setting, grid), x=grid))
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
+    p = np.abs(state.amplitudes) ** 2
+    offset = np.abs(target - _centers(setting, _m_values(state.atom_count)))
+    return float(0.5 * (erfc(offset - half_width) - erfc(offset + half_width)) @ p)

@@ -35,7 +35,6 @@ from .spin_core import (
     log_css_amplitudes,
     make_css,
     observables,
-    prob_distribution,
 )
 
 OUTCOME_POLICIES = ("all_zero", "sampled")
@@ -351,8 +350,3 @@ def long_pulse_plan(
         achievable=bool(required < report.chi_p_bound and report.ok),
     )
 
-
-def positive_side_argmax(state: SpinEnsembleState) -> float:
-    """The m > 0 value with the largest probability; helper for peak reports."""
-    pairs = [(m, p) for m, p in prob_distribution(state) if m > 0]
-    return max(pairs, key=lambda mp: mp[1])[0]

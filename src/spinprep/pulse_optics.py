@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import simpson
 from scipy.signal import fftconvolve
+from scipy.special import k1
 
 EXPONENTIAL = "exponential"
 LONG_EXPONENTIAL = "long_exponential"
@@ -42,12 +43,7 @@ DEFAULT_SPAN_FACTOR = 30.0
 MIN_SPAN_FACTOR = 10.0
 MAX_DT = 0.01
 
-# Spectral inversion window: |omega| <= 50 kappa keeps the untruncated L2 mass
-# error of the (kappa^2 + omega^2)^{-3/2} spectrum below 1e-9.
-SPECTRAL_OMEGA_MAX = 50.0
-SPECTRAL_DOMEGA = 0.005
-
-_NORM_TOL = {EXPONENTIAL: 1e-6, LONG_EXPONENTIAL: 1e-6, OPTIMAL_X_SPECTRAL: 1e-4}
+_NORM_TOL = 1e-6
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
@@ -131,14 +127,13 @@ class PulseGrid:
                 raise ValueError(f"{name} must match the time grid shape")
             object.__setattr__(self, name, _locked(arr))
         norm = l2_mass(self.times, self.beta_in)
-        tol = _NORM_TOL[self.kind]
-        if abs(norm - 1.0) > tol:
+        if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(
-                f"pulse L2 mass {norm} deviates from 1 by more than {tol}"
+                f"pulse L2 mass {norm} deviates from 1 by more than {_NORM_TOL}"
             )
         if self.beta_lo is not None:
             lo_norm = l2_mass(self.times, self.beta_lo)
-            if abs(lo_norm - 1.0) > 1e-6:
+            if abs(lo_norm - 1.0) > _NORM_TOL:
                 raise ValueError(
                     f"local-oscillator L2 mass {lo_norm} deviates from 1"
                 )
@@ -182,39 +177,31 @@ def _time_grid(span: float, dt: float) -> np.ndarray:
 
 
 def _spectral_envelope(times: np.ndarray) -> np.ndarray:
-    """Numeric inverse Fourier transform of the flat-top optimal spectrum.
+    """Closed-form inverse Fourier transform of the flat-top optimal spectrum.
 
-    The spectrum sqrt(8/(3 pi)) (1 + w^2)^{-3/2} has unit L2(dw) mass, so the
-    unitary-convention cosine transform lands directly on a unit-L2(dt) pulse.
-    Evaluated by Simpson over w in [0, SPECTRAL_OMEGA_MAX], chunked in t to
-    bound memory.
+    The spectrum sqrt(8/(3 pi)) (1 + w^2)^{-3/2} has unit L2(dw) mass, so its
+    unitary cosine transform is a unit-L2(dt) pulse.  Basset's integral (DLMF
+    10.32.11) gives int_0^inf (1 + w^2)^{-3/2} cos(w t) dw = |t| K_1(|t|),
+    whose limit at t = 0 is 1.
     """
-    w = np.arange(0.0, SPECTRAL_OMEGA_MAX + SPECTRAL_DOMEGA / 2, SPECTRAL_DOMEGA)
-    spectrum = math.sqrt(8.0 / (3.0 * math.pi)) * (1.0 + w * w) ** (-1.5)
-    # the spectrum is even, so evaluate on |t| and mirror
-    t_abs, inverse = np.unique(np.abs(times), return_inverse=True)
-    half = np.empty_like(t_abs)
-    chunk = 2048
-    for i in range(0, t_abs.size, chunk):
-        t_block = t_abs[i : i + chunk]
-        integrand = spectrum[None, :] * np.cos(np.outer(t_block, w))
-        half[i : i + chunk] = simpson(integrand, x=w, axis=1)
-    return half[inverse] * (2.0 / math.sqrt(2.0 * math.pi))
+    t = np.abs(times)
+    shape = np.ones_like(t)
+    nonzero = t > 0.0
+    shape[nonzero] = t[nonzero] * k1(t[nonzero])
+    return math.sqrt(8.0 / (3.0 * math.pi)) * math.sqrt(2.0 / math.pi) * shape
 
 
 def build_pulse(
     kind: str,
-    cavity: CavityParams | None = None,
     n_t: float = 1.0,
     span: float | None = None,
     dt: float = DEFAULT_DT,
 ) -> PulseGrid:
     """Sample a normalized probe envelope of the requested kind.
 
-    ``cavity`` is accepted for interface symmetry but does not alter the
-    grid: times are in units of 1/kappa and envelopes in units of
-    sqrt(kappa), so kappa scales out.  ``n_t`` stretches the long
-    exponential pulse; ``span``/``dt`` override the grid defaults.
+    Times are in units of 1/kappa and envelopes in units of sqrt(kappa), so
+    the grid serves any cavity.  ``n_t`` stretches the long exponential
+    pulse; ``span``/``dt`` override the grid defaults.
     """
     if kind not in PULSE_KINDS:
         raise ValueError(f"unknown pulse kind {kind!r}; expected one of {PULSE_KINDS}")
@@ -239,14 +226,14 @@ def build_pulse(
         beta = _spectral_envelope(times)
 
     mass = l2_mass(times, beta)
-    if abs(mass - 1.0) > _NORM_TOL[kind]:
+    if abs(mass - 1.0) > _NORM_TOL:
         raise ValueError(
             f"tail mass {abs(mass - 1.0):.3e} escapes the grid; widen the span"
         )
     return PulseGrid(times=times, beta_in=beta, kind=kind, n_t=float(n_t))
 
 
-def _convolve_causal(times: np.ndarray, f: np.ndarray, kernel: np.ndarray, dt: float):
+def _convolve_causal(f: np.ndarray, kernel: np.ndarray, dt: float):
     """Trapezoid quadrature of int_{-inf}^{t} k(t - t') f(t') dt' on the grid."""
     out = fftconvolve(f, kernel)[: f.size] * dt
     # trapezoid end corrections: the tau = 0 sample and the earliest sample
@@ -256,7 +243,7 @@ def _convolve_causal(times: np.ndarray, f: np.ndarray, kernel: np.ndarray, dt: f
     return out
 
 
-def response_functions(pulse: PulseGrid, cavity: CavityParams | None = None) -> PulseGrid:
+def response_functions(pulse: PulseGrid) -> PulseGrid:
     """Attach the cavity response functions beta0, beta1, beta2 to the grid.
 
     Causal convolutions of beta_in with sqrt(2) tau^j e^{-tau}, j = 0, 1, 2,
@@ -265,9 +252,9 @@ def response_functions(pulse: PulseGrid, cavity: CavityParams | None = None) -> 
     tau = pulse.times - pulse.times[0]
     decay = math.sqrt(2.0) * np.exp(-tau)
     dt = pulse.dt
-    b0 = _convolve_causal(pulse.times, pulse.beta_in, decay, dt)
-    b1 = _convolve_causal(pulse.times, pulse.beta_in, tau * decay, dt)
-    b2 = _convolve_causal(pulse.times, pulse.beta_in, tau * tau * decay, dt)
+    b0 = _convolve_causal(pulse.beta_in, decay, dt)
+    b1 = _convolve_causal(pulse.beta_in, tau * decay, dt)
+    b2 = _convolve_causal(pulse.beta_in, tau * tau * decay, dt)
     return replace(pulse, beta0=b0, beta1=b1, beta2=b2)
 
 
@@ -349,7 +336,7 @@ def feasibility(
     The peak intracavity photon number N_p max|beta0|^2 must stay well below
     (Delta/g)^2; ``threshold`` sets how much headroom "well below" means.
     """
-    peak = _cached_peak(kind, float(n_t))
+    peak = peak_intracavity(response_functions(build_pulse(kind, n_t=n_t)))
     max_photons = cavity.n_photons * peak
     dispersive = (cavity.delta / cavity.g) ** 2
     chi_x_bound = math.sqrt(42.0) * cavity.g**3 / (cavity.kappa**2 * abs(cavity.delta))
@@ -362,17 +349,6 @@ def feasibility(
         ok=bool(max_photons < threshold * dispersive),
         threshold=threshold,
     )
-
-
-_PEAK_CACHE: dict[tuple[str, float], float] = {}
-
-
-def _cached_peak(kind: str, n_t: float) -> float:
-    key = (kind, n_t)
-    if key not in _PEAK_CACHE:
-        pulse = response_functions(build_pulse(kind, n_t=n_t))
-        _PEAK_CACHE[key] = peak_intracavity(pulse)
-    return _PEAK_CACHE[key]
 
 
 def pulse_to_csv(pulse: PulseGrid, stream) -> None:

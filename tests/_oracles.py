@@ -4,6 +4,7 @@ Nothing here imports ``spinprep``: each oracle is derived from the
 conventions stated in the README and evaluated by independent means.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -94,6 +95,7 @@ def dss_floor_ratio(n_atoms, chi_p):
     return xi_d * (n_atoms + 2)
 
 
+@functools.cache  # about a second of quadrature, shared by the tests that need it
 def flat_top_peak():
     """max_t beta0(t)^2 for the flat-top spectral pulse, in the frequency domain.
 

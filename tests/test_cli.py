@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import chi_square_gof
+from _oracles import chi_square_gof, flat_top_peak
 from spinprep import (
     MeasurementSetting,
     apply_measurement,
+    dss_with_repeated_outcome,
     fidelity,
     make_css,
     make_superposition_target,
@@ -133,6 +134,13 @@ def test_fig4a_single_round_matches_direct(tmp_path):
     xi1 = column(res, "xi_d_n1")
     direct = [prepare_dss(40, 0.4, float(f) * 0.4 * 20.0).xi_d for f in frac]
     np.testing.assert_allclose(xi1, direct, rtol=1e-12)
+
+
+def test_fig4a_rows_equal_repeated_outcome_calls(tmp_path):
+    res, _ = run(tmp_path, "fig4", "a", "--N", "60", "--chi-p", "0.3", "--n", "7")
+    frac = column(res, "outcome_fraction")
+    direct = [dss_with_repeated_outcome(60, 0.3, 7, float(f) * 0.3 * 30.0).xi_d for f in frac]
+    np.testing.assert_allclose(column(res, "xi_d_n7"), direct, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- determinism
@@ -333,6 +341,13 @@ def test_feasibility_long_pulse_bound(capsys):
     text = capsys.readouterr().out
     bound = float(text.split("chi_p bound")[1].split(":")[1].split()[0])
     assert bound == pytest.approx(3.0 * math.sqrt(10.0), rel=0.05)
+
+
+def test_feasibility_flat_top_peak(capsys):
+    assert main(["feasibility", "--kind", "optimal_x_spectral", "--np", "250"]) == 0
+    text = capsys.readouterr().out
+    photons = float(text.split("max intracavity photons")[1].split(":")[1].split()[0])
+    assert photons == pytest.approx(250.0 * flat_top_peak(), rel=1e-4)
 
 
 def test_feasibility_exit_codes():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erf
 
 from spinprep import (
@@ -347,9 +348,42 @@ def test_acceptance_probability_shrinks_with_strength():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize(
+    "n_atoms, setting, target, half_width",
+    [
+        (40, MeasurementSetting(chi_p=0.4), 0.0, 1.0),
+        (40, MeasurementSetting(chi_p=0.4), 3.7, 0.05),
+        (30, MeasurementSetting(chi_x=0.05, chi_p=0.3), -3.0, 2.5),
+        (20, MeasurementSetting(chi_x=0.2, eta=0.7), -5.0, 30.0),
+        (40, MeasurementSetting(chi_p=0.4), 12.0, 0.5),  # far tails, 1e-18 and 1e-29
+        (40, MeasurementSetting(chi_p=0.4), -15.0, 1.0),
+    ],
+)
+def test_acceptance_probability_matches_dense_quadrature(n_atoms, setting, target, half_width):
+    state = make_css(n_atoms)
+    lo, hi = target - half_width, target + half_width
+    m = np.arange(n_atoms + 1) - n_atoms / 2
+    centers = -(setting.chi_x * m * m + setting.chi_p * m)
+    inside = np.unique(centers[(centers > lo) & (centers < hi)])
+    reference, _ = quad(
+        lambda y: outcome_pdf(state, setting, y), lo, hi,
+        points=inside if inside.size else None, limit=500, epsabs=0.0, epsrel=1e-13,
+    )
+    value = acceptance_probability(state, setting, target, half_width)
+    assert value == pytest.approx(reference, rel=1e-10, abs=0.0)
+
+
 def test_acceptance_probability_validation():
     with pytest.raises(ValueError):
         acceptance_probability(make_css(4), MeasurementSetting(), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_acceptance_probability_rejects_non_finite_target(target):
+    with pytest.raises(ValueError, match="target must be finite"):
+        acceptance_probability(make_css(4), MeasurementSetting(chi_p=0.3), target, 1.0)
+    with pytest.raises(ValueError, match="target must be finite"):
+        acceptance_probability(make_css(4), MeasurementSetting(chi_p=0.3), target, math.inf)
 
 
 # ---------------------------------------------------------------- phase

@@ -1,9 +1,10 @@
-"""Property tests of the batched log-domain posterior kernel.
+"""Property tests of the batched log-domain posterior kernel and the POVM.
 
-The oracle is the plain linear-domain product binomial prior x Gaussian
-weights, evaluated in decimal arithmetic whose exponent range no weight can
-underflow, so it needs no log-sum-exp shift and shares no code with the
-kernel.
+The kernel's oracle is the plain linear-domain product binomial prior x
+Gaussian weights, evaluated in decimal arithmetic whose exponent range no
+weight can underflow, so it needs no log-sum-exp shift and shares no code
+with the kernel.  POVM completeness, int M(Y)^dagger M(Y) dY = I, is checked
+by adaptive quadrature of each level's outcome density.
 """
 
 import math
@@ -13,12 +14,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from spinprep import (
     MeasurementSetting,
+    SpinEnsembleState,
+    acceptance_probability,
     compose,
     log_css_amplitudes,
     make_css,
+    make_dicke,
     outcome_pdf,
     posterior_batch,
 )
@@ -141,3 +146,43 @@ def test_eta_changes_phases_only(case):
     np.testing.assert_allclose(np.abs(phased), np.abs(plain), rtol=0, atol=1e-15)
     m = np.arange(n_atoms + 1) - n_atoms / 2.0
     np.testing.assert_allclose(phased, plain * np.exp(1j * eta * m), rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------- POVM completeness
+
+POVM = settings(max_examples=15, deadline=None)
+povm_settings = st.builds(
+    MeasurementSetting,
+    chi_x=st.floats(0.0, 5.0),
+    chi_p=st.floats(0.0, 5.0),
+    eta=st.floats(-math.pi, math.pi),
+)
+
+
+@POVM
+@given(st.integers(1, 200), povm_settings, st.data())
+def test_level_densities_integrate_to_one(n_atoms, setting, data):
+    # M(Y) is diagonal, so int M^dagger M dY = I says each Dicke level's
+    # outcome density has unit mass; the outermost levels lie farthest out
+    for k in {0, n_atoms, data.draw(st.integers(0, n_atoms))}:
+        m = k - n_atoms / 2
+        state = make_dicke(n_atoms, m)
+        center = -(setting.chi_x * m * m + setting.chi_p * m)
+        mass = sum(
+            quad(lambda y: outcome_pdf(state, setting, y), a, b, epsabs=1e-14, epsrel=1e-13)[0]
+            for a, b in ((-np.inf, center), (center, np.inf))
+        )
+        assert mass == pytest.approx(1.0, rel=0, abs=1e-10)
+
+
+@POVM
+@given(st.integers(1, 200), povm_settings, st.integers(0, 2**32 - 1))
+def test_full_window_accepts_every_record(n_atoms, setting, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n_atoms + 1) + 1j * rng.normal(size=n_atoms + 1)
+    amps[rng.random(n_atoms + 1) < 0.5] = 0.0
+    amps[rng.integers(n_atoms + 1)] = 1.0  # never the zero vector
+    state = SpinEnsembleState.from_unnormalized(n_atoms, amps)
+    assert acceptance_probability(state, setting, 0.0, math.inf) == pytest.approx(
+        1.0, rel=0, abs=1e-12
+    )

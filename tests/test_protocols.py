@@ -14,9 +14,14 @@ from spinprep import (
     prob_distribution,
     repetitive_dss,
 )
-from spinprep.protocols import positive_side_argmax
 
 CAVITY = CavityParams.from_two_pi_megahertz(0.4, 3000.0, 1.0, 100.0)
+
+
+def _positive_side_argmax(state):
+    """The m > 0 value with the largest probability."""
+    pairs = [(m, p) for m, p in prob_distribution(state) if m > 0]
+    return max(pairs, key=lambda mp: mp[1])[0]
 
 
 def brute_xi_d(n_atoms, chi_p, outcome):
@@ -39,7 +44,7 @@ def brute_xi_d(n_atoms, chi_p, outcome):
 def test_superposition_two_packet_structure():
     res = prepare_superposition(100, 0.2, -0.2 * 25.0)
     assert res.target_m_c == 5.0
-    assert positive_side_argmax(res.post_state) == 5.0
+    assert _positive_side_argmax(res.post_state) == 5.0
     dist = dict(prob_distribution(res.post_state))
     assert dist[5.0] == pytest.approx(dist[-5.0])
     assert res.packet_separation == pytest.approx(10.0)
@@ -80,7 +85,7 @@ def test_superposition_positive_record_single_packet():
     assert res.target_m_c == 0.0
     assert res.packet_separation == 0.0
     assert math.isinf(res.packet_width)
-    assert positive_side_argmax(res.post_state) == 1.0  # symmetric packet about 0
+    assert _positive_side_argmax(res.post_state) == 1.0  # symmetric packet about 0
 
 
 def test_superposition_requires_positive_strength():

@@ -3,8 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
-from scipy.special import k1
+from scipy.integrate import quad, simpson
 
 from spinprep import (
     CavityParams,
@@ -61,16 +60,21 @@ def test_long_envelope(long10_pulse):
 
 def test_spectral_parseval(spectral_pulse):
     mass = simpson(spectral_pulse.beta_in**2, x=spectral_pulse.times)
-    assert mass == pytest.approx(1.0, abs=1e-4)
+    assert mass == pytest.approx(1.0, abs=1e-6)
 
 
 def test_spectral_matches_bessel_closed_form(spectral_pulse):
-    # the flat-top spectrum inverts analytically to ~ |t| K1(|t|)
-    t = spectral_pulse.times
-    at = np.abs(t)
-    closed = np.where(at < 1e-12, 1.0, at * k1(np.where(at < 1e-12, 1.0, at)))
-    closed = closed * 2.0 * math.sqrt(8.0 / (3.0 * math.pi)) / math.sqrt(2.0 * math.pi)
-    np.testing.assert_allclose(spectral_pulse.beta_in, closed, atol=3e-4)
+    # the envelope is |t| K1(|t|) up to normalization; the reference is the
+    # unitary cosine transform of the unit-L2 spectrum sqrt(8/(3 pi)) (1 + w^2)^{-3/2},
+    # by QUADPACK's Fourier-weighted rule on [0, inf)
+    norm = math.sqrt(8.0 / (3.0 * math.pi)) * math.sqrt(2.0 / math.pi)
+    for t in (0.0, 0.1, 1.0, 5.0, 20.0):
+        k = int(np.argmin(np.abs(spectral_pulse.times - t)))
+        integral, _ = quad(
+            lambda w: (1.0 + w * w) ** -1.5, 0.0, np.inf,
+            weight="cos", wvar=spectral_pulse.times[k], epsabs=1e-12,
+        )
+        assert spectral_pulse.beta_in[k] == pytest.approx(norm * integral, rel=0, abs=1e-9)
 
 
 def test_grid_validation():
