@@ -176,8 +176,9 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, eta=0.0, reduce=N
     strengths ``chi_x[r]``, ``chi_p[r]`` and phase ``eta[r]``; each of these
     and ``outcomes`` may be a scalar shared by every record.
 
-    Each record's row log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 / 2 is shifted
-    by its maximum, exponentiated once and normalized.  Rows are processed
+    Each record's row log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 / 2 is taken
+    relative to its largest entry, in a form where Y_r cancels exactly,
+    exponentiated once and normalized.  Rows are processed
     in chunks of about 2^16 matrix elements.  ``reduce`` maps each chunk's
     :class:`Posterior` to one value (or array) per record, by default its
     full amplitudes.  Returns the stacked reduced values and the log record
@@ -211,8 +212,17 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, eta=0.0, reduce=N
             log_p = np.add(y[rows, None], offsets)
             np.square(log_p, out=log_p)
             np.subtract(two_log_mag, log_p, out=log_p)
-            shift = log_p.max(axis=1)
-            log_p -= shift[:, None]
+            ref = log_p.argmax(axis=1)
+            # relative to the row's peak level j, r_m^2 - r_j^2 = d (2 r_j + d)
+            # with d = offset_m - offset_j: the record cancels exactly, so a
+            # record far from every center keeps near-tied levels resolved
+            ref_offset = offsets[ref] if shared else offsets[np.arange(ref.size), ref]
+            ref_residual = y[rows] + ref_offset
+            shift = two_log_mag[ref] - ref_residual * ref_residual
+            d = np.subtract(offsets, ref_offset[:, None], out=log_p)
+            log_p = np.multiply(d, d + 2.0 * ref_residual[:, None], out=log_p)
+            np.subtract(two_log_mag, log_p, out=log_p)
+            log_p -= two_log_mag[ref][:, None]
             lost = log_p < _LOG_PROB_FLOOR
             np.maximum(log_p, _LOG_PROB_FLOOR, out=log_p)
             probs = np.exp(log_p, out=log_p)
