@@ -35,6 +35,11 @@ _CHUNK_ELEMENTS = 1 << 16
 # exp is several times slower on arguments whose result underflows; a level
 # more than e^-700 below its row's largest probability is set to 0 instead
 _LOG_PROB_FLOOR = -700.0
+# (Y + chi_x m^2 + chi_p m)^2 loses ~2 r^2 eps to rounding at residual r.  A
+# record more than this far from its peak level's center (a variance-1/2
+# Gaussian tail below e^-64) has its row formed by differences instead, in
+# which Y cancels; nearer, the loss stays below 3e-14
+_FAR_RESIDUAL = 8.0
 
 
 class PosteriorError(ArithmeticError):
@@ -167,12 +172,6 @@ def _per_record(outcomes, chi_x, chi_p, eta):
     return y, cx, cp, phase
 
 
-def _nearest(sorted_values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Index into ``sorted_values`` (at least 2) of the entry nearest each target."""
-    pos = np.searchsorted(sorted_values, targets).clip(1, sorted_values.size - 1)
-    return pos - (targets - sorted_values[pos - 1] < sorted_values[pos] - targets)
-
-
 def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, eta=0.0, reduce=None):
     """Condition one prior on many records at once, in the log domain.
 
@@ -182,9 +181,10 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, eta=0.0, reduce=N
     strengths ``chi_x[r]``, ``chi_p[r]`` and phase ``eta[r]``; each of these
     and ``outcomes`` may be a scalar shared by every record.
 
-    Each record's row log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 / 2 is formed
-    relative to the level whose center is nearest Y_r, so that Y_r cancels
-    exactly, then shifted by its maximum, exponentiated once and normalized.
+    Each record's row log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 / 2 is shifted
+    by its maximum, exponentiated once and normalized; for a record far from
+    its peak level's center the row is formed relative to that level, so that
+    Y_r cancels exactly and nearly tied levels stay resolved.
     Rows are processed in chunks of about 2^16 matrix elements.  ``reduce``
     maps each chunk's :class:`Posterior` to one value (or array) per record,
     by default its full amplitudes.  Returns the stacked reduced values and
@@ -206,38 +206,32 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, eta=0.0, reduce=N
     m2 = m * m
     # strengths shared by every record (each sampled shot) give shared level offsets
     shared = np.ndim(chi_x) == 0 and np.ndim(chi_p) == 0
-    if shared:
-        offsets = cx[0] * m2 + cp[0] * m
-        # offsets fall to a vertex and rise after it: two runs, which a
-        # stable (merge) sort orders in linear time
-        order = np.argsort(offsets, kind="stable")
-        sorted_offsets = offsets[order]
     reduce = reduce or Posterior.amplitudes
     values, log_density = [], []
     step = max(1, _CHUNK_ELEMENTS // m.size)
     for start in range(0, y.size, step):
         rows = slice(start, start + step)
+        offsets = cx[0] * m2 + cp[0] * m if shared else cx[rows, None] * m2 + cp[rows, None] * m
         # an overflowing residual or a non-finite record is caught by the mass check
         with np.errstate(over="ignore", invalid="ignore"):
-            # reference level j per record: the one whose center is nearest
-            if shared:
-                ref = order[_nearest(sorted_offsets, -y[rows])]
-                ref_offset = offsets[ref]
-            else:
-                offsets = cx[rows, None] * m2 + cp[rows, None] * m
-                ref = np.abs(y[rows, None] + offsets).argmin(axis=1)
-                ref_offset = offsets[np.arange(ref.size), ref]
-            ref_residual = y[rows] + ref_offset
-            # 2 log|a_m w_m| + r_j^2 up to the row constant -(1/2) log pi, with
-            # r_m^2 - r_j^2 = d (d + 2 r_j) and d = offset_m - offset_j: the
-            # record cancels exactly, so a record far from every center keeps
-            # nearly tied levels resolved
-            log_p = np.subtract(offsets, ref_offset[:, None])
-            np.multiply(log_p, log_p + 2.0 * ref_residual[:, None], out=log_p)
+            # 2 log|a_m w_m| up to the row constant -(1/2) log pi, in place
+            log_p = np.add(y[rows, None], offsets)
+            np.square(log_p, out=log_p)
             np.subtract(two_log_mag, log_p, out=log_p)
-            shift = log_p.max(axis=1)
+            peak = log_p.argmax(axis=1)
+            index = np.arange(peak.size)
+            shift = log_p[index, peak]
             log_p -= shift[:, None]
-            shift -= ref_residual * ref_residual
+            peak_offset = offsets[peak] if shared else offsets[index, peak]
+            peak_residual = y[rows] + peak_offset
+            far = np.abs(peak_residual) > _FAR_RESIDUAL
+            if far.any():
+                # r_m^2 - r_j^2 = d (d + 2 r_j), d = offset_m - offset_j, relative
+                # to the peak level j: the record cancels exactly
+                r_j, j = peak_residual[far], peak[far]
+                d = (offsets if shared else offsets[far]) - peak_offset[far, None]
+                log_p[far] = two_log_mag - two_log_mag[j][:, None] - d * (d + 2.0 * r_j[:, None])
+                shift[far] = two_log_mag[j] - r_j * r_j
             lost = log_p < _LOG_PROB_FLOOR
             np.maximum(log_p, _LOG_PROB_FLOOR, out=log_p)
             probs = np.exp(log_p, out=log_p)
