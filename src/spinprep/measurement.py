@@ -35,11 +35,6 @@ _CHUNK_ELEMENTS = 1 << 16
 # exp is several times slower on arguments whose result underflows; a level
 # more than e^-700 below its row's largest probability is set to 0 instead
 _LOG_PROB_FLOOR = -700.0
-# (Y + chi_x m^2 + chi_p m)^2 loses ~2 r^2 eps to rounding at residual r.  A
-# record more than this far from its peak level's center (a variance-1/2
-# Gaussian tail below e^-64) has its row formed by differences instead, in
-# which Y cancels; nearer, the loss stays below 3e-14
-_FAR_RESIDUAL = 8.0
 
 
 class PosteriorError(ArithmeticError):
@@ -182,13 +177,11 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, eta=0.0, reduce=N
     and ``outcomes`` may be a scalar shared by every record.
 
     Each record's row log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 / 2 is shifted
-    by its maximum, exponentiated once and normalized; for a record far from
-    its peak level's center the row is formed relative to that level, so that
-    Y_r cancels exactly and nearly tied levels stay resolved.
-    Rows are processed in chunks of about 2^16 matrix elements.  ``reduce``
-    maps each chunk's :class:`Posterior` to one value (or array) per record,
-    by default its full amplitudes.  Returns the stacked reduced values and
-    the log record densities log ||M(Y_r) psi||^2.
+    by its maximum, exponentiated once and normalized.  Rows are processed
+    in chunks of about 2^16 matrix elements.  ``reduce`` maps each chunk's
+    :class:`Posterior` to one value (or array) per record, by default its
+    full amplitudes.  Returns the stacked reduced values and the log record
+    densities log ||M(Y_r) psi||^2.
 
     Raises :class:`PosteriorError` if a record leaves no finite, nonzero mass
     or a post state misses unit norm by more than ``NORM_TOL``, and
@@ -218,20 +211,8 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, eta=0.0, reduce=N
             log_p = np.add(y[rows, None], offsets)
             np.square(log_p, out=log_p)
             np.subtract(two_log_mag, log_p, out=log_p)
-            peak = log_p.argmax(axis=1)
-            index = np.arange(peak.size)
-            shift = log_p[index, peak]
+            shift = log_p.max(axis=1)
             log_p -= shift[:, None]
-            peak_offset = offsets[peak] if shared else offsets[index, peak]
-            peak_residual = y[rows] + peak_offset
-            far = np.abs(peak_residual) > _FAR_RESIDUAL
-            if far.any():
-                # r_m^2 - r_j^2 = d (d + 2 r_j), d = offset_m - offset_j, relative
-                # to the peak level j: the record cancels exactly
-                r_j, j = peak_residual[far], peak[far]
-                d = (offsets if shared else offsets[far]) - peak_offset[far, None]
-                log_p[far] = two_log_mag - two_log_mag[j][:, None] - d * (d + 2.0 * r_j[:, None])
-                shift[far] = two_log_mag[j] - r_j * r_j
             lost = log_p < _LOG_PROB_FLOOR
             np.maximum(log_p, _LOG_PROB_FLOOR, out=log_p)
             probs = np.exp(log_p, out=log_p)
