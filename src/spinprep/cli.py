@@ -24,12 +24,7 @@ import numpy as np
 from . import __version__
 from .measurement import MeasurementSetting, posterior_batch, sample_outcomes
 from .pulse_optics import PULSE_KINDS, CavityParams, feasibility
-from .protocols import (
-    dss_rows,
-    prepare_dss,
-    repetitive_dss_rows,
-    superposition_rows,
-)
+from .protocols import dss_rows, repetitive_dss_rows, superposition_rows
 from .spin_core import log_css_amplitudes, make_css
 
 
@@ -213,10 +208,8 @@ def cmd_fig3(sub: str, n_atoms: int | None, chi_p: float | None, seed: int) -> S
         ns = [n_atoms] if n_atoms is not None else list(range(10, 121, 2))
         spec = SweepSpec("fig3", "c", "n_atoms", None, {"chi_p": chi, "N": ns}, seed)
         columns = ["n_atoms", "xi_d", "xi_d_ideal", "xi_d_times_n_plus_2"]
-        rows = []
-        for n in ns:
-            xi = prepare_dss(n, chi, 0.0).xi_d
-            rows.append((n, xi, 1.0 / (n + 2), xi * (n + 2)))
+        xis = [float(dss_rows(n, chi, 0.0)[0][0]) for n in ns]
+        rows = [(n, xi, 1.0 / (n + 2), xi * (n + 2)) for n, xi in zip(ns, xis)]
         return SweepResult(spec, columns, rows)
     raise UsageError(f"unknown fig3 subvariant {sub!r}")
 
@@ -236,10 +229,7 @@ def cmd_fig4(
         if min(rounds) < 1:
             raise UsageError(f"--n must be >= 1, got {min(rounds)}")
         fracs = spec.points()
-        outcomes = fracs * chi * n / 2.0
-        # r rounds that each record Y equal one round recording sqrt(r) Y at
-        # sqrt(r) chi_p: the exact composition identity of measurement.compose
-        xis = [dss_rows(n, chi * math.sqrt(r), math.sqrt(r) * outcomes)[0] for r in rounds]
+        xis = [repetitive_dss_rows(n, chi, r, fracs * chi * n / 2.0) for r in rounds]
         return SweepResult(spec, columns, _zip_columns(fracs, xis))
     if sub == "b":
         rounds = [n_rounds] if n_rounds is not None else [1, 5, 25]
@@ -314,9 +304,12 @@ def cmd_sample(
 # --------------------------------------------------------------------------
 
 SWEEP_PROTOCOLS = {
-    "dss": {"params": ("chi_p", "outcome", "N")},
-    "superposition": {"params": ("chi_x", "outcome", "N")},
-    "repetitive_dss": {"params": ("n", "chi_p")},
+    "dss": {"params": ("chi_p", "outcome", "N"), "columns": ["value", "xi_d"]},
+    "superposition": {
+        "params": ("chi_x", "outcome", "N"),
+        "columns": ["value", "fidelity", "target_m_c", "separation", "width"],
+    },
+    "repetitive_dss": {"params": ("n", "chi_p"), "columns": ["value", "xi_d"]},
 }
 
 
@@ -329,13 +322,6 @@ def _sweep_values(protocol: str, params: dict) -> list[np.ndarray]:
     if protocol == "superposition":
         return list(superposition_rows(n_atoms, params["chi_x"], params["outcome"], eta)[:4])
     return [repetitive_dss_rows(n_atoms, params["chi_p"], np.rint(params["n"]))]
-
-
-_SWEEP_COLUMNS = {
-    "dss": ["value", "xi_d"],
-    "superposition": ["value", "fidelity", "target_m_c", "separation", "width"],
-    "repetitive_dss": ["value", "xi_d"],
-}
 
 
 def cmd_sweep(spec: SweepSpec) -> SweepResult:
@@ -356,7 +342,7 @@ def cmd_sweep(spec: SweepSpec) -> SweepResult:
         columns = [np.concatenate(c) for c in zip(*blocks)]
     else:
         columns = _sweep_values(protocol, {**spec.fixed, spec.param: points})
-    return SweepResult(spec, _SWEEP_COLUMNS[protocol], _zip_columns(points, columns))
+    return SweepResult(spec, SWEEP_PROTOCOLS[protocol]["columns"], _zip_columns(points, columns))
 
 
 # --------------------------------------------------------------------------

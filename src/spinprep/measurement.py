@@ -268,25 +268,17 @@ def outcome_pdf(state: SpinEnsembleState, setting: MeasurementSetting, outcome):
 def sample_outcome(
     state: SpinEnsembleState, setting: MeasurementSetting, seed
 ) -> MeasurementRecord:
-    """Draw one record: m with probability P(m), then Y ~ N(center_m, 1/2).
+    """Draw one record, the one-shot case of :func:`sample_outcomes`.
 
     ``seed`` may be an integer (deterministic record), None (fresh entropy,
     recorded as ``seed=None``) or an existing numpy Generator (caller-owned
     stream, advanced by the draw).
     """
-    if isinstance(seed, np.random.Generator):
-        rng, seed_out = seed, None
-    else:
-        rng = np.random.default_rng(seed)
-        seed_out = None if seed is None else int(seed)
-    p = np.abs(state.amplitudes) ** 2
-    p = p / p.sum()
-    centers = _centers(setting, _m_values(state.atom_count))
-    idx = rng.choice(p.size, p=p)
-    outcome = rng.normal(centers[idx], math.sqrt(0.5))
+    seed_out = None if seed is None or isinstance(seed, np.random.Generator) else int(seed)
+    outcome = float(sample_outcomes(state, setting, 1, seed)[0])
     return MeasurementRecord(
-        outcome=float(outcome),
-        probability_density=outcome_pdf(state, setting, float(outcome)),
+        outcome=outcome,
+        probability_density=outcome_pdf(state, setting, outcome),
         setting=setting,
         seed=seed_out,
     )
@@ -295,7 +287,7 @@ def sample_outcome(
 def sample_outcomes(
     state: SpinEnsembleState, setting: MeasurementSetting, n_shots: int, seed
 ) -> np.ndarray:
-    """Vectorized i.i.d. records from the same pre-measurement state."""
+    """Vectorized i.i.d. records: m with probability P(m), then Y ~ N(center_m, 1/2)."""
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import (
-    MeasurementSetting,
-    apply_measurement,
-    compose,
-    posterior_batch,
-    sample_outcome,
-)
+from .measurement import MeasurementSetting, compose, posterior_batch, sample_outcomes
 from .pulse_optics import (
     LONG_EXPONENTIAL,
     CavityParams,
@@ -191,16 +185,20 @@ def dss_rows(n_atoms: int, chi_p, outcomes, eta=0.0):
     )
 
 
-def repetitive_dss_rows(n_atoms: int, chi_p, n_rounds):
-    """xi_D of the all-zero repetitive protocol for a batch of (chi_p, n) settings.
+def repetitive_dss_rows(n_atoms: int, chi_p, n_rounds, outcomes=0.0):
+    """xi_D after n phase-quadrature rounds that each record ``outcomes``.
 
-    n rounds that all record 0 equal one round at sqrt(n) chi_p recording 0,
-    the exact composition identity of :func:`spinprep.measurement.compose`.
+    ``chi_p``, ``n_rounds`` and ``outcomes`` broadcast to one value per row.
+    n rounds that all record Y equal one round at sqrt(n) chi_p recording
+    sqrt(n) Y, the exact composition identity of
+    :func:`spinprep.measurement.compose`; the default record 0 is the
+    all-zero repetitive protocol.
     """
     n_rounds = np.asarray(n_rounds)
     if np.any(n_rounds < 1):
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
-    xi, _ = dss_rows(n_atoms, np.asarray(chi_p, dtype=float) * np.sqrt(n_rounds), 0.0)
+    root_n = np.sqrt(n_rounds)
+    xi, _ = dss_rows(n_atoms, np.asarray(chi_p, dtype=float) * root_n, root_n * outcomes)
     return xi
 
 
@@ -285,37 +283,30 @@ def repetitive_dss(
 ) -> DssResult:
     """Repeated phase-quadrature probing of the same ensemble.
 
-    ``all_zero`` assumes every round records 0 and collapses the product of
-    operators through the exact sqrt(n) composition identity.  ``sampled``
-    draws each round's record from the current conditional state and applies
-    the rounds sequentially, so the reported squeezing reflects honest
-    conditional statistics; it requires a ``seed`` (or Generator).
+    Both policies pick a per-round record and condition the CSS once through
+    the exact sqrt(n) composition identity (:func:`dss_with_repeated_outcome`).
+    ``all_zero`` takes the record 0.  ``sampled`` requires a ``seed`` (or
+    Generator): every round probes the same level m, so the post state
+    depends on the records only through Y_eff = sum_j Y_j / sqrt(n), which is
+    distributed as one record of the CSS at sqrt(n) chi_p.  That record is
+    drawn, and ``outcome`` is the mean per-round record Y_eff / sqrt(n).
     """
     _require_positive("chi_p", chi_p)
     if n_rounds < 1:
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     if outcome_policy == "all_zero":
-        return dss_with_repeated_outcome(n_atoms, chi_p, n_rounds, 0.0, eta)
-    if outcome_policy == "sampled":
+        outcome = 0.0
+    elif outcome_policy == "sampled":
         if seed is None:
             raise ValueError("sampled outcome policy requires a seed")
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        setting = MeasurementSetting(chi_p=chi_p, eta=eta)
-        state = make_css(n_atoms)
-        outcome = 0.0
-        for _ in range(n_rounds):
-            record = sample_outcome(state, setting, rng)
-            state, _ = apply_measurement(state, setting, record.outcome)
-            outcome = record.outcome
-        return DssResult(
-            post_state=state,
-            xi_d=observables(state).xi_d,
-            outcome=outcome,
-            n_rounds=n_rounds,
+        root_n = math.sqrt(n_rounds)
+        setting = MeasurementSetting(chi_p=root_n * chi_p)
+        outcome = float(sample_outcomes(make_css(n_atoms), setting, 1, seed)[0]) / root_n
+    else:
+        raise ValueError(
+            f"unknown outcome policy {outcome_policy!r}; expected one of {OUTCOME_POLICIES}"
         )
-    raise ValueError(
-        f"unknown outcome policy {outcome_policy!r}; expected one of {OUTCOME_POLICIES}"
-    )
+    return dss_with_repeated_outcome(n_atoms, chi_p, n_rounds, outcome, eta)
 
 
 def long_pulse_plan(

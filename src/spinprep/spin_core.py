@@ -43,10 +43,7 @@ class SpinEnsembleState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = self.atom_count
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"atom_count must be a positive integer, got {n!r}")
-        object.__setattr__(self, "atom_count", int(n))
+        object.__setattr__(self, "atom_count", _check_atom_count(self.atom_count))
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.atom_count + 1,):
             raise ValueError(

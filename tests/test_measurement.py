@@ -243,6 +243,18 @@ def test_sample_outcome_fresh_entropy():
     )
 
 
+@pytest.mark.parametrize(
+    "n_atoms, setting",
+    [(40, MeasurementSetting(chi_p=0.4)), (101, MeasurementSetting(chi_x=0.2, eta=0.3))],
+)
+def test_sample_outcome_is_one_shot_of_sample_outcomes(n_atoms, setting):
+    state = make_css(n_atoms)
+    for seed in range(400):
+        rec = sample_outcome(state, setting, seed)
+        assert rec.outcome == sample_outcomes(state, setting, 1, seed)[0]
+        assert rec.seed == seed
+
+
 def test_sample_dicke_outcome_mean():
     state = make_dicke(10, 0)
     setting = MeasurementSetting(chi_x=0.7)

@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import chi_square_gof
+from scipy.stats import ks_2samp
 
 from spinprep import (
     CavityParams,
+    MeasurementSetting,
+    apply_measurement,
     dss_with_repeated_outcome,
     feasibility,
     long_pulse_plan,
+    make_css,
     make_superposition_target,
+    observables,
     prepare_dss,
     prepare_superposition,
     prob_distribution,
     repetitive_dss,
+    sample_outcome,
 )
 
 CAVITY = CavityParams.from_two_pi_megahertz(0.4, 3000.0, 1.0, 100.0)
@@ -22,6 +29,18 @@ def _positive_side_argmax(state):
     """The m > 0 value with the largest probability."""
     pairs = [(m, p) for m, p in prob_distribution(state) if m > 0]
     return max(pairs, key=lambda mp: mp[1])[0]
+
+
+def _sequential_sampled(n_atoms, chi_p, n_rounds, seed):
+    """Reference sampled policy: each round draws its record from the current
+    conditional state and is applied in turn."""
+    rng = np.random.default_rng(seed)
+    setting = MeasurementSetting(chi_p=chi_p)
+    state = make_css(n_atoms)
+    for _ in range(n_rounds):
+        record = sample_outcome(state, setting, rng)
+        state, _ = apply_measurement(state, setting, record.outcome)
+    return state
 
 
 def brute_xi_d(n_atoms, chi_p, outcome):
@@ -208,6 +227,37 @@ def test_sampled_policy_is_deterministic_and_sequential():
     np.testing.assert_array_equal(a.post_state.amplitudes, b.post_state.amplitudes)
     c = repetitive_dss(40, 0.4, 5, outcome_policy="sampled", seed=124)
     assert not np.array_equal(a.post_state.amplitudes, c.post_state.amplitudes)
+
+
+def test_sampled_policy_matches_sequential_rounds_in_law():
+    # disjoint seeds keep the two samples independent
+    reference = [observables(_sequential_sampled(40, 0.4, 5, seed)).xi_d for seed in range(300)]
+    composed = [
+        repetitive_dss(40, 0.4, 5, outcome_policy="sampled", seed=seed).xi_d
+        for seed in range(10_000, 10_300)
+    ]
+    assert ks_2samp(reference, composed).pvalue > 1e-3
+
+
+def test_sampled_policy_records_follow_composed_mixture():
+    # sqrt(n) times the mean per-round record is one record at sqrt(n) chi_p
+    chi_p, n_rounds = 0.4, 5
+    effective = [
+        math.sqrt(n_rounds)
+        * repetitive_dss(40, chi_p, n_rounds, outcome_policy="sampled", seed=seed).outcome
+        for seed in range(1000)
+    ]
+    setting = MeasurementSetting(chi_p=math.sqrt(n_rounds) * chi_p)
+    stat, critical = chi_square_gof(effective, make_css(40), setting)
+    assert stat < critical
+
+
+def test_sampled_policy_outcome_reproduces_result():
+    for seed in range(20):
+        res = repetitive_dss(40, 0.4, 5, outcome_policy="sampled", seed=seed, eta=0.3)
+        again = dss_with_repeated_outcome(40, 0.4, 5, res.outcome, 0.3)
+        np.testing.assert_array_equal(res.post_state.amplitudes, again.post_state.amplitudes)
+        assert (res.xi_d, res.n_rounds) == (again.xi_d, again.n_rounds)
 
 
 def test_sampled_policy_requires_seed():
