@@ -75,20 +75,12 @@ class SweepResult:
     rows: list[tuple]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
 def write_csv(result: SweepResult, stream) -> None:
     stream.write(f"# spec={json.dumps(asdict(result.spec), sort_keys=True)}\n")
     stream.write(f"# version={__version__}\n")
     stream.write(",".join(result.columns) + "\n")
-    for row in result.rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    row_format = ",".join(["%.17g"] * len(result.columns)) + "\n"
+    stream.write("".join(row_format % row for row in result.rows))
 
 
 def write_json(result: SweepResult, stream) -> None:
@@ -217,22 +209,21 @@ def cmd_fig3(sub: str, n_atoms: int | None, chi_p: float | None, seed: int) -> S
 def cmd_fig4(
     sub: str, n_atoms: int | None, chi_p: float | None, n_rounds: int | None, seed: int
 ) -> SweepResult:
+    if n_rounds is not None and n_rounds < 1:
+        raise UsageError(f"--n must be >= 1, got {n_rounds}")
     n = n_atoms if n_atoms is not None else 40
+    rounds = [n_rounds] if n_rounds is not None else [1, 5, 25]
     if sub == "a":
         chi = chi_p if chi_p is not None else 0.4
-        rounds = [n_rounds] if n_rounds is not None else [1, 5, 25]
         grid = {"start": -1.0, "stop": 1.0, "count": 41, "scale": "linear"}
         spec = SweepSpec(
             "fig4", "a", "outcome_fraction", grid, {"N": n, "chi_p": chi, "n": rounds}, seed
         )
         columns = ["outcome_fraction"] + [f"xi_d_n{r}" for r in rounds]
-        if min(rounds) < 1:
-            raise UsageError(f"--n must be >= 1, got {min(rounds)}")
         fracs = spec.points()
         xis = [repetitive_dss_rows(n, chi, r, fracs * chi * n / 2.0) for r in rounds]
         return SweepResult(spec, columns, _zip_columns(fracs, xis))
     if sub == "b":
-        rounds = [n_rounds] if n_rounds is not None else [1, 5, 25]
         grid = {"start": 0.05, "stop": 2.0, "count": 40, "scale": "linear"}
         spec = SweepSpec("fig4", "b", "chi_p", grid, {"N": n, "n": rounds}, seed)
         columns = ["chi_p"] + [f"xi_d_n{r}" for r in rounds]
@@ -321,7 +312,7 @@ def _sweep_values(protocol: str, params: dict) -> list[np.ndarray]:
         return [xi_d]
     if protocol == "superposition":
         return list(superposition_rows(n_atoms, params["chi_x"], params["outcome"], eta)[:4])
-    return [repetitive_dss_rows(n_atoms, params["chi_p"], np.rint(params["n"]))]
+    return [repetitive_dss_rows(n_atoms, params["chi_p"], params["n"])]
 
 
 def cmd_sweep(spec: SweepSpec) -> SweepResult:
@@ -336,6 +327,13 @@ def cmd_sweep(spec: SweepSpec) -> SweepResult:
             f"choose from {SWEEP_PROTOCOLS[protocol]['params']}"
         )
     points = spec.points()
+    if spec.param in ("N", "n"):
+        # atom and round counts: a grid point may miss its integer only by rounding
+        snapped = np.rint(points)
+        off = np.abs(points - snapped) > 1e-9 * np.abs(snapped)
+        if off.any():
+            raise UsageError(f"--param {spec.param} takes integers, got {points[off][0]:.17g}")
+        points = snapped
     if spec.param == "N":
         # each N has its own level count, so each point is a batch of one record
         blocks = [_sweep_values(protocol, {**spec.fixed, "N": n}) for n in points]
@@ -350,32 +348,33 @@ def cmd_sweep(spec: SweepSpec) -> SweepResult:
 # --------------------------------------------------------------------------
 
 
-def cmd_feasibility(args) -> tuple[int, str]:
-    if args.g <= 0 or args.kappa <= 0:
+def cmd_feasibility(g: float, delta: float, kappa: float, n_photons: float, n_t: float,
+                    kind: str, threshold: float, out: str | None) -> tuple[int, str]:
+    if g <= 0 or kappa <= 0:
         raise UsageError("--g and --kappa must be positive")
-    if args.delta == 0:
+    if delta == 0:
         raise UsageError("--delta must be nonzero")
-    if args.n_t < 1:
+    if n_t < 1:
         raise UsageError("--n-t must be >= 1")
-    cavity = CavityParams.from_two_pi_megahertz(args.g, args.delta, args.kappa, args.np)
-    report = feasibility(cavity, kind=args.kind, n_t=args.n_t, threshold=args.threshold)
+    cavity = CavityParams.from_two_pi_megahertz(g, delta, kappa, n_photons)
+    report = feasibility(cavity, kind=kind, n_t=n_t, threshold=threshold)
     lines = [
-        f"kind                    : {args.kind} (n_t = {args.n_t:g})",
+        f"kind                    : {kind} (n_t = {n_t:g})",
         f"max intracavity photons : {report.max_intracavity_photons:.6g}",
         f"dispersive bound        : {report.dispersive_bound:.6g}",
         f"chi_x bound             : {report.chi_x_bound:.6g}",
         f"chi_p bound             : {report.chi_p_bound:.6g}",
         f"ok                      : {report.ok}",
     ]
-    if args.out:
+    if out:
         payload = {
             "params": {
-                "g_2pi_mhz": args.g,
-                "delta_2pi_mhz": args.delta,
-                "kappa_2pi_mhz": args.kappa,
-                "n_photons": args.np,
-                "kind": args.kind,
-                "n_t": args.n_t,
+                "g_2pi_mhz": g,
+                "delta_2pi_mhz": delta,
+                "kappa_2pi_mhz": kappa,
+                "n_photons": n_photons,
+                "kind": kind,
+                "n_t": n_t,
             },
             "report": {
                 "max_intracavity_photons": report.max_intracavity_photons,
@@ -387,7 +386,7 @@ def cmd_feasibility(args) -> tuple[int, str]:
             },
             "version": __version__,
         }
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
     return (0 if report.ok else 2), "\n".join(lines)
@@ -398,150 +397,146 @@ def cmd_feasibility(args) -> tuple[int, str]:
 # --------------------------------------------------------------------------
 
 
-def _external_config() -> dict:
-    """Flag defaults from a JSON config file and SPINPREP_* variables.
+_IO_FLAGS = (
+    ("--out", {"help": "output path (default: stdout)"}),
+    ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+    ("--seed", {"type": int, "default": 0}),
+)
+_SUBVARIANT = ("subvariant", {"choices": ("a", "b", "c")})
 
-    Precedence file < environment < flags: the file named by SPINPREP_CONFIG
-    is loaded first, then individual SPINPREP_<FLAG> variables override its
-    keys, and explicit command-line flags override both.
-    """
-    cfg = {}
+# Each subcommand's help line and its flags as (name, add_argument keywords).
+# A flag's dest is also its config-file key, and SPINPREP_<DEST upper-cased>
+# its environment variable, so no two dests of one subcommand may agree once
+# upper-cased: the rounds flag --n therefore stores to n_rounds, not n.
+COMMANDS = {
+    "fig2": ("superposition-state probability and fidelity tables", (
+        _SUBVARIANT,
+        ("--N", {"type": int, "default": 100}),
+        ("--chi-x", {"type": float}),
+        *_IO_FLAGS,
+    )),
+    "fig3": ("squeezing parameter tables", (
+        _SUBVARIANT,
+        ("--N", {"type": int}),
+        ("--chi-p", {"type": float}),
+        *_IO_FLAGS,
+    )),
+    "fig4": ("repeated-measurement squeezing tables", (
+        _SUBVARIANT,
+        ("--N", {"type": int}),
+        ("--chi-p", {"type": float}),
+        ("--n", {"dest": "n_rounds", "type": int, "help": "rounds (or max rounds for c)"}),
+        *_IO_FLAGS,
+    )),
+    "feasibility": ("dispersive-regime photon budget check", (
+        ("--g", {"type": float, "default": 0.4, "help": "coupling, 2*pi x MHz"}),
+        ("--delta", {"type": float, "default": 3000.0, "help": "detuning, 2*pi x MHz"}),
+        ("--kappa", {"type": float, "default": 1.0, "help": "cavity decay, 2*pi x MHz"}),
+        ("--np", {"type": float, "default": 100.0, "help": "probe photon number"}),
+        ("--n-t", {"type": float, "default": 1.0, "help": "pulse stretch factor"}),
+        ("--kind", {"choices": PULSE_KINDS, "default": "exponential"}),
+        ("--threshold", {"type": float, "default": 0.01}),
+        ("--out", {"help": "also write a JSON report here"}),
+    )),
+    "sample": ("Monte-Carlo outcome sampling", (
+        ("protocol", {"choices": ("dss", "superposition")}),
+        ("--N", {"type": int, "default": 40}),
+        ("--chi-x", {"type": float, "default": 0.0}),
+        ("--chi-p", {"type": float, "default": 0.0}),
+        ("--eta", {"type": float, "default": 0.0}),
+        ("--n-shots", {"type": int, "default": 1000}),
+        *_IO_FLAGS,
+    )),
+    "sweep": ("generic one-parameter sweep", (
+        ("protocol", {"choices": sorted(SWEEP_PROTOCOLS)}),
+        ("--param", {"required": True}),
+        ("--start", {"type": float, "required": True}),
+        ("--stop", {"type": float, "required": True}),
+        ("--count", {"type": int, "required": True}),
+        ("--scale", {"choices": ("linear", "log"), "default": "linear"}),
+        ("--N", {"type": int, "default": 40}),
+        ("--chi-x", {"type": float, "default": 0.2}),
+        ("--chi-p", {"type": float, "default": 0.4}),
+        ("--outcome", {"type": float, "default": 0.0}),
+        ("--eta", {"type": float, "default": 0.0}),
+        ("--n", {"dest": "n_rounds", "type": int, "default": 1}),
+        *_IO_FLAGS,
+    )),
+}
+
+
+def _config_file() -> dict:
     path = os.environ.get("SPINPREP_CONFIG")
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {path}: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config file {path} must hold a JSON object")
-        cfg.update(loaded)
-    for key, value in os.environ.items():
-        if key.startswith("SPINPREP_") and key != "SPINPREP_CONFIG":
-            cfg[key[len("SPINPREP_"):].lower()] = value
-    return cfg
+    if not path:
+        return {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise UsageError(f"config file {path} must hold a JSON object")
+    return loaded
 
 
-def _apply_config_defaults(subparser: argparse.ArgumentParser, cfg: dict) -> None:
-    for action in subparser._actions:
-        if not action.option_strings or action.dest not in cfg:
-            continue
-        raw = cfg[action.dest]
-        value = action.type(raw) if (action.type and isinstance(raw, str)) else raw
-        if action.choices and value not in action.choices:
-            raise UsageError(
-                f"configured {action.dest}={value!r} not in {sorted(action.choices)}"
-            )
-        subparser.set_defaults(**{action.dest: value})
+def _configured(name: str, kw: dict, cfg: dict) -> dict:
+    """``kw`` with its default from SPINPREP_<DEST> or else the config file."""
+    dest = kw.get("dest", name.lstrip("-").replace("-", "_"))
+    variable = f"SPINPREP_{dest.upper()}"
+    if not name.startswith("-") or (variable not in os.environ and dest not in cfg):
+        return kw
+    raw = os.environ.get(variable, cfg.get(dest))
+    try:  # a file value goes through the flag's type as if typed on the command line
+        value = kw.get("type", str)(str(raw))
+    except ValueError as exc:
+        raise UsageError(f"configured {dest}={raw!r}: {exc}") from exc
+    if "choices" in kw and value not in kw["choices"]:
+        raise UsageError(f"configured {dest}={value!r} not in {sorted(kw['choices'])}")
+    return {**kw, "default": value}
 
 
-def _build_parser() -> _Parser:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``, adding flags only to the subcommand it names.
+
+    Precedence of flag defaults: file named by SPINPREP_CONFIG < SPINPREP_<DEST> < flags.
+    """
     parser = _Parser(prog="spinprep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_io(p):
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
-
-    p2 = sub.add_parser("fig2", help="superposition-state probability and fidelity tables")
-    p2.add_argument("subvariant", choices=("a", "b", "c"))
-    p2.add_argument("--N", type=int, default=100)
-    p2.add_argument("--chi-x", type=float, default=None)
-    add_io(p2)
-
-    p3 = sub.add_parser("fig3", help="squeezing parameter tables")
-    p3.add_argument("subvariant", choices=("a", "b", "c"))
-    p3.add_argument("--N", type=int, default=None)
-    p3.add_argument("--chi-p", type=float, default=None)
-    add_io(p3)
-
-    p4 = sub.add_parser("fig4", help="repeated-measurement squeezing tables")
-    p4.add_argument("subvariant", choices=("a", "b", "c"))
-    p4.add_argument("--N", type=int, default=None)
-    p4.add_argument("--chi-p", type=float, default=None)
-    p4.add_argument("--n", type=int, default=None, help="rounds (or max rounds for c)")
-    add_io(p4)
-
-    pf = sub.add_parser("feasibility", help="dispersive-regime photon budget check")
-    pf.add_argument("--g", type=float, default=0.4, help="coupling, 2*pi x MHz")
-    pf.add_argument("--delta", type=float, default=3000.0, help="detuning, 2*pi x MHz")
-    pf.add_argument("--kappa", type=float, default=1.0, help="cavity decay, 2*pi x MHz")
-    pf.add_argument("--np", type=float, default=100.0, help="probe photon number")
-    pf.add_argument("--n-t", type=float, default=1.0, help="pulse stretch factor")
-    pf.add_argument("--kind", choices=PULSE_KINDS, default="exponential")
-    pf.add_argument("--threshold", type=float, default=0.01)
-    pf.add_argument("--out", default=None, help="also write a JSON report here")
-
-    ps = sub.add_parser("sample", help="Monte-Carlo outcome sampling")
-    ps.add_argument("protocol", choices=("dss", "superposition"))
-    ps.add_argument("--N", type=int, default=40)
-    ps.add_argument("--chi-x", type=float, default=0.0)
-    ps.add_argument("--chi-p", type=float, default=0.0)
-    ps.add_argument("--eta", type=float, default=0.0)
-    ps.add_argument("--n-shots", type=int, default=1000)
-    add_io(ps)
-
-    pw = sub.add_parser("sweep", help="generic one-parameter sweep")
-    pw.add_argument("protocol", choices=sorted(SWEEP_PROTOCOLS))
-    pw.add_argument("--param", required=True)
-    pw.add_argument("--start", type=float, required=True)
-    pw.add_argument("--stop", type=float, required=True)
-    pw.add_argument("--count", type=int, required=True)
-    pw.add_argument("--scale", choices=("linear", "log"), default="linear")
-    pw.add_argument("--N", type=int, default=40)
-    pw.add_argument("--chi-x", type=float, default=0.2)
-    pw.add_argument("--chi-p", type=float, default=0.4)
-    pw.add_argument("--outcome", type=float, default=0.0)
-    pw.add_argument("--eta", type=float, default=0.0)
-    pw.add_argument("--n", type=int, default=1)
-    add_io(pw)
-
-    cfg = _external_config()
-    if cfg:
-        for p in (p2, p3, p4, pf, ps, pw):
-            _apply_config_defaults(p, cfg)
-    return parser
+    named = argv[0] if argv else None
+    cfg = _config_file() if named in COMMANDS else {}
+    for command, (help_line, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        if command == named:
+            for name, kw in flags:
+                p.add_argument(name, **_configured(name, kw, cfg))
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        if args.command == "fig2":
-            result = cmd_fig2(args.subvariant, args.N, args.chi_x, args.seed)
-        elif args.command == "fig3":
-            result = cmd_fig3(args.subvariant, args.N, args.chi_p, args.seed)
-        elif args.command == "fig4":
-            result = cmd_fig4(args.subvariant, args.N, args.chi_p, args.n, args.seed)
-        elif args.command == "feasibility":
-            code, text = cmd_feasibility(args)
+        a = _parse(sys.argv[1:] if argv is None else list(argv))
+        if a.command == "feasibility":
+            code, text = cmd_feasibility(
+                a.g, a.delta, a.kappa, a.np, a.n_t, a.kind, a.threshold, a.out
+            )
             print(text)
             return code
-        elif args.command == "sample":
-            result = cmd_sample(
-                args.protocol, args.N, args.chi_x, args.chi_p, args.eta,
-                args.n_shots, args.seed,
-            )
-        elif args.command == "sweep":
-            grid = {
-                "start": args.start, "stop": args.stop,
-                "count": args.count, "scale": args.scale,
-            }
-            fixed = {
-                "N": args.N, "chi_x": args.chi_x, "chi_p": args.chi_p,
-                "outcome": args.outcome, "eta": args.eta, "n": args.n,
-            }
-            spec = SweepSpec("sweep", args.protocol, args.param, grid, fixed, args.seed)
-            result = cmd_sweep(spec)
-        else:  # pragma: no cover - argparse enforces choices
-            raise UsageError(f"unknown command {args.command!r}")
-        _emit(result, args.out, args.format)
+        if a.command == "fig2":
+            result = cmd_fig2(a.subvariant, a.N, a.chi_x, a.seed)
+        elif a.command == "fig3":
+            result = cmd_fig3(a.subvariant, a.N, a.chi_p, a.seed)
+        elif a.command == "fig4":
+            result = cmd_fig4(a.subvariant, a.N, a.chi_p, a.n_rounds, a.seed)
+        elif a.command == "sample":
+            result = cmd_sample(a.protocol, a.N, a.chi_x, a.chi_p, a.eta, a.n_shots, a.seed)
+        else:
+            grid = {"start": a.start, "stop": a.stop, "count": a.count, "scale": a.scale}
+            fixed = {"N": a.N, "chi_x": a.chi_x, "chi_p": a.chi_p,
+                     "outcome": a.outcome, "eta": a.eta, "n": a.n_rounds}
+            result = cmd_sweep(SweepSpec("sweep", a.protocol, a.param, grid, fixed, a.seed))
+        _emit(result, a.out, a.format)
         return 0
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError) as exc:

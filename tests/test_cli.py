@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import math
 
@@ -7,7 +9,9 @@ import pytest
 from _oracles import chi_square_gof, flat_top_peak
 from spinprep import (
     MeasurementSetting,
+    __version__,
     apply_measurement,
+    dss_rows,
     dss_with_repeated_outcome,
     fidelity,
     make_css,
@@ -18,7 +22,15 @@ from spinprep import (
     prepare_superposition,
     repetitive_dss,
 )
-from spinprep.cli import main, read_result
+from spinprep.cli import (
+    COMMANDS,
+    SweepResult,
+    SweepSpec,
+    main,
+    read_result,
+    write_csv,
+    write_json,
+)
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -56,6 +68,12 @@ def test_fig_bad_overrides_exit_usage():
     assert main(["fig2", "a", "--N", "0"]) == 1
     assert main(["fig2", "z"]) == 1
     assert main(["fig3", "a", "--chi-p", "-0.4"]) == 1
+
+
+@pytest.mark.parametrize("sub", ["a", "b", "c"])
+def test_fig4_rounds_below_one_exit_usage(sub, capsys):
+    assert main(["fig4", sub, "--n", "0"]) == 1
+    assert "--n" in capsys.readouterr().err
 
 
 def test_fig2b_record_families(tmp_path):
@@ -195,6 +213,39 @@ def test_fig_json_round_trip(tmp_path):
     )
 
 
+def test_emitted_bytes_pinned():
+    # one row of each awkward number: int, negative, -0.0, inf (the width of a
+    # single-packet superposition record), a subnormal-range value and 0.1
+    spec = SweepSpec("sweep", "superposition", "chi_x",
+                     {"start": 0.1, "stop": 0.2, "count": 2, "scale": "linear"},
+                     {"N": 12, "outcome": -0.5}, 3)
+    result = SweepResult(spec, ["value", "fidelity", "target_m_c", "separation", "width"],
+                         [(3, -0.25, -0.0, 1e-300, math.inf),
+                          (0.1, -1.0000000000000002, 0.0, 12, 2.5)])
+    spec_json = ('{"command": "sweep", "fixed": {"N": 12, "outcome": -0.5}, "grid": '
+                 '{"count": 2, "scale": "linear", "start": 0.1, "stop": 0.2}, '
+                 '"param": "chi_x", "seed": 3, "subvariant": "superposition"}')
+    stream = io.StringIO()
+    write_csv(result, stream)
+    assert stream.getvalue() == (
+        f"# spec={spec_json}\n# version={__version__}\n"
+        "value,fidelity,target_m_c,separation,width\n"
+        "3,-0.25,-0,1e-300,inf\n"
+        "0.10000000000000001,-1.0000000000000002,0,12,2.5\n"
+    )
+    stream = io.StringIO()
+    write_json(result, stream)
+    assert stream.getvalue() == (
+        '{\n "columns": [\n  "value",\n  "fidelity",\n  "target_m_c",\n  "separation",\n'
+        '  "width"\n ],\n "rows": [\n  [\n   3,\n   -0.25,\n   -0.0,\n   1e-300,\n'
+        '   Infinity\n  ],\n  [\n   0.1,\n   -1.0000000000000002,\n   0.0,\n   12,\n'
+        '   2.5\n  ]\n ],\n "spec": {\n  "command": "sweep",\n  "fixed": {\n   "N": 12,\n'
+        '   "outcome": -0.5\n  },\n  "grid": {\n   "count": 2,\n   "scale": "linear",\n'
+        '   "start": 0.1,\n   "stop": 0.2\n  },\n  "param": "chi_x",\n  "seed": 3,\n'
+        f'  "subvariant": "superposition"\n }},\n "version": "{__version__}"\n}}\n'
+    )
+
+
 def test_csv_flat_format(tmp_path):
     _, path = run(tmp_path, "fig3", "c")
     raw = path.read_bytes()
@@ -314,6 +365,19 @@ def test_sweep_log_scale(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(xi, xi[1:]))
 
 
+def test_sweep_integer_params_snap_to_computed_value(tmp_path, capsys):
+    # geomspace(3, 300, 3)[1] is 29.999999999999996: the row reads and is computed at N = 30
+    res, _ = run(tmp_path, "sweep", "dss", "--param", "N", "--start", "3", "--stop", "300",
+                 "--count", "3", "--scale", "log")
+    assert column(res, "value").tolist() == [3.0, 30.0, 300.0]
+    assert res["rows"][1][1] == dss_rows(30, 0.4, 0.0)[0][0]
+    for param, start in (("N", "10.5"), ("n", "2.5")):
+        argv = ["sweep", "repetitive_dss" if param == "n" else "dss", "--param", param,
+                "--start", start, "--stop", "20", "--count", "3"]
+        assert main(argv) == 1
+        assert f"--param {param} " in capsys.readouterr().err
+
+
 def test_sweep_usage_errors():
     base = ["sweep", "dss", "--start", "0.1", "--stop", "2.0"]
     assert main(base + ["--param", "bogus", "--count", "5"]) == 1
@@ -381,3 +445,57 @@ def test_config_precedence_file_env_flags(tmp_path, monkeypatch):
 def test_config_rejects_bad_choice(monkeypatch):
     monkeypatch.setenv("SPINPREP_FORMAT", "xml")
     assert main(["fig2", "a"]) == 1
+
+
+def test_env_n_sets_atoms_and_n_rounds_sets_rounds(tmp_path, monkeypatch):
+    monkeypatch.setenv("SPINPREP_N", "6")
+    res, _ = run(tmp_path, "fig2", "a", name="f2.csv")
+    assert len(res["rows"]) == 7
+    res, _ = run(tmp_path, "fig4", "c", name="f4.csv")
+    assert len(res["rows"]) == 40
+    monkeypatch.setenv("SPINPREP_N_ROUNDS", "5")
+    res, _ = run(tmp_path, "sweep", "repetitive_dss", "--param", "chi_p", "--start", "0.1",
+                 "--stop", "0.5", "--count", "3", name="sw.csv")
+    assert res["spec"]["fixed"]["n"] == 5 and res["spec"]["fixed"]["N"] == 6
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_rounds": 3}))
+    monkeypatch.delenv("SPINPREP_N_ROUNDS")
+    monkeypatch.setenv("SPINPREP_CONFIG", str(cfg))
+    res, _ = run(tmp_path, "fig4", "c", name="f4cfg.csv")
+    assert len(res["rows"]) == 3
+
+
+def test_command_dests_distinct_once_upper_cased():
+    # SPINPREP_<DEST upper-cased> must name one flag per subcommand
+    for command, (_, flags) in COMMANDS.items():
+        parser = argparse.ArgumentParser()
+        dests = [parser.add_argument(name, **kw).dest.upper() for name, kw in flags]
+        assert len(set(dests)) == len(dests), command
+
+
+def test_config_rejects_bad_values(tmp_path, monkeypatch):
+    monkeypatch.setenv("SPINPREP_N_SHOTS", "abc")
+    assert main(["sample", "dss", "--chi-p", "0.4"]) == 1
+    monkeypatch.delenv("SPINPREP_N_SHOTS")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    monkeypatch.setenv("SPINPREP_CONFIG", str(cfg))
+    assert main(["fig2", "a"]) == 1
+    cfg.write_text(json.dumps({"seed": 1.5}))  # not an int: no silent truncation
+    assert main(["sample", "dss", "--chi-p", "0.4"]) == 1
+
+
+def test_help_lists_commands_and_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for command, (help_line, _) in COMMANDS.items():
+        assert command in text and help_line in text
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for name, _ in COMMANDS["sweep"][1]:
+        if name.startswith("-"):
+            assert f"\n  {name} " in text
