@@ -267,11 +267,11 @@ def cmd_sample(
     if protocol == "dss":
         if not chi_p > 0:
             raise UsageError("sample dss requires --chi-p > 0")
-        setting = MeasurementSetting(chi_p=chi_p, eta=eta)
+        setting = MeasurementSetting(chi_p=chi_p)
     elif protocol == "superposition":
         if not chi_x > 0:
             raise UsageError("sample superposition requires --chi-x > 0")
-        setting = MeasurementSetting(chi_x=chi_x, eta=eta)
+        setting = MeasurementSetting(chi_x=chi_x)
     else:
         raise UsageError(f"unknown sample protocol {protocol!r}")
 
@@ -280,11 +280,11 @@ def cmd_sample(
     spec = SweepSpec("sample", protocol, "shot", None, fixed, seed)
     if protocol == "dss":
         columns = ["shot", "outcome", "density", "xi_d"]
-        xi_d, log_density = dss_rows(n_atoms, chi_p, outcomes, eta)
+        xi_d, log_density = dss_rows(n_atoms, chi_p, outcomes)
         values = (xi_d,)
     else:
         columns = ["shot", "outcome", "density", "fidelity", "target_m_c"]
-        fid, m_c, _, _, log_density = superposition_rows(n_atoms, chi_x, outcomes, eta)
+        fid, m_c, _, _, log_density = superposition_rows(n_atoms, chi_x, outcomes)
         values = (fid, m_c)
     rows = _zip_columns(np.arange(n_shots), (outcomes, np.exp(log_density), *values))
     return SweepResult(spec, columns, rows)
@@ -306,12 +306,12 @@ SWEEP_PROTOCOLS = {
 
 def _sweep_values(protocol: str, params: dict) -> list[np.ndarray]:
     """Result columns after ``value``; any parameter may hold one value per record."""
-    n_atoms, eta = int(params["N"]), params.get("eta", 0.0)
+    n_atoms = int(params["N"])
     if protocol == "dss":
-        xi_d, _ = dss_rows(n_atoms, params["chi_p"], params["outcome"], eta)
+        xi_d, _ = dss_rows(n_atoms, params["chi_p"], params["outcome"])
         return [xi_d]
     if protocol == "superposition":
-        return list(superposition_rows(n_atoms, params["chi_x"], params["outcome"], eta)[:4])
+        return list(superposition_rows(n_atoms, params["chi_x"], params["outcome"])[:4])
     return [repetitive_dss_rows(n_atoms, params["chi_p"], params["n"])]
 
 
@@ -376,14 +376,7 @@ def cmd_feasibility(g: float, delta: float, kappa: float, n_photons: float, n_t:
                 "kind": kind,
                 "n_t": n_t,
             },
-            "report": {
-                "max_intracavity_photons": report.max_intracavity_photons,
-                "dispersive_bound": report.dispersive_bound,
-                "chi_x_bound": report.chi_x_bound,
-                "chi_p_bound": report.chi_p_bound,
-                "ok": report.ok,
-                "threshold": report.threshold,
-            },
+            "report": asdict(report),
             "version": __version__,
         }
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -395,6 +388,14 @@ def cmd_feasibility(g: float, delta: float, kappa: float, n_photons: float, n_t:
 # --------------------------------------------------------------------------
 # argument parsing
 # --------------------------------------------------------------------------
+
+
+def finite(text: str) -> float:
+    """Flag type for real numbers: a non-finite value is a usage error."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text}")
+    return value
 
 
 _IO_FLAGS = (
@@ -412,53 +413,53 @@ COMMANDS = {
     "fig2": ("superposition-state probability and fidelity tables", (
         _SUBVARIANT,
         ("--N", {"type": int, "default": 100}),
-        ("--chi-x", {"type": float}),
+        ("--chi-x", {"type": finite}),
         *_IO_FLAGS,
     )),
     "fig3": ("squeezing parameter tables", (
         _SUBVARIANT,
         ("--N", {"type": int}),
-        ("--chi-p", {"type": float}),
+        ("--chi-p", {"type": finite}),
         *_IO_FLAGS,
     )),
     "fig4": ("repeated-measurement squeezing tables", (
         _SUBVARIANT,
         ("--N", {"type": int}),
-        ("--chi-p", {"type": float}),
+        ("--chi-p", {"type": finite}),
         ("--n", {"dest": "n_rounds", "type": int, "help": "rounds (or max rounds for c)"}),
         *_IO_FLAGS,
     )),
     "feasibility": ("dispersive-regime photon budget check", (
-        ("--g", {"type": float, "default": 0.4, "help": "coupling, 2*pi x MHz"}),
-        ("--delta", {"type": float, "default": 3000.0, "help": "detuning, 2*pi x MHz"}),
-        ("--kappa", {"type": float, "default": 1.0, "help": "cavity decay, 2*pi x MHz"}),
-        ("--np", {"type": float, "default": 100.0, "help": "probe photon number"}),
-        ("--n-t", {"type": float, "default": 1.0, "help": "pulse stretch factor"}),
+        ("--g", {"type": finite, "default": 0.4, "help": "coupling, 2*pi x MHz"}),
+        ("--delta", {"type": finite, "default": 3000.0, "help": "detuning, 2*pi x MHz"}),
+        ("--kappa", {"type": finite, "default": 1.0, "help": "cavity decay, 2*pi x MHz"}),
+        ("--np", {"type": finite, "default": 100.0, "help": "probe photon number"}),
+        ("--n-t", {"type": finite, "default": 1.0, "help": "pulse stretch factor"}),
         ("--kind", {"choices": PULSE_KINDS, "default": "exponential"}),
-        ("--threshold", {"type": float, "default": 0.01}),
+        ("--threshold", {"type": finite, "default": 0.01}),
         ("--out", {"help": "also write a JSON report here"}),
     )),
     "sample": ("Monte-Carlo outcome sampling", (
         ("protocol", {"choices": ("dss", "superposition")}),
         ("--N", {"type": int, "default": 40}),
-        ("--chi-x", {"type": float, "default": 0.0}),
-        ("--chi-p", {"type": float, "default": 0.0}),
-        ("--eta", {"type": float, "default": 0.0}),
+        ("--chi-x", {"type": finite, "default": 0.0}),
+        ("--chi-p", {"type": finite, "default": 0.0}),
+        ("--eta", {"type": finite, "default": 0.0}),
         ("--n-shots", {"type": int, "default": 1000}),
         *_IO_FLAGS,
     )),
     "sweep": ("generic one-parameter sweep", (
         ("protocol", {"choices": sorted(SWEEP_PROTOCOLS)}),
         ("--param", {"required": True}),
-        ("--start", {"type": float, "required": True}),
-        ("--stop", {"type": float, "required": True}),
+        ("--start", {"type": finite, "required": True}),
+        ("--stop", {"type": finite, "required": True}),
         ("--count", {"type": int, "required": True}),
         ("--scale", {"choices": ("linear", "log"), "default": "linear"}),
         ("--N", {"type": int, "default": 40}),
-        ("--chi-x", {"type": float, "default": 0.2}),
-        ("--chi-p", {"type": float, "default": 0.4}),
-        ("--outcome", {"type": float, "default": 0.0}),
-        ("--eta", {"type": float, "default": 0.0}),
+        ("--chi-x", {"type": finite, "default": 0.2}),
+        ("--chi-p", {"type": finite, "default": 0.4}),
+        ("--outcome", {"type": finite, "default": 0.0}),
+        ("--eta", {"type": finite, "default": 0.0}),
         ("--n", {"dest": "n_rounds", "type": int, "default": 1}),
         *_IO_FLAGS,
     )),

@@ -137,20 +137,12 @@ class Posterior:
     def amplitudes(self) -> np.ndarray:
         """Post-measurement amplitudes, records x levels."""
         phase = self.prior_phase + self.eta[:, None] * self.m
-        return _polar(np.sqrt(self.probs), phase)
-
-    def amplitude_at(self, k: np.ndarray) -> np.ndarray:
-        """Post-measurement amplitude of the r-th record at level index ``k[r]``."""
-        phase = self.prior_phase[k] + self.eta * self.m[k]
-        return _polar(np.sqrt(self.probs[np.arange(k.size), k]), phase)
-
-
-def _polar(magnitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """magnitude * exp(i phase), through cos and sin: several times faster than complex exp."""
-    amps = np.empty(magnitude.shape, dtype=complex)
-    np.multiply(magnitude, np.cos(phase), out=amps.real)
-    np.multiply(magnitude, np.sin(phase), out=amps.imag)
-    return amps
+        magnitude = np.sqrt(self.probs)
+        # magnitude * exp(i phase) through cos and sin: several times faster than complex exp
+        amps = np.empty(magnitude.shape, dtype=complex)
+        np.multiply(magnitude, np.cos(phase), out=amps.real)
+        np.multiply(magnitude, np.sin(phase), out=amps.imag)
+        return amps
 
 
 def _per_record(outcomes, chi_x, chi_p, eta):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import MeasurementSetting, compose, posterior_batch, sample_outcomes
+from .measurement import MeasurementSetting, posterior_batch, sample_outcomes
 from .pulse_optics import (
     LONG_EXPONENTIAL,
     CavityParams,
@@ -121,15 +121,26 @@ def _packet_geometry(n_atoms: int, chi_x, outcome):
     return _snap_to_lattice(n_atoms, center), 2.0 * center, width
 
 
-def _target_fidelity(a_plus, a_minus, m_c, eta):
-    """|<target|post>|^2 from the post amplitudes at m_c and -m_c.
+def _target_fidelity(p_plus, p_minus, m_c):
+    """|<target|post>|^2 from the post probabilities at m_c and -m_c.
 
     The target is (e^{i eta m_c} |m_c> + e^{-i eta m_c} |-m_c>) / sqrt(2), or
-    |S, 0> when m_c = 0 (then ``a_plus`` and ``a_minus`` are the same level).
+    |S, 0> when m_c = 0 (then ``p_plus`` and ``p_minus`` are the same level).
+    The post state of the real CSS carries the same phases, so eta cancels.
+    Multiplying by 1/sqrt(2), as numpy divides a complex number by a real
+    one, keeps the eta = 0 values of the amplitude form bit for bit.
     """
-    turn = np.exp(1j * eta * m_c)
-    pair = (np.conj(turn) * a_plus + turn * a_minus) / math.sqrt(2.0)
-    return np.abs(np.where(m_c == 0.0, a_plus, pair)) ** 2
+    root_plus = np.sqrt(p_plus)
+    pair = (root_plus + np.sqrt(p_minus)) * (1.0 / math.sqrt(2.0))
+    return np.where(m_c == 0, root_plus, pair) ** 2
+
+
+def _root_rounds(n_rounds):
+    """sqrt(n) for whole round counts n >= 1: n rounds act as one at sqrt(n) chi_p."""
+    n = np.asarray(n_rounds, dtype=float)
+    if not np.all(np.isfinite(n) & (n >= 1) & (n == np.rint(n))):
+        raise ValueError(f"n_rounds must be a whole number >= 1, got {n_rounds}")
+    return float(np.sqrt(n)) if n.ndim == 0 else np.sqrt(n)
 
 
 def _condition_css(n_atoms: int, setting: MeasurementSetting, outcome: float) -> SpinEnsembleState:
@@ -145,42 +156,39 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-def superposition_rows(n_atoms: int, chi_x, outcomes, eta=0.0):
+def superposition_rows(n_atoms: int, chi_x, outcomes):
     """Amplitude-quadrature preparation from the CSS for a batch of records.
 
-    ``chi_x``, ``outcomes`` and ``eta`` broadcast to one value per record.
-    Returns arrays (fidelity, target m_c, packet separation, packet width,
-    log record density), each row equal to :func:`prepare_superposition`
-    for that record, without materializing any post state.
+    ``chi_x`` and ``outcomes`` broadcast to one value per record.  Returns
+    arrays (fidelity, target m_c, packet separation, packet width, log record
+    density), each row equal to :func:`prepare_superposition` for that record
+    at any accumulated phase, without materializing any post state.
     """
     _require_positive("chi_x", chi_x)
-    per_record = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (chi_x, outcomes, eta))
-    )
-    m_c, separation, width = _packet_geometry(n_atoms, *per_record[:2])
+    m_c, separation, width = _packet_geometry(n_atoms, *np.atleast_1d(chi_x, outcomes))
     k_plus = np.rint(m_c + n_atoms / 2.0).astype(int)
 
     def fidelity_rows(post):
-        k = k_plus[post.rows]
-        a_plus, a_minus = post.amplitude_at(k), post.amplitude_at(n_atoms - k)
-        return _target_fidelity(a_plus, a_minus, m_c[post.rows], post.eta)
+        k, rows = k_plus[post.rows], np.arange(post.probs.shape[0])
+        p_plus, p_minus = post.probs[rows, k], post.probs[rows, n_atoms - k]
+        return _target_fidelity(p_plus, p_minus, m_c[post.rows])
 
     fid, log_density = posterior_batch(
-        log_css_amplitudes(n_atoms), outcomes, chi_x=chi_x, eta=eta, reduce=fidelity_rows
+        log_css_amplitudes(n_atoms), outcomes, chi_x=chi_x, reduce=fidelity_rows
     )
     return fid, m_c, separation, width, log_density
 
 
-def dss_rows(n_atoms: int, chi_p, outcomes, eta=0.0):
+def dss_rows(n_atoms: int, chi_p, outcomes):
     """Phase-quadrature preparation from the CSS for a batch of records.
 
-    ``chi_p``, ``outcomes`` and ``eta`` broadcast to one value per record.
-    Returns arrays (xi_D, log record density), each row equal to
-    :func:`prepare_dss` for that record.
+    ``chi_p`` and ``outcomes`` broadcast to one value per record.  Returns
+    arrays (xi_D, log record density), each row equal to :func:`prepare_dss`
+    for that record at any accumulated phase.
     """
     _require_positive("chi_p", chi_p)
     return posterior_batch(
-        log_css_amplitudes(n_atoms), outcomes, chi_p=chi_p, eta=eta,
+        log_css_amplitudes(n_atoms), outcomes, chi_p=chi_p,
         reduce=lambda post: dicke_squeezing(post.probs),
     )
 
@@ -190,14 +198,9 @@ def repetitive_dss_rows(n_atoms: int, chi_p, n_rounds, outcomes=0.0):
 
     ``chi_p``, ``n_rounds`` and ``outcomes`` broadcast to one value per row.
     n rounds that all record Y equal one round at sqrt(n) chi_p recording
-    sqrt(n) Y, the exact composition identity of
-    :func:`spinprep.measurement.compose`; the default record 0 is the
-    all-zero repetitive protocol.
+    sqrt(n) Y; the default record 0 is the all-zero repetitive protocol.
     """
-    n_rounds = np.asarray(n_rounds)
-    if np.any(n_rounds < 1):
-        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
-    root_n = np.sqrt(n_rounds)
+    root_n = _root_rounds(n_rounds)
     xi, _ = dss_rows(n_atoms, np.asarray(chi_p, dtype=float) * root_n, root_n * outcomes)
     return xi
 
@@ -222,10 +225,10 @@ def prepare_superposition(
     m_c, separation, width = (float(v) for v in _packet_geometry(n_atoms, chi_x, outcome))
     post = _condition_css(n_atoms, MeasurementSetting(chi_x=chi_x, eta=eta), outcome)
     k_plus = round(m_c + n_atoms / 2.0)
-    amps = post.amplitudes
+    probs = np.abs(post.amplitudes) ** 2
     return SuperpositionResult(
         post_state=post,
-        fidelity_vs_target=float(_target_fidelity(amps[k_plus], amps[n_atoms - k_plus], m_c, eta)),
+        fidelity_vs_target=float(_target_fidelity(probs[k_plus], probs[n_atoms - k_plus], m_c)),
         target_m_c=m_c,
         packet_separation=separation,
         packet_width=width,
@@ -260,16 +263,14 @@ def dss_with_repeated_outcome(
 ) -> DssResult:
     """n identical phase-quadrature rounds, each returning the same record.
 
-    Uses the exact composition identity: n rounds at (chi_p, outcome)
-    equal one round at (sqrt(n) chi_p, sqrt(n) outcome).
+    Uses the exact composition identity: n rounds at (chi_p, outcome, eta)
+    equal one round at (sqrt(n) chi_p, sqrt(n) outcome, n eta).
     """
-    if n_rounds < 1:
-        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
-    setting = MeasurementSetting(chi_p=chi_p, eta=eta)
-    eff_setting, eff_outcome, _ = compose([(setting, outcome)] * n_rounds)
-    post = _condition_css(n_atoms, eff_setting, eff_outcome)
+    root_n = _root_rounds(n_rounds)
+    setting = MeasurementSetting(chi_p=root_n * chi_p, eta=n_rounds * eta)
+    post = _condition_css(n_atoms, setting, root_n * outcome)
     return DssResult(
-        post_state=post, xi_d=observables(post).xi_d, outcome=outcome, n_rounds=n_rounds
+        post_state=post, xi_d=observables(post).xi_d, outcome=outcome, n_rounds=int(n_rounds)
     )
 
 
@@ -292,14 +293,12 @@ def repetitive_dss(
     drawn, and ``outcome`` is the mean per-round record Y_eff / sqrt(n).
     """
     _require_positive("chi_p", chi_p)
-    if n_rounds < 1:
-        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
+    root_n = _root_rounds(n_rounds)
     if outcome_policy == "all_zero":
         outcome = 0.0
     elif outcome_policy == "sampled":
         if seed is None:
             raise ValueError("sampled outcome policy requires a seed")
-        root_n = math.sqrt(n_rounds)
         setting = MeasurementSetting(chi_p=root_n * chi_p)
         outcome = float(sample_outcomes(make_css(n_atoms), setting, 1, seed)[0]) / root_n
     else:
@@ -325,10 +324,8 @@ def long_pulse_plan(
     """
     if n_t < 1:
         raise ValueError(f"n_t must be >= 1, got {n_t}")
-    if n_rounds < 1:
-        raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
+    root_n = _root_rounds(n_rounds)
     report = feasibility(cavity, kind=LONG_EXPONENTIAL, n_t=n_t)
-    root_n = math.sqrt(n_rounds)
     required = target_effective / root_n
     return LongPulsePlan(
         feasibility=report,

@@ -354,6 +354,26 @@ def test_numeric_failure_exits_2(capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sweep", "repetitive_dss", "--param", "chi_p", "--start", "0.1", "--stop", "0.5",
+      "--count", "3", "--eta", "nan"], "--eta"),
+    (["sample", "dss", "--chi-p", "0.4", "--chi-x", "inf"], "--chi-x"),
+    (["sweep", "dss", "--param", "chi_p", "--start", "0.1", "--stop", "0.5", "--count", "3",
+      "--outcome", "inf"], "--outcome"),
+    (["sweep", "superposition", "--param", "chi_x", "--start", "0.1", "--stop", "0.5",
+      "--count", "3", "--eta", "nan"], "--eta"),
+    (["sweep", "dss", "--param", "outcome", "--start=-inf", "--stop", "1", "--count", "3"],
+     "--start"),
+    (["feasibility", "--threshold", "nan"], "--threshold"),
+])
+def test_non_finite_flags_exit_usage(argv, flag, capsys):
+    # a non-finite number comes from outside the program: a usage error, never a
+    # NaN or Infinity echoed into the spec line
+    assert main(argv) == 1
+    assert flag in capsys.readouterr().err
+
+
 def test_sweep_log_scale(tmp_path):
     res, _ = run(
         tmp_path, "sweep", "repetitive_dss", "--param", "n", "--start", "1",
@@ -384,6 +404,23 @@ def test_sweep_usage_errors():
     assert main(base + ["--param", "chi_p", "--count", "1"]) == 1
     assert main(["sweep", "dss", "--param", "chi_p", "--start", "-1", "--stop", "1",
                  "--count", "3", "--scale", "log"]) == 1
+
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "superposition", "--N", "21", "--chi-x", "0.1", "--n-shots", "200",
+     "--seed", "5"],
+    ["sample", "dss", "--N", "40", "--chi-p", "0.3", "--n-shots", "200", "--seed", "3"],
+    ["sweep", "superposition", "--param", "chi_x", "--start", "0.05", "--stop", "0.5",
+     "--count", "9", "--N", "60", "--outcome", "-3"],
+])
+def test_rows_do_not_depend_on_eta(tmp_path, argv):
+    # eta rotates the post state about z and the two-Dicke target carries the
+    # same phase, so it cancels from every column; the spec still records it
+    res0, _ = run(tmp_path, *argv, "--eta", "0", name="eta0.csv")
+    res3, _ = run(tmp_path, *argv, "--eta", "0.3", name="eta3.csv")
+    assert res3["rows"] == res0["rows"]
+    assert res3["spec"]["fixed"]["eta"] == 0.3
 
 
 # ---------------------------------------------------------------- feasibility

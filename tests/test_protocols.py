@@ -19,6 +19,7 @@ from spinprep import (
     prepare_superposition,
     prob_distribution,
     repetitive_dss,
+    repetitive_dss_rows,
     sample_outcome,
 )
 
@@ -301,6 +302,22 @@ def test_long_pulse_plan_validation():
         long_pulse_plan(CAVITY, n_t=0.5, n_rounds=4)
     with pytest.raises(ValueError):
         long_pulse_plan(CAVITY, n_t=10.0, n_rounds=0)
+
+
+
+@pytest.mark.parametrize("n_rounds", [2.5, 0])
+def test_round_count_must_be_a_whole_number_at_least_one(n_rounds):
+    calls = (
+        lambda: long_pulse_plan(CAVITY, 10.0, n_rounds),
+        lambda: repetitive_dss_rows(40, 0.4, n_rounds),
+        lambda: repetitive_dss(40, 0.4, n_rounds),
+        lambda: dss_with_repeated_outcome(40, 0.4, n_rounds, 0.0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="n_rounds"):
+            call()
+    # an integer-valued float, as a sweep over n passes it, is a round count
+    assert repetitive_dss(40, 0.4, 4.0).xi_d == repetitive_dss(40, 0.4, 4).xi_d
 
 
 # ---------------------------------------------------------------- records
