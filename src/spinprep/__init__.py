@@ -42,7 +42,6 @@ from .measurement import (
     acceptance_probability,
     apply_measurement,
     compose,
-    log_weights,
     outcome_pdf,
     posterior_batch,
     sample_outcome,

@@ -55,12 +55,7 @@ class MeasurementSetting:
     eta: float = 0.0
 
     def __post_init__(self):
-        for name in ("chi_x", "chi_p"):
-            val = getattr(self, name)
-            if not (np.isfinite(val) and val >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {val}")
-        if not np.isfinite(self.eta):
-            raise ValueError(f"eta must be finite, got {self.eta}")
+        _per_record(0.0, self.chi_x, self.chi_p, self.eta)
 
 
 @dataclass(frozen=True)
@@ -108,17 +103,6 @@ def _centers(setting: MeasurementSetting, m: np.ndarray) -> np.ndarray:
     return -(setting.chi_x * m * m + setting.chi_p * m)
 
 
-def log_weights(setting: MeasurementSetting, outcome: float, n_atoms: int) -> np.ndarray:
-    """Complex log of the diagonal operator entries, index k <-> m = k - S.
-
-    log w_m = i eta m - (Y + chi_x m^2 + chi_p m)^2 / 2 - (1/4) log pi.
-    Never exponentiated here, so arbitrarily strong damping stays exact.
-    """
-    m = _m_values(n_atoms)
-    shift = outcome - _centers(setting, m)
-    return 1j * setting.eta * m - 0.5 * shift * shift - 0.25 * _LOG_PI
-
-
 @dataclass(frozen=True)
 class Posterior:
     """Conditioned states of one chunk of records, rows ``rows`` of the batch.
@@ -152,10 +136,11 @@ def _per_record(outcomes, chi_x, chi_p, eta):
     if y.ndim != 1 or y.size == 0:
         raise ValueError(f"records must be a scalar or a non-empty 1-d array, got shape {y.shape}")
     for name, val in (("chi_x", cx), ("chi_p", cp)):
-        if not (np.isfinite(val) & (val >= 0)).all():
-            raise ValueError(f"{name} must be finite and >= 0")
+        bad = ~(np.isfinite(val) & (val >= 0))
+        if bad.any():
+            raise ValueError(f"{name} must be finite and >= 0, got {val[bad][0]}")
     if not np.isfinite(phase).all():
-        raise ValueError("eta must be finite")
+        raise ValueError(f"eta must be finite, got {phase[~np.isfinite(phase)][0]}")
     return y, cx, cp, phase
 
 

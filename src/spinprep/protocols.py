@@ -241,21 +241,19 @@ def prepare_dss(
 ) -> DssResult:
     """Phase-quadrature measurement on the CSS; reports the squeezing xi_D.
 
-    A record of 0 concentrates the state on |S, 0>; records outside
+    The one-round case of :func:`dss_with_repeated_outcome`.  A record of 0
+    concentrates the state on |S, 0>; records outside
     [-chi_p S, chi_p S] are allowed but exponentially improbable and are
     flagged with a warning.
     """
-    _require_positive("chi_p", chi_p)
+    result = dss_with_repeated_outcome(n_atoms, chi_p, 1, outcome, eta)
     edge = chi_p * n_atoms / 2.0
     if abs(outcome) > edge:
         warnings.warn(
             f"record {outcome} lies outside the likely window [{-edge}, {edge}]",
             stacklevel=2,
         )
-    post = _condition_css(n_atoms, MeasurementSetting(chi_p=chi_p, eta=eta), outcome)
-    return DssResult(
-        post_state=post, xi_d=observables(post).xi_d, outcome=outcome, n_rounds=1
-    )
+    return result
 
 
 def dss_with_repeated_outcome(
@@ -266,6 +264,7 @@ def dss_with_repeated_outcome(
     Uses the exact composition identity: n rounds at (chi_p, outcome, eta)
     equal one round at (sqrt(n) chi_p, sqrt(n) outcome, n eta).
     """
+    _require_positive("chi_p", chi_p)
     root_n = _root_rounds(n_rounds)
     setting = MeasurementSetting(chi_p=root_n * chi_p, eta=n_rounds * eta)
     post = _condition_css(n_atoms, setting, root_n * outcome)
@@ -292,7 +291,6 @@ def repetitive_dss(
     distributed as one record of the CSS at sqrt(n) chi_p.  That record is
     drawn, and ``outcome`` is the mean per-round record Y_eff / sqrt(n).
     """
-    _require_positive("chi_p", chi_p)
     root_n = _root_rounds(n_rounds)
     if outcome_policy == "all_zero":
         outcome = 0.0
@@ -322,8 +320,6 @@ def long_pulse_plan(
     plan reports whether ``target_effective`` (default 2, the near-ideal
     squeezing point) is reachable within both budgets.
     """
-    if n_t < 1:
-        raise ValueError(f"n_t must be >= 1, got {n_t}")
     root_n = _root_rounds(n_rounds)
     report = feasibility(cavity, kind=LONG_EXPONENTIAL, n_t=n_t)
     required = target_effective / root_n

@@ -224,12 +224,6 @@ def build_pulse(
         beta = math.sqrt(1.0 / n_t) * np.exp(-np.abs(times) / n_t)
     else:
         beta = _spectral_envelope(times)
-
-    mass = l2_mass(times, beta)
-    if abs(mass - 1.0) > _NORM_TOL:
-        raise ValueError(
-            f"tail mass {abs(mass - 1.0):.3e} escapes the grid; widen the span"
-        )
     return PulseGrid(times=times, beta_in=beta, kind=kind, n_t=float(n_t))
 
 

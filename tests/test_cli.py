@@ -306,9 +306,17 @@ def test_sample_outcomes_match_mixture(tmp_path):
     assert stat < critical
 
 
-def test_sample_usage_errors(tmp_path):
-    assert main(["sample", "dss", "--chi-p", "0"]) == 1
-    assert main(["sample", "dss", "--chi-p", "0.4", "--n-shots", "0"]) == 1
+def test_sample_usage_errors(capsys):
+    # each value outside its legal range is reported by the layer that checks it
+    cases = (
+        (["dss", "--chi-p", "0"], "chi_p"),
+        (["dss", "--chi-p", "-1"], "chi_p"),
+        (["superposition", "--chi-x", "0"], "chi_x"),
+        (["dss", "--chi-p", "0.4", "--n-shots", "0"], "n_shots"),
+    )
+    for args, name in cases:
+        assert main(["sample", *args]) == 1
+        assert name in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- sweep
@@ -451,8 +459,16 @@ def test_feasibility_flat_top_peak(capsys):
     assert photons == pytest.approx(250.0 * flat_top_peak(), rel=1e-4)
 
 
-def test_feasibility_exit_codes():
-    assert main(["feasibility", "--g", "0"]) == 1
+def test_feasibility_exit_codes(capsys):
+    cases = (
+        (["--g", "0"], "--g"),
+        (["--kappa", "-1"], "--kappa"),
+        (["--delta", "0"], "--delta"),
+        (["--n-t", "0.5"], "n_t"),
+    )
+    for args, name in cases:
+        assert main(["feasibility", *args]) == 1
+        assert name in capsys.readouterr().err
     assert main(["feasibility", "--np", "1e9"]) == 2  # photon budget violated
 
 

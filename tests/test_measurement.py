@@ -13,7 +13,6 @@ from spinprep import (
     acceptance_probability,
     apply_measurement,
     compose,
-    log_weights,
     make_css,
     make_dicke,
     outcome_pdf,
@@ -56,37 +55,33 @@ def mixture_moments(state, setting):
     return mean, var, mu4
 
 
-# ---------------------------------------------------------------- log weights
+# ---------------------------------------------------------------- kernel identities
 
 
-def test_log_weights_identity_at_zero_setting():
-    lw = log_weights(MeasurementSetting(), 0.0, 10)
-    np.testing.assert_allclose(lw.real, -0.25 * math.log(math.pi))
-    np.testing.assert_allclose(lw.imag, 0.0)
+def test_kernel_identity_at_zero_setting():
+    # at chi_x = chi_p = eta = 0 the operator is pi^{-1/4} e^{-Y^2/2} times the
+    # identity: every record leaves the (phased) prior unchanged
+    state = random_state(10, np.random.default_rng(5))
+    outcomes = np.array([0.0, -1.3, 2.0])
+    amps, log_density = posterior_batch(np.log(state.amplitudes), outcomes)
+    np.testing.assert_allclose(amps, np.tile(state.amplitudes, (3, 1)), atol=1e-14)
+    np.testing.assert_allclose(log_density, -0.5 * math.log(math.pi) - outcomes**2, atol=1e-14)
 
 
-def test_log_weights_magnitude():
-    lw = log_weights(MeasurementSetting(chi_p=1.0), 0.0, 8)
-    idx_m1 = int(1 + 4)  # m = 1 at index m + S
-    assert math.exp(lw.real[idx_m1]) == pytest.approx(
-        math.pi ** (-0.25) * math.exp(-0.5)
-    )
-
-
-def test_log_weights_peak_at_record_matched_level():
-    # record -5 with chi_x = 0.2 leaves zero exponent exactly at m^2 = 25
-    lw = log_weights(MeasurementSetting(chi_x=0.2), -5.0, 30)
-    re = lw.real
-    top = np.flatnonzero(re == re.max())
+def test_kernel_peak_at_record_matched_level():
+    # record -5 with chi_x = 0.2 leaves zero exponent exactly at m^2 = 25, so a
+    # flat prior's posterior peaks there
+    probs, _ = posterior_batch(np.zeros(31), -5.0, chi_x=0.2, reduce=lambda post: post.probs)
+    top = np.flatnonzero(probs[0] == probs[0].max())
     assert list(top) == [15 - 5, 15 + 5]
 
 
 def test_setting_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"chi_x .* got -0\.1"):
         MeasurementSetting(chi_x=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="chi_p .* got nan"):
         MeasurementSetting(chi_p=math.nan)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eta .* got inf"):
         MeasurementSetting(eta=math.inf)
 
 
@@ -318,8 +313,14 @@ def test_compose_log_constant_is_exact():
     setting = MeasurementSetting(chi_p=0.7, eta=0.1)
     outcomes = [0.4, -1.1, 2.3]
     eff, eff_outcome, const = compose([(setting, y) for y in outcomes])
-    summed = sum(log_weights(setting, y, 14) for y in outcomes)
-    effective = log_weights(eff, eff_outcome, 14) + const
+    m = np.arange(15) - 7.0
+
+    def log_w(s, y):  # log of the operator entries M(Y)_m
+        shift = y + s.chi_x * m * m + s.chi_p * m
+        return 1j * s.eta * m - 0.5 * shift * shift - 0.25 * math.log(math.pi)
+
+    summed = sum(log_w(setting, y) for y in outcomes)
+    effective = log_w(eff, eff_outcome) + const
     np.testing.assert_allclose(summed, effective, atol=1e-12)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,8 +174,15 @@ def test_dss_out_of_range_record_warns():
 
 
 def test_dss_requires_positive_strength():
-    with pytest.raises(ValueError):
-        prepare_dss(40, 0.0, 0.0)
+    for chi_p in (0.0, -0.4):
+        calls = (
+            lambda: prepare_dss(40, chi_p, 0.0),
+            lambda: repetitive_dss(40, chi_p, 3),
+            lambda: dss_with_repeated_outcome(40, chi_p, 3, 0.0),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="chi_p"):
+                call()
 
 
 # ---------------------------------------------------------------- repetition
@@ -187,6 +195,17 @@ def test_single_round_equals_direct_preparation():
         rep.post_state.amplitudes, direct.post_state.amplitudes
     )
     assert rep.xi_d == direct.xi_d
+    # prepare_dss is one round of dss_with_repeated_outcome, bit for bit
+    for outcome, warns in ((1.3, False), (9.0, True)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            single = prepare_dss(40, 0.4, outcome, 0.7)
+        assert [w.category for w in caught] == ([UserWarning] if warns else [])
+        rounds = dss_with_repeated_outcome(40, 0.4, 1, outcome, 0.7)
+        np.testing.assert_array_equal(single.post_state.amplitudes, rounds.post_state.amplitudes)
+        assert (single.xi_d, single.outcome, single.n_rounds) == (
+            rounds.xi_d, rounds.outcome, rounds.n_rounds
+        )
 
 
 def test_sqrt_n_equivalence_state_for_state():
