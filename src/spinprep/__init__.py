@@ -37,7 +37,6 @@ from .pulse_optics import (
 from .measurement import (
     MeasurementRecord,
     MeasurementSetting,
-    Posterior,
     PosteriorError,
     acceptance_probability,
     apply_measurement,

@@ -25,7 +25,7 @@ from . import __version__
 from .measurement import MeasurementSetting, posterior_batch, sample_outcomes
 from .pulse_optics import PULSE_KINDS, CavityParams, feasibility
 from .protocols import dss_rows, repetitive_dss_rows, superposition_rows
-from .spin_core import log_css_amplitudes, make_css
+from .spin_core import log_css_amplitudes, m_ladder, make_css
 
 
 class UsageError(Exception):
@@ -144,9 +144,7 @@ _FIG2_RATIOS = (("third", 1.0 / 3.0), ("half", 0.5), ("full", 1.0))
 
 def _superposition_pm(n_atoms: int, chi_x, outcomes) -> list[list[float]]:
     """P(m) of the CSS conditioned on each amplitude-quadrature record."""
-    probs, _ = posterior_batch(
-        log_css_amplitudes(n_atoms), outcomes, chi_x=chi_x, reduce=lambda post: post.probs
-    )
+    probs, _ = posterior_batch(log_css_amplitudes(n_atoms), outcomes, chi_x=chi_x)
     return probs.tolist()
 
 
@@ -157,15 +155,13 @@ def cmd_fig2(sub: str, n_atoms: int, chi_x: float | None, seed: int) -> SweepRes
         spec = SweepSpec("fig2", "a", "m", None, {"N": n_atoms, "chi_x": chis}, seed)
         columns = ["m"] + [f"p_chi_{_slug(c)}" for c in chis]
         dists = _superposition_pm(n_atoms, chis, [-c * s / 2.0 for c in chis])
-        m_vals = np.arange(n_atoms + 1) - s
-        return SweepResult(spec, columns, list(zip(m_vals.tolist(), *dists)))
+        return SweepResult(spec, columns, list(zip(m_ladder(n_atoms).tolist(), *dists)))
     if sub == "b":
         chi = chi_x if chi_x is not None else 0.2
         spec = SweepSpec("fig2", "b", "m", None, {"N": n_atoms, "chi_x": chi}, seed)
         columns = ["m"] + [f"p_xl_{name}" for name, _ in _FIG2_RATIOS]
         dists = _superposition_pm(n_atoms, chi, [-chi * s * r for _, r in _FIG2_RATIOS])
-        m_vals = np.arange(n_atoms + 1) - s
-        return SweepResult(spec, columns, list(zip(m_vals.tolist(), *dists)))
+        return SweepResult(spec, columns, list(zip(m_ladder(n_atoms).tolist(), *dists)))
     if sub == "c":
         grid = {"start": 0.02, "stop": 0.5, "count": 25, "scale": "linear"}
         spec = SweepSpec("fig2", "c", "chi_x", grid, {"N": n_atoms}, seed)

@@ -11,11 +11,13 @@ makes {M(Y)} a resolution of identity: ||M(Y) psi||^2 is an exact probability
 density over Y (a mixture of variance-1/2 Gaussians weighted by P(m)).
 
 Every state update goes through one kernel, :func:`posterior_batch`, which
-conditions a log-domain prior on a batch of records and exponentiates only
-once, after shifting each record's row by its combined maximum of log prior
-plus log weight.  Neither strong measurements (chi_x ~ 10, hundreds of
-atoms), far-tail records nor prior amplitudes below the float range can
-underflow the update.
+conditions the level probabilities of a log-domain prior on a batch of
+records and exponentiates only once, after shifting each record's row by its
+combined maximum of log prior plus log weight.  Neither strong measurements
+(chi_x ~ 10, hundreds of atoms), far-tail records nor prior amplitudes below
+the float range can underflow the update.  The operator is diagonal, so
+phases pass through the update unchanged; they are applied afterwards, by
+:meth:`SpinEnsembleState.from_probabilities`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .spin_core import NORM_TOL, SpinEnsembleState
+from .spin_core import NORM_TOL, SpinEnsembleState, m_ladder
 
 _LOG_PI = math.log(math.pi)
 # records x levels elements per kernel chunk: about 0.5 MB per float matrix,
@@ -55,7 +57,9 @@ class MeasurementSetting:
     eta: float = 0.0
 
     def __post_init__(self):
-        _per_record(0.0, self.chi_x, self.chi_p, self.eta)
+        _per_record(0.0, self.chi_x, self.chi_p)
+        if not np.isfinite(np.asarray(self.eta, dtype=float)).all():
+            raise ValueError(f"eta must be finite, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -94,89 +98,62 @@ class MeasurementRecord:
         )
 
 
-def _m_values(n_atoms: int) -> np.ndarray:
-    return np.arange(n_atoms + 1) - n_atoms / 2.0
-
-
 def _centers(setting: MeasurementSetting, m: np.ndarray) -> np.ndarray:
     """Gaussian centers -(chi_x m^2 + chi_p m) of the outcome per Dicke level."""
     return -(setting.chi_x * m * m + setting.chi_p * m)
 
 
-@dataclass(frozen=True)
-class Posterior:
-    """Conditioned states of one chunk of records, rows ``rows`` of the batch.
-
-    ``probs[r, k]`` is the post-measurement probability of level k for the
-    chunk's r-th record; every row sums to 1.  The Gaussian damping is real,
-    so the post amplitude is sqrt(probs) exp(i (prior_phase + eta_r m)).
-    """
-
-    rows: slice
-    probs: np.ndarray
-    eta: np.ndarray
-    prior_phase: np.ndarray
-    m: np.ndarray
-
-    def amplitudes(self) -> np.ndarray:
-        """Post-measurement amplitudes, records x levels."""
-        phase = self.prior_phase + self.eta[:, None] * self.m
-        magnitude = np.sqrt(self.probs)
-        # magnitude * exp(i phase) through cos and sin: several times faster than complex exp
-        amps = np.empty(magnitude.shape, dtype=complex)
-        np.multiply(magnitude, np.cos(phase), out=amps.real)
-        np.multiply(magnitude, np.sin(phase), out=amps.imag)
-        return amps
-
-
-def _per_record(outcomes, chi_x, chi_p, eta):
-    """Broadcast the record values and settings to 1-d arrays; validate settings."""
-    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (outcomes, chi_x, chi_p, eta)]
-    y, cx, cp, phase = np.broadcast_arrays(*arrays)
+def _per_record(outcomes, chi_x, chi_p):
+    """Broadcast the record values and strengths to 1-d arrays; validate strengths."""
+    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (outcomes, chi_x, chi_p)]
+    y, cx, cp = np.broadcast_arrays(*arrays)
     if y.ndim != 1 or y.size == 0:
         raise ValueError(f"records must be a scalar or a non-empty 1-d array, got shape {y.shape}")
     for name, val in (("chi_x", cx), ("chi_p", cp)):
         bad = ~(np.isfinite(val) & (val >= 0))
         if bad.any():
             raise ValueError(f"{name} must be finite and >= 0, got {val[bad][0]}")
-    if not np.isfinite(phase).all():
-        raise ValueError(f"eta must be finite, got {phase[~np.isfinite(phase)][0]}")
-    return y, cx, cp, phase
+    return y, cx, cp
 
 
-def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, eta=0.0, reduce=None):
+def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     """Condition one prior on many records at once, in the log domain.
 
-    ``log_prior`` holds log a_m over the N+1 Dicke levels (complex for a
-    phased state, -inf on unoccupied levels), e.g. from
-    :func:`spinprep.spin_core.log_css_amplitudes`.  Record r is taken at
-    strengths ``chi_x[r]``, ``chi_p[r]`` and phase ``eta[r]``; each of these
-    and ``outcomes`` may be a scalar shared by every record.
+    ``log_prior`` holds the real log|a_m| over the N+1 Dicke levels (-inf on
+    unoccupied levels), e.g. from :func:`spinprep.spin_core.log_css_amplitudes`.
+    The operator is diagonal, so the phases of the prior and the e^{i eta m}
+    of the record pass through unchanged and never enter here; a phased state
+    is conditioned by :func:`apply_measurement`.  Record r is taken at
+    strengths ``chi_x[r]`` and ``chi_p[r]``; each of these and ``outcomes``
+    may be a scalar shared by every record.
 
-    Each record's row log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 / 2 is shifted
+    Each record's row 2 log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 is shifted
     by its maximum, exponentiated once and normalized.  Rows are processed
-    in chunks of about 2^16 matrix elements.  ``reduce`` maps each chunk's
-    :class:`Posterior` to one value (or array) per record, by default its
-    full amplitudes.  Returns the stacked reduced values and the log record
-    densities log ||M(Y_r) psi||^2.
+    in chunks of about 2^16 matrix elements.  ``reduce(probs, rows)`` maps
+    each chunk's records x levels post-measurement probabilities, rows
+    ``rows`` of the batch, to one value (or array) per record; without it
+    the probabilities themselves are returned.  Returns the stacked values
+    and the log record densities log ||M(Y_r) psi||^2.
 
     Raises :class:`PosteriorError` if a record leaves no finite, nonzero mass
     or a post state misses unit norm by more than ``NORM_TOL``, and
-    ``ValueError`` for invalid settings.
+    ``ValueError`` for invalid strengths or a complex prior.
     """
     log_prior = np.asarray(log_prior)
+    if np.iscomplexobj(log_prior):
+        raise ValueError(
+            "log_prior must be the real log|a_m|; condition a phased state with apply_measurement"
+        )
     if log_prior.ndim != 1 or log_prior.size < 2:
         raise ValueError(f"log_prior must hold N+1 >= 2 levels, got shape {log_prior.shape}")
-    two_log_mag = 2.0 * log_prior.real
+    two_log_mag = 2.0 * log_prior
     if not (two_log_mag > -np.inf).any():
         raise PosteriorError("prior has empty support")
-    prior_phase = log_prior.imag if np.iscomplexobj(log_prior) else np.zeros(log_prior.size)
-    y, cx, cp, phase = _per_record(outcomes, chi_x, chi_p, eta)
-    m = _m_values(log_prior.size - 1)
+    y, cx, cp = _per_record(outcomes, chi_x, chi_p)
+    m = m_ladder(log_prior.size - 1)
     m2 = m * m
     # strengths shared by every record (each sampled shot) give shared level offsets
     shared = np.ndim(chi_x) == 0 and np.ndim(chi_p) == 0
-    reduce = reduce or Posterior.amplitudes
     values, log_density = [], []
     step = max(1, _CHUNK_ELEMENTS // m.size)
     for start in range(0, y.size, step):
@@ -203,7 +180,7 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, eta=0.0, reduce=N
         norm_dev = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
         if norm_dev > NORM_TOL:
             raise PosteriorError(f"post state misses unit norm by {norm_dev}")
-        values.append(reduce(Posterior(rows, probs, phase[rows], prior_phase, m)))
+        values.append(probs if reduce is None else reduce(probs, rows))
         log_density.append(np.log(mass) + shift - 0.5 * _LOG_PI)
     if len(values) == 1:  # one chunk, e.g. a single record at large N: no copy
         return values[0], log_density[0]
@@ -215,16 +192,18 @@ def apply_measurement(
 ) -> tuple[SpinEnsembleState, float]:
     """Conditioned state after recording ``outcome``, plus its density.
 
-    The one-record case of :func:`posterior_batch`, fed the log of the
-    state's amplitudes; the returned density is ||M psi||^2 before
-    renormalization, identical to :func:`outcome_pdf` at the same record.
+    The one-record case of :func:`posterior_batch`, fed log|a_m| of the
+    state; the post state keeps the prior's phases, rotated by eta m.  The
+    returned density is ||M psi||^2 before renormalization, identical to
+    :func:`outcome_pdf` at the same record.
     """
+    amps = state.amplitudes
     with np.errstate(divide="ignore"):
-        log_prior = np.log(state.amplitudes)
-    amps, log_density = posterior_batch(
-        log_prior, outcome, setting.chi_x, setting.chi_p, setting.eta
-    )
-    return SpinEnsembleState(state.atom_count, amps[0]), float(np.exp(log_density[0]))
+        log_mag = np.log(np.abs(amps))
+    probs, log_density = posterior_batch(log_mag, outcome, setting.chi_x, setting.chi_p)
+    phase = np.angle(amps) + setting.eta * m_ladder(state.atom_count)
+    post = SpinEnsembleState.from_probabilities(state.atom_count, probs[0], phase)
+    return post, float(np.exp(log_density[0]))
 
 
 def outcome_pdf(state: SpinEnsembleState, setting: MeasurementSetting, outcome):
@@ -235,7 +214,7 @@ def outcome_pdf(state: SpinEnsembleState, setting: MeasurementSetting, outcome):
     array; the density integrates to 1 over Y for any normalized state.
     """
     p = np.abs(state.amplitudes) ** 2
-    centers = _centers(setting, _m_values(state.atom_count))
+    centers = _centers(setting, m_ladder(state.atom_count))
     y = np.asarray(outcome, dtype=float)
     diff = y[..., None] - centers
     dens = np.exp(-diff * diff) @ p / math.sqrt(math.pi)
@@ -270,7 +249,7 @@ def sample_outcomes(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p = np.abs(state.amplitudes) ** 2
     p = p / p.sum()
-    centers = _centers(setting, _m_values(state.atom_count))
+    centers = _centers(setting, m_ladder(state.atom_count))
     idx = rng.choice(p.size, size=n_shots, p=p)
     return rng.normal(centers[idx], math.sqrt(0.5))
 
@@ -336,5 +315,5 @@ def acceptance_probability(
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
     p = np.abs(state.amplitudes) ** 2
-    offset = np.abs(target - _centers(setting, _m_values(state.atom_count)))
+    offset = np.abs(target - _centers(setting, m_ladder(state.atom_count)))
     return float(0.5 * (erfc(offset - half_width) - erfc(offset + half_width)) @ p)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .spin_core import (
     SpinEnsembleState,
     dicke_squeezing,
     log_css_amplitudes,
+    m_ladder,
     make_css,
-    observables,
 )
 
 OUTCOME_POLICIES = ("all_zero", "sampled")
@@ -143,12 +143,16 @@ def _root_rounds(n_rounds):
     return float(np.sqrt(n)) if n.ndim == 0 else np.sqrt(n)
 
 
-def _condition_css(n_atoms: int, setting: MeasurementSetting, outcome: float) -> SpinEnsembleState:
-    """The CSS conditioned on one record: the one-record case of the kernel."""
-    amps, _ = posterior_batch(
-        log_css_amplitudes(n_atoms), outcome, setting.chi_x, setting.chi_p, setting.eta
-    )
-    return SpinEnsembleState(n_atoms, amps[0])
+def _condition_css(
+    n_atoms: int, setting: MeasurementSetting, outcome: float
+) -> tuple[SpinEnsembleState, np.ndarray]:
+    """The CSS conditioned on one record, and its level probabilities as one row.
+
+    The one-record case of the kernel; the real CSS takes only the phase eta m.
+    """
+    probs, _ = posterior_batch(log_css_amplitudes(n_atoms), outcome, setting.chi_x, setting.chi_p)
+    phase = setting.eta * m_ladder(n_atoms)
+    return SpinEnsembleState.from_probabilities(n_atoms, probs[0], phase), probs
 
 
 def _require_positive(name: str, value) -> None:
@@ -168,10 +172,9 @@ def superposition_rows(n_atoms: int, chi_x, outcomes):
     m_c, separation, width = _packet_geometry(n_atoms, *np.atleast_1d(chi_x, outcomes))
     k_plus = np.rint(m_c + n_atoms / 2.0).astype(int)
 
-    def fidelity_rows(post):
-        k, rows = k_plus[post.rows], np.arange(post.probs.shape[0])
-        p_plus, p_minus = post.probs[rows, k], post.probs[rows, n_atoms - k]
-        return _target_fidelity(p_plus, p_minus, m_c[post.rows])
+    def fidelity_rows(probs, rows):
+        k, r = k_plus[rows], np.arange(probs.shape[0])
+        return _target_fidelity(probs[r, k], probs[r, n_atoms - k], m_c[rows])
 
     fid, log_density = posterior_batch(
         log_css_amplitudes(n_atoms), outcomes, chi_x=chi_x, reduce=fidelity_rows
@@ -189,7 +192,7 @@ def dss_rows(n_atoms: int, chi_p, outcomes):
     _require_positive("chi_p", chi_p)
     return posterior_batch(
         log_css_amplitudes(n_atoms), outcomes, chi_p=chi_p,
-        reduce=lambda post: dicke_squeezing(post.probs),
+        reduce=lambda probs, rows: dicke_squeezing(probs),
     )
 
 
@@ -223,12 +226,12 @@ def prepare_superposition(
             stacklevel=2,
         )
     m_c, separation, width = (float(v) for v in _packet_geometry(n_atoms, chi_x, outcome))
-    post = _condition_css(n_atoms, MeasurementSetting(chi_x=chi_x, eta=eta), outcome)
+    post, probs = _condition_css(n_atoms, MeasurementSetting(chi_x=chi_x, eta=eta), outcome)
     k_plus = round(m_c + n_atoms / 2.0)
-    probs = np.abs(post.amplitudes) ** 2
+    p_plus, p_minus = probs[0, k_plus], probs[0, n_atoms - k_plus]
     return SuperpositionResult(
         post_state=post,
-        fidelity_vs_target=float(_target_fidelity(probs[k_plus], probs[n_atoms - k_plus], m_c)),
+        fidelity_vs_target=float(_target_fidelity(p_plus, p_minus, m_c)),
         target_m_c=m_c,
         packet_separation=separation,
         packet_width=width,
@@ -267,9 +270,10 @@ def dss_with_repeated_outcome(
     _require_positive("chi_p", chi_p)
     root_n = _root_rounds(n_rounds)
     setting = MeasurementSetting(chi_p=root_n * chi_p, eta=n_rounds * eta)
-    post = _condition_css(n_atoms, setting, root_n * outcome)
+    post, probs = _condition_css(n_atoms, setting, root_n * outcome)
     return DssResult(
-        post_state=post, xi_d=observables(post).xi_d, outcome=outcome, n_rounds=int(n_rounds)
+        post_state=post, xi_d=float(dicke_squeezing(probs)[0]), outcome=outcome,
+        n_rounds=int(n_rounds),
     )
 
 
@@ -297,7 +301,8 @@ def repetitive_dss(
     elif outcome_policy == "sampled":
         if seed is None:
             raise ValueError("sampled outcome policy requires a seed")
-        setting = MeasurementSetting(chi_p=root_n * chi_p)
+        # validated at the chi_p passed, so an error names it, then scaled by sqrt(n)
+        setting = replace(MeasurementSetting(chi_p=chi_p), chi_p=root_n * chi_p)
         outcome = float(sample_outcomes(make_css(n_atoms), setting, 1, seed)[0]) / root_n
     else:
         raise ValueError(

@@ -25,6 +25,11 @@ _LATTICE_TOL = 1e-9
 _LN2 = math.log(2.0)
 
 
+def m_ladder(n_atoms: int) -> np.ndarray:
+    """Eigenvalue ladder m = -S ... S of n_atoms atoms, index k <-> m = k - S."""
+    return np.arange(n_atoms + 1) - n_atoms / 2.0
+
+
 def _locked(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
@@ -64,7 +69,7 @@ class SpinEnsembleState:
     @property
     def m_values(self) -> np.ndarray:
         """Eigenvalue ladder m = -S ... S aligned with ``amplitudes``."""
-        return np.arange(self.atom_count + 1) - self.total_spin
+        return m_ladder(self.atom_count)
 
     @classmethod
     def from_unnormalized(cls, atom_count: int, amplitudes) -> "SpinEnsembleState":
@@ -74,6 +79,16 @@ class SpinEnsembleState:
         if not np.isfinite(norm) or norm == 0.0:
             raise ValueError("cannot normalize amplitudes with zero or non-finite norm")
         return cls(atom_count, amps / norm)
+
+    @classmethod
+    def from_probabilities(cls, atom_count: int, probs, phase) -> "SpinEnsembleState":
+        """Build the state with amplitudes sqrt(probs) exp(i phase), level by level."""
+        magnitude = np.sqrt(probs)
+        # magnitude * exp(i phase) through cos and sin: several times faster than complex exp
+        amps = np.empty(magnitude.shape, dtype=complex)
+        np.multiply(magnitude, np.cos(phase), out=amps.real)
+        np.multiply(magnitude, np.sin(phase), out=amps.imag)
+        return cls(atom_count, amps)
 
 
 @dataclass(frozen=True)
@@ -164,7 +179,7 @@ def make_superposition_target(n_atoms: int, m_c: float, eta: float = 0.0) -> Spi
 
 def _z_moments(probs, n_atoms: int):
     """<Sz>, <Sz^2>, Var Sz, <Sx^2 + Sy^2> and xi_D along the last axis of ``probs``."""
-    m = np.arange(n_atoms + 1) - n_atoms / 2.0
+    m = m_ladder(n_atoms)
     mean_sz = probs @ m
     mean_sz2 = probs @ (m * m)
     # rounding can push the variance a hair below zero; clamp

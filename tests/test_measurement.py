@@ -60,18 +60,30 @@ def mixture_moments(state, setting):
 
 def test_kernel_identity_at_zero_setting():
     # at chi_x = chi_p = eta = 0 the operator is pi^{-1/4} e^{-Y^2/2} times the
-    # identity: every record leaves the (phased) prior unchanged
+    # identity: every record leaves the level probabilities unchanged, and the
+    # update passes the phases of a phased state through
     state = random_state(10, np.random.default_rng(5))
     outcomes = np.array([0.0, -1.3, 2.0])
-    amps, log_density = posterior_batch(np.log(state.amplitudes), outcomes)
-    np.testing.assert_allclose(amps, np.tile(state.amplitudes, (3, 1)), atol=1e-14)
+    probs, log_density = posterior_batch(np.log(np.abs(state.amplitudes)), outcomes)
+    np.testing.assert_allclose(probs, np.tile(np.abs(state.amplitudes) ** 2, (3, 1)), atol=1e-14)
     np.testing.assert_allclose(log_density, -0.5 * math.log(math.pi) - outcomes**2, atol=1e-14)
+    for y, y_log_density in zip(outcomes, log_density):
+        post, density = apply_measurement(state, MeasurementSetting(), y)
+        np.testing.assert_allclose(post.amplitudes, state.amplitudes, atol=1e-14)
+        assert density == np.exp(y_log_density)
+
+
+def test_kernel_rejects_a_complex_prior():
+    # phases never enter the kernel; a phased state goes through apply_measurement
+    log_prior = np.log(random_state(6, np.random.default_rng(2)).amplitudes)
+    with pytest.raises(ValueError, match="apply_measurement"):
+        posterior_batch(log_prior, 0.3, chi_p=0.5)
 
 
 def test_kernel_peak_at_record_matched_level():
     # record -5 with chi_x = 0.2 leaves zero exponent exactly at m^2 = 25, so a
     # flat prior's posterior peaks there
-    probs, _ = posterior_batch(np.zeros(31), -5.0, chi_x=0.2, reduce=lambda post: post.probs)
+    probs, _ = posterior_batch(np.zeros(31), -5.0, chi_x=0.2)
     top = np.flatnonzero(probs[0] == probs[0].max())
     assert list(top) == [15 - 5, 15 + 5]
 

@@ -20,6 +20,7 @@ from spinprep import (
     MeasurementSetting,
     SpinEnsembleState,
     acceptance_probability,
+    apply_measurement,
     compose,
     log_css_amplitudes,
     make_css,
@@ -68,37 +69,33 @@ def batches(draw, max_atoms=10_000, window=3.0, max_records=4):
 @PROPERTY
 @given(batches())
 def test_rows_have_unit_norm(case):
-    n_atoms, chi_x, chi_p, eta, records = case
-    amps, log_density = posterior_batch(
-        log_css_amplitudes(n_atoms), records, chi_x, chi_p, eta
-    )
-    assert amps.shape == (records.size, n_atoms + 1)
-    np.testing.assert_allclose(np.sum(np.abs(amps) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
+    n_atoms, chi_x, chi_p, _, records = case
+    probs, log_density = posterior_batch(log_css_amplitudes(n_atoms), records, chi_x, chi_p)
+    assert probs.shape == (records.size, n_atoms + 1)
+    np.testing.assert_allclose(np.sum(probs, axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(np.isfinite(log_density))
 
 
 @PROPERTY
 @given(batches())
 def test_batched_row_equals_one_record_call(case):
-    n_atoms, chi_x, chi_p, eta, records = case
+    n_atoms, chi_x, chi_p, _, records = case
     log_prior = log_css_amplitudes(n_atoms)
-    amps, log_density = posterior_batch(log_prior, records, chi_x, chi_p, eta)
+    probs, log_density = posterior_batch(log_prior, records, chi_x, chi_p)
     for row, y in enumerate(records):
-        one, one_density = posterior_batch(log_prior, y, chi_x, chi_p, eta)
-        np.testing.assert_allclose(amps[row], one[0], rtol=0, atol=1e-12)
+        one, one_density = posterior_batch(log_prior, y, chi_x, chi_p)
+        np.testing.assert_allclose(probs[row], one[0], rtol=0, atol=1e-12)
         assert log_density[row] == pytest.approx(one_density[0], rel=1e-12)
 
 
 @PROPERTY
 @given(batches(max_atoms=40, window=1.0, max_records=3))
 def test_rows_match_linear_domain_product(case):
-    n_atoms, chi_x, chi_p, eta, records = case
-    amps, log_density = posterior_batch(
-        log_css_amplitudes(n_atoms), records, chi_x, chi_p, eta
-    )
+    n_atoms, chi_x, chi_p, _, records = case
+    probs, log_density = posterior_batch(log_css_amplitudes(n_atoms), records, chi_x, chi_p)
     for row, y in enumerate(records):
-        probs, ref_density = linear_posterior(n_atoms, chi_x, chi_p, [y])
-        np.testing.assert_allclose(np.abs(amps[row]) ** 2, probs, rtol=0, atol=1e-10)
+        ref_probs, ref_density = linear_posterior(n_atoms, chi_x, chi_p, [y])
+        np.testing.assert_allclose(probs[row], ref_probs, rtol=0, atol=1e-10)
         assert log_density[row] == pytest.approx(ref_density, rel=1e-10, abs=1e-10)
 
 
@@ -107,9 +104,7 @@ def test_rows_match_linear_domain_product(case):
 def test_density_equals_outcome_pdf(case):
     n_atoms, chi_x, chi_p, eta, records = case
     setting = MeasurementSetting(chi_x=chi_x, chi_p=chi_p, eta=eta)
-    _, log_density = posterior_batch(
-        log_css_amplitudes(n_atoms), records, chi_x, chi_p, eta
-    )
+    _, log_density = posterior_batch(log_css_amplitudes(n_atoms), records, chi_x, chi_p)
     pdf = outcome_pdf(make_css(n_atoms), setting, records)
     resolved = pdf > 1e-250
     # both round the Gaussian centers, of size up to chi_x S^2, before squaring
@@ -127,11 +122,11 @@ def test_two_records_compose_to_one_at_sqrt2_chi(case):
     eff, eff_outcome, log_const = compose([(setting, y1), (setting, y2)])
     assert eff.chi_x == pytest.approx(math.sqrt(2.0) * chi_x)
     assert eff.chi_p == pytest.approx(math.sqrt(2.0) * chi_p)
-    amps, log_density = posterior_batch(
-        log_css_amplitudes(n_atoms), eff_outcome, eff.chi_x, eff.chi_p, eff.eta
+    probs, log_density = posterior_batch(
+        log_css_amplitudes(n_atoms), eff_outcome, eff.chi_x, eff.chi_p
     )
-    probs, ref_density = linear_posterior(n_atoms, chi_x, chi_p, [y1, y2])
-    np.testing.assert_allclose(np.abs(amps[0]) ** 2, probs, rtol=0, atol=1e-10)
+    ref_probs, ref_density = linear_posterior(n_atoms, chi_x, chi_p, [y1, y2])
+    np.testing.assert_allclose(probs[0], ref_probs, rtol=0, atol=1e-10)
     assert log_density[0] + 2.0 * log_const == pytest.approx(ref_density, rel=1e-10, abs=1e-10)
 
 
@@ -139,13 +134,20 @@ def test_two_records_compose_to_one_at_sqrt2_chi(case):
 @given(batches())
 def test_eta_changes_phases_only(case):
     n_atoms, chi_x, chi_p, eta, records = case
-    log_prior = log_css_amplitudes(n_atoms)
-    plain, plain_density = posterior_batch(log_prior, records, chi_x, chi_p, 0.0)
-    phased, phased_density = posterior_batch(log_prior, records, chi_x, chi_p, eta)
-    np.testing.assert_array_equal(plain_density, phased_density)
-    np.testing.assert_allclose(np.abs(phased), np.abs(plain), rtol=0, atol=1e-15)
+    state = make_css(n_atoms)
     m = np.arange(n_atoms + 1) - n_atoms / 2.0
-    np.testing.assert_allclose(phased, plain * np.exp(1j * eta * m), rtol=0, atol=1e-12)
+    for y in records:
+        plain, plain_density = apply_measurement(state, MeasurementSetting(chi_x, chi_p), y)
+        phased, phased_density = apply_measurement(
+            state, MeasurementSetting(chi_x, chi_p, eta), y
+        )
+        assert phased_density == plain_density
+        np.testing.assert_allclose(
+            np.abs(phased.amplitudes), np.abs(plain.amplitudes), rtol=0, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            phased.amplitudes, plain.amplitudes * np.exp(1j * eta * m), rtol=0, atol=1e-12
+        )
 
 
 # ---------------------------------------------------------------- POVM completeness

@@ -10,6 +10,7 @@ from spinprep import (
     CavityParams,
     MeasurementSetting,
     apply_measurement,
+    dss_rows,
     dss_with_repeated_outcome,
     feasibility,
     long_pulse_plan,
@@ -22,6 +23,7 @@ from spinprep import (
     repetitive_dss,
     repetitive_dss_rows,
     sample_outcome,
+    superposition_rows,
 )
 
 CAVITY = CavityParams.from_two_pi_megahertz(0.4, 3000.0, 1.0, 100.0)
@@ -183,6 +185,37 @@ def test_dss_requires_positive_strength():
         for call in calls:
             with pytest.raises(ValueError, match="chi_p"):
                 call()
+
+
+@pytest.mark.parametrize("policy", ["all_zero", "sampled"])
+@pytest.mark.parametrize("chi_p", [-0.4, math.nan])
+def test_invalid_strength_is_reported_as_passed(policy, chi_p):
+    # the sampled policy draws at sqrt(n) chi_p; its error must still name chi_p
+    with pytest.raises(ValueError, match=rf"chi_p .* got {chi_p}$"):
+        repetitive_dss(40, chi_p, 4, policy, seed=1)
+
+
+# ---------------------------------------------------------------- one record vs rows
+
+
+@pytest.mark.parametrize("n_atoms", [7, 40, 101, 100_000])
+def test_one_record_protocols_equal_their_rows(n_atoms):
+    # a one-record protocol reads its figure from the same level probabilities,
+    # through the same formula, as the row function for that record: bit for bit,
+    # at any phase, and for a record far from m = 0 at N = 1e5
+    s = n_atoms / 2.0
+    for chi_p in (0.4, 2.0):
+        records = [f * chi_p * s for f in (-0.9, -0.5, -0.12, 0.0, 0.3, 0.75)]
+        records += [-6000.0] if n_atoms == 100_000 else []
+        for y in records:
+            assert prepare_dss(n_atoms, chi_p, y, 0.3).xi_d == dss_rows(n_atoms, chi_p, y)[0][0]
+            assert dss_with_repeated_outcome(n_atoms, chi_p, 5, y / 5, 0.3).xi_d == (
+                repetitive_dss_rows(n_atoms, chi_p, 5, y / 5)[0]
+            )
+    for chi_x in (0.05, 0.3):
+        for y in [-f * chi_x * s * s for f in (0.9, 0.5, 0.25, 0.1, 0.01)] + [0.0]:
+            fidelity = prepare_superposition(n_atoms, chi_x, y, 0.2).fidelity_vs_target
+            assert fidelity == superposition_rows(n_atoms, chi_x, y)[0][0]
 
 
 # ---------------------------------------------------------------- repetition
