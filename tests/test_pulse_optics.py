@@ -1,12 +1,18 @@
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.signal import fftconvolve
 
+import spinprep
 from spinprep import (
     CavityParams,
+    PulseGrid,
     accumulated_phase,
     build_pulse,
     feasibility,
@@ -16,6 +22,7 @@ from spinprep import (
     set_local_oscillator,
     strengths_numeric,
 )
+from spinprep.pulse_optics import l2_mass
 
 CAVITY = CavityParams.from_two_pi_megahertz(0.4, 3000.0, 1.0, 100.0)
 
@@ -90,6 +97,33 @@ def test_grid_validation():
         build_pulse("long_exponential", n_t=10.0, span=20.0)  # pulse escapes grid
 
 
+def test_even_sample_count_is_rejected():
+    # the composite Simpson rule needs an odd count
+    times = np.linspace(-30.0, 30.0, 12000)
+    beta = np.exp(-np.abs(times))
+    with pytest.raises(ValueError, match="odd sample count, got 12000"):
+        PulseGrid(times=times, beta_in=beta, kind="exponential")
+
+
+def test_complex_envelope_is_rejected():
+    pulse = build_pulse("exponential")
+    with pytest.raises(ValueError, match="beta_in must be real"):
+        PulseGrid(times=pulse.times, beta_in=pulse.beta_in * 1j, kind="exponential")
+
+
+def test_import_loads_no_heavy_scipy_submodule():
+    # scipy.signal and what it pulls in triple the import time of the package
+    src = os.path.dirname(os.path.dirname(spinprep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, spinprep; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "spinprep" in loaded
+    for name in ("scipy.signal", "scipy.integrate", "scipy.stats"):
+        assert name not in loaded
+
+
 # ---------------------------------------------------------------- responses
 
 
@@ -125,6 +159,33 @@ def test_response_edge_decay(fixture, request):
     for arr in (pulse.beta0, pulse.beta1, pulse.beta2):
         assert abs(arr[0]) < 1e-6  # before the pulse support
         assert abs(arr[-1]) < 1e-6  # decayed by the grid edge
+
+
+def _response_oracle(pulse):
+    """scipy's fftconvolve with the same trapezoid end corrections."""
+    tau = pulse.times - pulse.times[0]
+    dt, f = pulse.dt, pulse.beta_in
+    out = []
+    for j in range(3):
+        kernel = math.sqrt(2.0) * tau**j * np.exp(-tau)
+        full = fftconvolve(f, kernel)[: f.size] * dt
+        out.append(full - 0.5 * dt * kernel[0] * f - 0.5 * dt * kernel * f[0])
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind, n_t, span, dt, size",
+    [
+        ("optimal_x_spectral", 1.0, 12.0, 0.01, 2401),
+        ("exponential", 1.0, 30.0, 0.005, 12001),
+        ("long_exponential", 2.0, 60.0, 0.005, 24001),
+    ],
+)
+def test_responses_match_scipy_convolution(kind, n_t, span, dt, size):
+    pulse = response_functions(build_pulse(kind, n_t=n_t, span=span, dt=dt))
+    assert pulse.times.size == size
+    for got, want in zip((pulse.beta0, pulse.beta1, pulse.beta2), _response_oracle(pulse)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_peak_requires_responses():
@@ -178,6 +239,25 @@ def test_chi_p_error_shrinks_with_dt():
         oracle = math.sqrt(10.0 * CAVITY.n_photons) * CAVITY.omega / CAVITY.kappa
         errors.append(abs(chi_p - oracle) / oracle)
     assert errors[0] > errors[1] > errors[2]
+
+
+@pytest.mark.parametrize("fixture", ["exp_pulse", "spectral_pulse", "long10_pulse"])
+def test_quadrature_matches_scipy_simpson(fixture, request):
+    pulse = request.getfixturevalue(fixture)
+    t = pulse.times
+    for values in (pulse.beta_in, pulse.beta1, pulse.beta2):
+        assert l2_mass(t, values) == pytest.approx(simpson(values**2, x=t), rel=1e-12)
+    phi = 0.3
+    for shape in ("beta1", "beta2"):
+        lo = set_local_oscillator(pulse, shape)
+        chi_x, chi_p = strengths_numeric(lo, CAVITY, phi)
+        ratio, root_np = CAVITY.omega / CAVITY.kappa, math.sqrt(CAVITY.n_photons)
+        overlap2 = simpson(lo.beta_lo * lo.beta2, x=t)
+        overlap1 = simpson(lo.beta_lo * lo.beta1, x=t)
+        want_x = math.sqrt(2.0) * ratio**2 * math.cos(phi) * overlap2 * root_np
+        want_p = 2.0 * math.sqrt(2.0) * ratio * math.sin(phi) * overlap1 * root_np
+        assert chi_x == pytest.approx(want_x, rel=1e-12)
+        assert chi_p == pytest.approx(want_p, rel=1e-12)
 
 
 def test_strengths_error_paths(exp_pulse):
