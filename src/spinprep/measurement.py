@@ -10,13 +10,14 @@ so each amplitude is damped by a Gaussian in the record centered at
 makes {M(Y)} a resolution of identity: ||M(Y) psi||^2 is an exact probability
 density over Y (a mixture of variance-1/2 Gaussians weighted by P(m)).
 
-Every state update goes through one kernel, :func:`posterior_batch`, which
-conditions the level probabilities of a log-domain prior on a batch of
-records and exponentiates only once, after shifting each record's row by its
-combined maximum of log prior plus log weight.  Neither strong measurements
-(chi_x ~ 10, hundreds of atoms), far-tail records nor prior amplitudes below
-the float range can underflow the update.  The operator is diagonal, so
-phases pass through the update unchanged; they are applied afterwards, by
+Every state update and every record density goes through one kernel,
+:func:`posterior_batch`, which conditions the level probabilities of a
+log-domain prior on a batch of records and exponentiates only once, after
+shifting each record's row by its combined maximum of log prior plus log
+weight.  Neither strong measurements (chi_x ~ 10, hundreds of atoms),
+far-tail records nor prior amplitudes below the float range can underflow
+the update.  The operator is diagonal, so phases pass through the update
+unchanged; they are applied afterwards, by
 :meth:`SpinEnsembleState.from_probabilities`.
 """
 
@@ -187,6 +188,24 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     return np.concatenate(values), np.concatenate(log_density)
 
 
+def _log_magnitudes(state: SpinEnsembleState) -> np.ndarray:
+    """log|a_m| of the state, the real prior :func:`posterior_batch` conditions.
+
+    Unoccupied levels give -inf, which the kernel leaves at probability 0.
+    """
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(state.amplitudes))
+
+
+def _densities_only(probs, rows):
+    """A ``reduce`` for :func:`posterior_batch` that keeps no post state.
+
+    A fresh empty array per chunk, not a view of ``probs``, so no chunk's
+    records x levels matrix outlives its step.
+    """
+    return np.empty(0)
+
+
 def apply_measurement(
     state: SpinEnsembleState, setting: MeasurementSetting, outcome: float
 ) -> tuple[SpinEnsembleState, float]:
@@ -194,14 +213,14 @@ def apply_measurement(
 
     The one-record case of :func:`posterior_batch`, fed log|a_m| of the
     state; the post state keeps the prior's phases, rotated by eta m.  The
-    returned density is ||M psi||^2 before renormalization, identical to
-    :func:`outcome_pdf` at the same record.
+    returned density is ||M psi||^2 before renormalization, the kernel's log
+    density exponentiated: it equals :func:`outcome_pdf` at the same record
+    bit for bit.
     """
-    amps = state.amplitudes
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(amps))
-    probs, log_density = posterior_batch(log_mag, outcome, setting.chi_x, setting.chi_p)
-    phase = np.angle(amps) + setting.eta * m_ladder(state.atom_count)
+    probs, log_density = posterior_batch(
+        _log_magnitudes(state), outcome, setting.chi_x, setting.chi_p
+    )
+    phase = np.angle(state.amplitudes) + setting.eta * m_ladder(state.atom_count)
     post = SpinEnsembleState.from_probabilities(state.atom_count, probs[0], phase)
     return post, float(np.exp(log_density[0]))
 
@@ -209,16 +228,23 @@ def apply_measurement(
 def outcome_pdf(state: SpinEnsembleState, setting: MeasurementSetting, outcome):
     """Exact probability density of the record Y for the given state.
 
-    A mixture of variance-1/2 Gaussians: sum_m P(m) pi^{-1/2}
-    exp[-(Y + chi_x m^2 + chi_p m)^2].  ``outcome`` may be a scalar or an
-    array; the density integrates to 1 over Y for any normalized state.
+    The density sum_m P(m) pi^{-1/2} exp[-(Y + chi_x m^2 + chi_p m)^2], a
+    mixture of variance-1/2 Gaussians, is the log record density that
+    :func:`posterior_batch` returns for log|a_m| of the state, exponentiated;
+    records are processed in the kernel's chunks, so memory does not grow
+    with their number.  A record's density is the same alone and inside a
+    batch, and equals :func:`apply_measurement`'s.  ``outcome`` may be a
+    scalar (a float is returned) or a non-empty array (its shape is kept);
+    the density integrates to 1 over Y for any normalized state.  A
+    non-finite record, or one whose squared residual overflows, raises
+    :class:`PosteriorError`.
     """
-    p = np.abs(state.amplitudes) ** 2
-    centers = _centers(setting, m_ladder(state.atom_count))
     y = np.asarray(outcome, dtype=float)
-    diff = y[..., None] - centers
-    dens = np.exp(-diff * diff) @ p / math.sqrt(math.pi)
-    return float(dens) if y.ndim == 0 else dens
+    _, log_density = posterior_batch(
+        _log_magnitudes(state), y.ravel(), setting.chi_x, setting.chi_p, _densities_only
+    )
+    density = np.exp(log_density)
+    return float(density[0]) if y.ndim == 0 else density.reshape(y.shape)
 
 
 def sample_outcome(

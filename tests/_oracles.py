@@ -19,6 +19,18 @@ def mixture_centers(state, setting):
     return -(setting.chi_x * m * m + setting.chi_p * m)
 
 
+def mixture_pdf(x, state, setting):
+    """Exact density of the outcome, sum_m P(m) pi^{-1/2} exp[-(x - c_m)^2].
+
+    The mixture of variance-1/2 Gaussians evaluated in the linear domain, one
+    records x levels matrix, so far-tail records underflow to 0.
+    """
+    p = np.abs(state.amplitudes) ** 2
+    centers = mixture_centers(state, setting)
+    diff = np.asarray(x, dtype=float)[..., None] - centers
+    return np.exp(-diff * diff) @ p / math.sqrt(math.pi)
+
+
 def mixture_cdf(x, state, setting):
     """Exact CDF of the outcome: mixture of variance-1/2 Gaussians."""
     p = np.abs(state.amplitudes) ** 2

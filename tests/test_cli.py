@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import chi_square_gof, flat_top_peak
+from _oracles import chi_square_gof, flat_top_peak, mixture_pdf
 from spinprep import (
     MeasurementSetting,
     __version__,
@@ -17,7 +17,6 @@ from spinprep import (
     make_css,
     make_superposition_target,
     observables,
-    outcome_pdf,
     prepare_dss,
     prepare_superposition,
     repetitive_dss,
@@ -282,7 +281,7 @@ def test_sample_rows_equal_per_shot_updates(tmp_path):
     setting = MeasurementSetting(chi_p=0.3, eta=0.05)
     for _, y, density, xi_d in res["rows"]:
         post, _ = apply_measurement(make_css(40), setting, y)
-        assert density == pytest.approx(outcome_pdf(make_css(40), setting, y), rel=1e-12)
+        assert density == pytest.approx(mixture_pdf(y, make_css(40), setting), rel=1e-12)
         assert xi_d == pytest.approx(observables(post).xi_d, abs=1e-12)
     res, _ = run(tmp_path, "sample", "superposition", "--N", "21", "--chi-x", "0.1",
                  "--eta", "0.07", "--n-shots", "50", "--seed", "5", name="sup.csv")
@@ -290,7 +289,7 @@ def test_sample_rows_equal_per_shot_updates(tmp_path):
     for _, y, density, fid, m_c in res["rows"]:
         post, _ = apply_measurement(make_css(21), setting, y)
         target = make_superposition_target(21, m_c, 0.07)
-        assert density == pytest.approx(outcome_pdf(make_css(21), setting, y), rel=1e-12)
+        assert density == pytest.approx(mixture_pdf(y, make_css(21), setting), rel=1e-12)
         assert fid == pytest.approx(fidelity(post, target), abs=1e-12)
 
 

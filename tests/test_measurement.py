@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import erf
 from spinprep import (
     MeasurementRecord,
     MeasurementSetting,
+    PosteriorError,
     SpinEnsembleState,
     acceptance_probability,
     apply_measurement,
@@ -184,9 +186,7 @@ def test_density_equals_outcome_pdf():
         state = random_state(n, rng)
         outcome = float(rng.normal())
         _, density = apply_measurement(state, setting, outcome)
-        assert density == pytest.approx(
-            outcome_pdf(state, setting, outcome), rel=1e-12
-        )
+        assert density == outcome_pdf(state, setting, outcome)
 
 
 # ---------------------------------------------------------------- outcome pdf
@@ -226,6 +226,59 @@ def test_pdf_integrates_to_one():
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def test_pdf_keeps_the_record_shape():
+    state = make_css(12)
+    setting = MeasurementSetting(chi_p=0.4)
+    assert type(outcome_pdf(state, setting, 0.3)) is float
+    ys = np.linspace(-3.0, 3.0, 6)
+    flat = outcome_pdf(state, setting, ys)
+    assert flat.shape == (6,)
+    np.testing.assert_array_equal(outcome_pdf(state, setting, ys.reshape(2, 3)), flat.reshape(2, 3))
+
+
+@pytest.mark.parametrize("record", [math.nan, math.inf, -math.inf])
+def test_pdf_non_finite_record_raises(record):
+    state = make_css(12)
+    setting = MeasurementSetting(chi_p=0.4)
+    for outcome in (record, np.array([0.0, record])):
+        with pytest.raises(PosteriorError):
+            outcome_pdf(state, setting, outcome)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+def test_pdf_rejects_empty_records(shape):
+    with pytest.raises(ValueError, match="non-empty"):
+        outcome_pdf(make_css(12), MeasurementSetting(chi_p=0.4), np.empty(shape))
+
+
+def test_pdf_far_tail_records_are_positive():
+    # records up to 1250 from the mean at N = 3000: levels of the CSS up there
+    # underflow to exact zeros, and the density down to e^-1221
+    state = make_css(3000)
+    records = np.arange(-1250.0, 1.0, 50.0)
+    density = outcome_pdf(state, MeasurementSetting(chi_p=1.0), records)
+    with np.errstate(divide="ignore"):
+        _, log_density = posterior_batch(np.log(np.abs(state.amplitudes)), records, chi_p=1.0)
+    np.testing.assert_array_equal(density, np.exp(log_density))
+    normal = log_density >= math.log(np.finfo(float).tiny)
+    assert normal.sum() == 20
+    assert np.all(density[normal] > 0.0)
+
+
+def test_pdf_memory_does_not_grow_with_records():
+    # one records x levels matrix would take 5000 x 10001 x 8 B = 400 MB
+    state = make_css(10_000)
+    setting = MeasurementSetting(chi_p=0.05)
+    records = np.linspace(-20.0, 20.0, 5000)
+    tracemalloc.start()
+    try:
+        outcome_pdf(state, setting, records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 # ---------------------------------------------------------------- sampling
 
 
@@ -245,9 +298,7 @@ def test_sample_outcome_fresh_entropy():
     setting = MeasurementSetting(chi_p=0.4)
     rec = sample_outcome(state, setting, None)
     assert rec.seed is None
-    assert rec.probability_density == pytest.approx(
-        outcome_pdf(state, setting, rec.outcome), rel=1e-15
-    )
+    assert rec.probability_density == outcome_pdf(state, setting, rec.outcome)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _oracles import mixture_pdf
 from scipy.integrate import quad
 
 from spinprep import (
@@ -104,13 +105,31 @@ def test_rows_match_linear_domain_product(case):
 def test_density_equals_outcome_pdf(case):
     n_atoms, chi_x, chi_p, eta, records = case
     setting = MeasurementSetting(chi_x=chi_x, chi_p=chi_p, eta=eta)
+    state = make_css(n_atoms)
     _, log_density = posterior_batch(log_css_amplitudes(n_atoms), records, chi_x, chi_p)
-    pdf = outcome_pdf(make_css(n_atoms), setting, records)
-    resolved = pdf > 1e-250
-    # both round the Gaussian centers, of size up to chi_x S^2, before squaring
-    np.testing.assert_allclose(np.exp(log_density[resolved]), pdf[resolved], rtol=1e-6)
-    # where outcome_pdf underflows, the kernel still reports a (tiny) log density
-    assert np.all(log_density[pdf == 0.0] < math.log(1e-300))
+    pdf = outcome_pdf(state, setting, records)
+    ref = mixture_pdf(records, state, setting)
+    resolved = ref > 1e-250
+    # kernel and oracle both round the Gaussian centers, of size up to
+    # chi_x S^2, before squaring
+    np.testing.assert_allclose(np.exp(log_density[resolved]), ref[resolved], rtol=1e-6)
+    np.testing.assert_allclose(pdf[resolved], ref[resolved], rtol=1e-6)
+    # where the linear-domain mixture underflows, the kernel still reports a
+    # (tiny) log density
+    assert np.all(log_density[ref == 0.0] < math.log(1e-300))
+
+
+@PROPERTY
+@given(batches(max_records=20))
+def test_record_density_same_alone_and_in_batch(case):
+    # up to 20 records span several kernel chunks once N exceeds about 3000
+    n_atoms, chi_x, chi_p, eta, records = case
+    state = make_css(n_atoms)
+    setting = MeasurementSetting(chi_x=chi_x, chi_p=chi_p, eta=eta)
+    batch = outcome_pdf(state, setting, records)
+    for row, y in enumerate(records):
+        assert outcome_pdf(state, setting, y) == batch[row]
+        assert apply_measurement(state, setting, y)[1] == batch[row]
 
 
 @PROPERTY
