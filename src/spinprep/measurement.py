@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
-from .spin_core import NORM_TOL, SpinEnsembleState, m_ladder
+from .spin_core import NORM_TOL, SpinEnsembleState, m_ladder, span_bounds, span_sums
 
 _LOG_PI = math.log(math.pi)
-# records x levels elements per kernel chunk: about 0.5 MB per float matrix,
+# records x band elements per kernel chunk: about 0.5 MB per float matrix,
 # so peak memory is independent of the number of records
 _CHUNK_ELEMENTS = 1 << 16
 # exp is several times slower on arguments whose result underflows; a level
@@ -105,16 +105,82 @@ def _centers(setting: MeasurementSetting, m: np.ndarray) -> np.ndarray:
 
 
 def _per_record(outcomes, chi_x, chi_p):
-    """Broadcast the record values and strengths to 1-d arrays; validate strengths."""
-    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in (outcomes, chi_x, chi_p)]
-    y, cx, cp = np.broadcast_arrays(*arrays)
+    """Record values and strengths as 1-d arrays; validate strengths.
+
+    The strengths keep a single entry when they are shared by every record
+    (a scalar or one-element input); otherwise all three broadcast to one
+    entry per record.
+    """
+    y = np.array(outcomes, dtype=float, ndmin=1)
+    cx = np.array(chi_x, dtype=float, ndmin=1)
+    cp = np.array(chi_p, dtype=float, ndmin=1)
     if y.ndim != 1 or y.size == 0:
         raise ValueError(f"records must be a scalar or a non-empty 1-d array, got shape {y.shape}")
-    for name, val in (("chi_x", cx), ("chi_p", cp)):
-        bad = ~(np.isfinite(val) & (val >= 0))
-        if bad.any():
-            raise ValueError(f"{name} must be finite and >= 0, got {val[bad][0]}")
+    strengths = np.concatenate((cx.ravel(), cp.ravel()))
+    # the minimum is nan if any strength is, so this also rejects nan
+    if not (strengths.min() >= 0.0 and strengths.max() < math.inf):
+        for name, val in (("chi_x", cx), ("chi_p", cp)):
+            bad = ~(np.isfinite(val) & (val >= 0))
+            if bad.any():
+                raise ValueError(f"{name} must be finite and >= 0, got {val[bad][0]}")
+    if strengths.size != 2:  # per-record strengths: one entry of each per record
+        size = max(y.size, cx.size, cp.size)
+        if any(v.ndim != 1 or v.size not in (1, size) for v in (cx, cp)) or y.size not in (1, size):
+            raise ValueError(
+                f"records and strengths do not broadcast: sizes {y.size}, {cx.size} and {cp.size}"
+            )
+        zeros = np.zeros(size)
+        y, cx, cp = y + zeros, cx + zeros, cp + zeros
     return y, cx, cp
+
+
+def _level_windows(levels: np.ndarray, width: int) -> np.ndarray:
+    """View whose row k is ``levels[k : k + width]`` of a contiguous 1-d array."""
+    step = levels.strides[0]
+    return np.ndarray((levels.size - width + 1, width), levels.dtype, levels, 0, (step, step))
+
+
+def _band_limits(n_levels: int, top: int, y, cx, cp) -> np.ndarray:
+    """Index of the lowest and the highest level each record's row can keep, as two rows.
+
+    Level m survives the floor only if 2 log|a_m| - (Y + c_m)^2, with
+    c_m = chi_x m^2 + chi_p m, lies within -_LOG_PROB_FLOOR of the row's
+    peak.  Any occupied level j bounds that peak from below; with j the
+    prior's largest level ``top``, a surviving level has |Y + c_m| <= R,
+
+        R^2 = (Y + c_j)^2 - _LOG_PROB_FLOOR.
+
+    For any chi_x, chi_p >= 0 that set lies between the roots of
+    Y + c_m = R, and above the upper root of Y + c_m = -R where the hole
+    Y + c_m < -R reaches below the lower one (chi_x = 0: the window of a
+    linear residual).  The single interval that results is widened by a
+    level on each side against rounding and cut to the ladder.  A
+    non-finite record gives nan ends and a band over every level; the
+    kernel's row checks see it, and a record whose row overflows, in any
+    band.
+    """
+    s = 0.5 * (n_levels - 1)
+    m = top - s
+    reach = np.hypot((cx * m + cp) * m + y, math.sqrt(-_LOG_PROB_FLOOR))
+    c = y + np.array([[-1.0], [1.0]]) * reach  # Y + c_m = R, then Y + c_m = -R
+    # roots q / cx <= c / q of cx m^2 + cp m + c = 0, q = -(cp/2 + sqrt(cp^2/4 - cx c)):
+    # free of cancellation for cx, cp >= 0; q / cx is -inf at cx = 0
+    half_cp = 0.5 * cp
+    q = np.negative(half_cp + np.sqrt(half_cp * half_cp - cx * c))
+    ends, upper = q / cx, c / q
+    np.fmax(ends[0], upper[1], out=ends[0], where=ends[1] <= ends[0])
+    ends[1] = upper[0]
+    ends = np.floor(ends + ((s - 1.0,), (s + 2.0,)))
+    return np.fmin(np.fmax(ends, 0.0), 2.0 * s).astype(np.intp)
+
+
+def level_rows(bands, first, n_levels: int) -> np.ndarray:
+    """Band rows of :func:`posterior_batch` scattered into zeros over all ``n_levels`` levels."""
+    rows, width = bands.shape
+    # bands may run past the top level; those columns hold zeros and are cut off
+    full = np.zeros((rows, n_levels + width))
+    _level_windows(full.reshape(-1), width)[np.arange(0, full.size, full.shape[1]) + first] = bands
+    return full[:, :n_levels]
 
 
 def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
@@ -128,13 +194,23 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     strengths ``chi_x[r]`` and ``chi_p[r]``; each of these and ``outcomes``
     may be a scalar shared by every record.
 
-    Each record's row 2 log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 is shifted
-    by its maximum, exponentiated once and normalized.  Rows are processed
-    in chunks of about 2^16 matrix elements.  ``reduce(probs, rows)`` maps
-    each chunk's records x levels post-measurement probabilities, rows
-    ``rows`` of the batch, to one value (or array) per record; without it
-    the probabilities themselves are returned.  Returns the stacked values
-    and the log record densities log ||M(Y_r) psi||^2.
+    A record selects a narrow packet of levels, so each record's row is
+    evaluated only on its band: the ``count[r]`` consecutive levels from
+    ``first[r]`` that hold every level within e^-700 of the row's peak (see
+    :func:`_band_limits`).  Every level outside it is one the floor would set
+    to 0.  On the band, the row 2 log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2
+    is shifted by its maximum, exponentiated once (levels more than e^-700
+    below the peak set to 0) and normalized by its sum over the band, which
+    depends on the record alone.  Records are processed in chunks of about
+    2^16 elements of W levels each, W the widest band of the batch.
+    ``reduce(probs, rows, first, count)`` maps each chunk's records x W
+    probabilities, rows ``rows`` of the batch, whose entry [r, i] is level
+    ``first[r] + i`` (zero from ``count[r]`` on), to one value (or array) per
+    record; ``probs`` is reused by the next chunk, so ``reduce`` must not
+    return a view of it.  Without ``reduce`` the bands are scattered into
+    zeros (:func:`level_rows`) and the records x (N+1) probabilities are
+    returned.  Returns the stacked values and the log record densities
+    log ||M(Y_r) psi||^2.
 
     Raises :class:`PosteriorError` if a record leaves no finite, nonzero mass
     or a post state misses unit norm by more than ``NORM_TOL``, and
@@ -147,42 +223,70 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
         )
     if log_prior.ndim != 1 or log_prior.size < 2:
         raise ValueError(f"log_prior must hold N+1 >= 2 levels, got shape {log_prior.shape}")
-    two_log_mag = 2.0 * log_prior
-    if not (two_log_mag > -np.inf).any():
+    two_log_mag = log_prior + log_prior
+    top = int(two_log_mag.argmax())
+    if two_log_mag[top] == -np.inf:
         raise PosteriorError("prior has empty support")
     y, cx, cp = _per_record(outcomes, chi_x, chi_p)
-    m = m_ladder(log_prior.size - 1)
-    m2 = m * m
-    # strengths shared by every record (each sampled shot) give shared level offsets
-    shared = np.ndim(chi_x) == 0 and np.ndim(chi_p) == 0
+    n_levels = two_log_mag.size
+    if reduce is None:
+        reduce = lambda probs, rows, first, count: level_rows(probs, first, n_levels)  # noqa: E731
     values, log_density = [], []
-    step = max(1, _CHUNK_ELEMENTS // m.size)
-    for start in range(0, y.size, step):
-        rows = slice(start, start + step)
-        offsets = cx[0] * m2 + cp[0] * m if shared else cx[rows, None] * m2 + cp[rows, None] * m
-        # an overflowing residual or a non-finite record is caught by the mass check
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflowing residual or a non-finite record is caught by the density check
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        first, last = _band_limits(n_levels, top, y, cx, cp)
+        count = last - first + 1
+        width = int(count.max())
+        # a band starts at its record's first level and may run past the top one
+        padding = np.full(width - 1, -np.inf)
+        level_bands = _level_windows(np.concatenate((two_log_mag, padding)), width)
+        m = np.arange(n_levels + width - 1) - 0.5 * (n_levels - 1)
+        # strengths shared by every record (each sampled shot) give shared level offsets
+        shared = cx.size == 1
+        offset_bands = _level_windows(cx[0] * (m * m) + cp[0] * m if shared else m, width)
+        step = max(1, _CHUNK_ELEMENTS // width)
+        # one chunk buffer for the whole batch: a fresh records x W matrix per
+        # chunk can cost more in page faults than the arithmetic on it
+        work = np.empty(min(step, y.size) * width)
+        for start in range(0, y.size, step):
+            rows = slice(start, start + step)
+            band_first = first[rows]
+            log_p = work[: band_first.size * width].reshape(-1, width)
+            if shared:
+                np.add(offset_bands[band_first], y[rows, None], log_p)
+            else:
+                band_m = offset_bands[band_first]
+                np.multiply(band_m, band_m, log_p)
+                log_p *= cx[rows, None]
+                band_m *= cp[rows, None]
+                log_p += band_m
+                log_p += y[rows, None]
             # 2 log|a_m w_m| up to the row constant -(1/2) log pi, in place
-            log_p = np.add(y[rows, None], offsets)
-            np.square(log_p, out=log_p)
-            np.subtract(two_log_mag, log_p, out=log_p)
+            np.square(log_p, log_p)
+            np.subtract(level_bands[band_first], log_p, log_p)
             shift = log_p.max(axis=1)
             log_p -= shift[:, None]
             lost = log_p < _LOG_PROB_FLOOR
             np.maximum(log_p, _LOG_PROB_FLOOR, out=log_p)
-            probs = np.exp(log_p, out=log_p)
+            probs = np.exp(log_p, log_p)
             probs[lost] = 0.0
-            mass = probs.sum(axis=1)
-        bad = ~(np.isfinite(shift) & np.isfinite(mass) & (mass > 0.0))
-        if np.any(bad):
-            record = y[rows][np.argmax(bad)]
-            raise PosteriorError(f"measurement update of record {record} lost all amplitude mass")
-        probs /= mass[:, None]
-        norm_dev = float(np.max(np.abs(probs.sum(axis=1) - 1.0)))
-        if norm_dev > NORM_TOL:
-            raise PosteriorError(f"post state misses unit norm by {norm_dev}")
-        values.append(probs if reduce is None else reduce(probs, rows))
-        log_density.append(np.log(mass) + shift - 0.5 * _LOG_PI)
+            band_count = count[rows]
+            bounds = span_bounds(width, band_count)
+            mass = span_sums(probs, bounds)
+            probs /= mass[:, None]
+            chunk_density = np.log(mass) + (shift - 0.5 * _LOG_PI)
+            # a record without finite, nonzero mass fails the norm check too
+            norm_dev = float(np.abs(probs.sum(axis=1) - 1.0).max())
+            if not norm_dev <= NORM_TOL:
+                bad = ~np.isfinite(chunk_density)
+                if bad.any():
+                    record = y[rows][np.argmax(bad)]
+                    raise PosteriorError(
+                        f"measurement update of record {record} lost all amplitude mass"
+                    )
+                raise PosteriorError(f"post state misses unit norm by {norm_dev}")
+            values.append(reduce(probs, rows, band_first, band_count))
+            log_density.append(chunk_density)
     if len(values) == 1:  # one chunk, e.g. a single record at large N: no copy
         return values[0], log_density[0]
     return np.concatenate(values), np.concatenate(log_density)
@@ -197,11 +301,11 @@ def _log_magnitudes(state: SpinEnsembleState) -> np.ndarray:
         return np.log(np.abs(state.amplitudes))
 
 
-def _densities_only(probs, rows):
+def _densities_only(probs, rows, first, count):
     """A ``reduce`` for :func:`posterior_batch` that keeps no post state.
 
-    A fresh empty array per chunk, not a view of ``probs``, so no chunk's
-    records x levels matrix outlives its step.
+    A fresh empty array per chunk, not a view of ``probs``, which the
+    kernel reuses for the next chunk.
     """
     return np.empty(0)
 

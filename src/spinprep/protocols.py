@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measurement import MeasurementSetting, posterior_batch, sample_outcomes
+from .measurement import MeasurementSetting, level_rows, posterior_batch, sample_outcomes
 from .pulse_optics import (
     LONG_EXPONENTIAL,
     CavityParams,
@@ -138,25 +138,58 @@ def _target_fidelity(p_plus, p_minus, m_c):
 def _root_rounds(n_rounds):
     """sqrt(n) for whole round counts n >= 1: n rounds act as one at sqrt(n) chi_p."""
     n = np.asarray(n_rounds, dtype=float)
-    if not np.all(np.isfinite(n) & (n >= 1) & (n == np.rint(n))):
+    if not (np.isfinite(n) & (n >= 1) & (n == np.rint(n))).all():
         raise ValueError(f"n_rounds must be a whole number >= 1, got {n_rounds}")
     return float(np.sqrt(n)) if n.ndim == 0 else np.sqrt(n)
 
 
 def _condition_css(
-    n_atoms: int, setting: MeasurementSetting, outcome: float
-) -> tuple[SpinEnsembleState, np.ndarray]:
-    """The CSS conditioned on one record, and its level probabilities as one row.
+    n_atoms: int, setting: MeasurementSetting, outcome: float, figure
+) -> tuple[SpinEnsembleState, float]:
+    """The CSS conditioned on one record, and ``figure`` of its level probabilities.
 
-    The one-record case of the kernel; the real CSS takes only the phase eta m.
+    The one-record case of the kernel; the real CSS takes only the phase
+    eta m.  ``figure`` is a kernel ``reduce`` of the batched row functions,
+    so a one-record protocol reads its figure from the same band through the
+    same formula, bit for bit.
     """
-    probs, _ = posterior_batch(log_css_amplitudes(n_atoms), outcome, setting.chi_x, setting.chi_p)
+
+    def state_and_figure(probs, rows, first, count):
+        full = level_rows(probs, first, n_atoms + 1)
+        return np.concatenate((full, figure(probs, rows, first, count)[:, None]), axis=1)
+
+    (row,), _ = posterior_batch(
+        log_css_amplitudes(n_atoms), outcome, setting.chi_x, setting.chi_p, state_and_figure
+    )
     phase = setting.eta * m_ladder(n_atoms)
-    return SpinEnsembleState.from_probabilities(n_atoms, probs[0], phase), probs
+    return SpinEnsembleState.from_probabilities(n_atoms, row[:-1], phase), float(row[-1])
+
+
+def _xi_rows(n_atoms: int):
+    """Kernel ``reduce``: xi_D of each record's band."""
+    return lambda probs, rows, first, count: dicke_squeezing(probs, n_atoms, first, count)
+
+
+def _fidelity_rows(n_atoms: int, m_c):
+    """Kernel ``reduce``: fidelity of each record's band against its target at ``m_c``.
+
+    The target's two levels are read from the band; a level outside it is
+    one the kernel's floor sets to 0.
+    """
+    k_plus = np.rint(m_c + n_atoms / 2.0).astype(int)
+
+    def fidelity_rows(probs, rows, first, count):
+        k = k_plus[rows]
+        column = np.array((k, n_atoms - k)) - first
+        inside = (column >= 0) & (column < probs.shape[1])
+        p_plus, p_minus = probs[np.arange(k.size), column * inside] * inside
+        return _target_fidelity(p_plus, p_minus, m_c[rows])
+
+    return fidelity_rows
 
 
 def _require_positive(name: str, value) -> None:
-    if not np.all(np.asarray(value) > 0):
+    if not (np.asarray(value) > 0).all():
         raise ValueError(f"{name} must be positive, got {value}")
 
 
@@ -170,14 +203,8 @@ def superposition_rows(n_atoms: int, chi_x, outcomes):
     """
     _require_positive("chi_x", chi_x)
     m_c, separation, width = _packet_geometry(n_atoms, *np.atleast_1d(chi_x, outcomes))
-    k_plus = np.rint(m_c + n_atoms / 2.0).astype(int)
-
-    def fidelity_rows(probs, rows):
-        k, r = k_plus[rows], np.arange(probs.shape[0])
-        return _target_fidelity(probs[r, k], probs[r, n_atoms - k], m_c[rows])
-
     fid, log_density = posterior_batch(
-        log_css_amplitudes(n_atoms), outcomes, chi_x=chi_x, reduce=fidelity_rows
+        log_css_amplitudes(n_atoms), outcomes, chi_x=chi_x, reduce=_fidelity_rows(n_atoms, m_c)
     )
     return fid, m_c, separation, width, log_density
 
@@ -191,8 +218,7 @@ def dss_rows(n_atoms: int, chi_p, outcomes):
     """
     _require_positive("chi_p", chi_p)
     return posterior_batch(
-        log_css_amplitudes(n_atoms), outcomes, chi_p=chi_p,
-        reduce=lambda probs, rows: dicke_squeezing(probs),
+        log_css_amplitudes(n_atoms), outcomes, chi_p=chi_p, reduce=_xi_rows(n_atoms)
     )
 
 
@@ -225,16 +251,15 @@ def prepare_superposition(
             "packet at m = 0",
             stacklevel=2,
         )
-    m_c, separation, width = (float(v) for v in _packet_geometry(n_atoms, chi_x, outcome))
-    post, probs = _condition_css(n_atoms, MeasurementSetting(chi_x=chi_x, eta=eta), outcome)
-    k_plus = round(m_c + n_atoms / 2.0)
-    p_plus, p_minus = probs[0, k_plus], probs[0, n_atoms - k_plus]
+    m_c, separation, width = _packet_geometry(n_atoms, chi_x, np.atleast_1d(outcome))
+    setting = MeasurementSetting(chi_x=chi_x, eta=eta)
+    post, fidelity = _condition_css(n_atoms, setting, outcome, _fidelity_rows(n_atoms, m_c))
     return SuperpositionResult(
         post_state=post,
-        fidelity_vs_target=float(_target_fidelity(p_plus, p_minus, m_c)),
-        target_m_c=m_c,
-        packet_separation=separation,
-        packet_width=width,
+        fidelity_vs_target=fidelity,
+        target_m_c=float(m_c[0]),
+        packet_separation=float(separation[0]),
+        packet_width=float(width[0]),
         outcome=outcome,
     )
 
@@ -270,9 +295,9 @@ def dss_with_repeated_outcome(
     _require_positive("chi_p", chi_p)
     root_n = _root_rounds(n_rounds)
     setting = MeasurementSetting(chi_p=root_n * chi_p, eta=n_rounds * eta)
-    post, probs = _condition_css(n_atoms, setting, root_n * outcome)
+    post, xi_d = _condition_css(n_atoms, setting, root_n * outcome, _xi_rows(n_atoms))
     return DssResult(
-        post_state=post, xi_d=float(dicke_squeezing(probs)[0]), outcome=outcome,
+        post_state=post, xi_d=xi_d, outcome=outcome,
         n_rounds=int(n_rounds),
     )
 

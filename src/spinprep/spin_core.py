@@ -54,9 +54,9 @@ class SpinEnsembleState:
             raise ValueError(
                 f"expected {self.atom_count + 1} amplitudes, got shape {amps.shape}"
             )
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        norm2 = float(np.sum(np.abs(amps) ** 2))
+        norm2 = float(np.vdot(amps, amps).real)
         if abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError(f"squared norm {norm2} deviates from 1 by more than {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _locked(amps))
@@ -133,8 +133,8 @@ def log_css_amplitudes(n_atoms: int) -> np.ndarray:
     update.
     """
     n = _check_atom_count(n_atoms)
-    k = np.arange(n + 1)
-    return 0.5 * (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)) - 0.5 * n * _LN2
+    log_factorial = gammaln(np.arange(1, n + 2))  # log k! for k = 0 ... N
+    return 0.5 * (log_factorial[n] - log_factorial - log_factorial[::-1]) - 0.5 * n * _LN2
 
 
 def make_css(n_atoms: int) -> SpinEnsembleState:
@@ -177,13 +177,48 @@ def make_superposition_target(n_atoms: int, m_c: float, eta: float = 0.0) -> Spi
     return SpinEnsembleState(n, amps)
 
 
-def _z_moments(probs, n_atoms: int):
-    """<Sz>, <Sz^2>, Var Sz, <Sx^2 + Sy^2> and xi_D along the last axis of ``probs``."""
-    m = m_ladder(n_atoms)
-    mean_sz = probs @ m
-    mean_sz2 = probs @ (m * m)
-    # rounding can push the variance a hair below zero; clamp
-    var_sz = np.maximum(mean_sz2 - mean_sz * mean_sz, 0.0)
+def span_bounds(width: int, count) -> np.ndarray:
+    """``np.add.reduceat`` bounds of the first ``count[r]`` entries of rows of ``width``."""
+    size = width * count.size
+    bounds = np.empty(2 * count.size, dtype=np.intp)
+    bounds[0::2] = np.arange(0, size, width)
+    bounds[1::2] = bounds[0::2] + count
+    # reduceat ends a span at the next bound; the last span may end at the array's end
+    return bounds[:-1] if bounds[-1] == size else bounds
+
+
+def span_sums(values, bounds) -> np.ndarray:
+    """Sum of each row of ``values`` over its span in ``bounds`` (see :func:`span_bounds`).
+
+    ``np.add.reduceat`` sums a span as a function of its entries alone, so a
+    row's sum does not depend on the row's width or on the rows beside it.
+    """
+    return np.add.reduceat(values.ravel(), bounds)[::2]
+
+
+def _z_moments(probs, n_atoms: int, first=0, count=None):
+    """<Sz>, <Sz^2>, Var Sz, <Sx^2 + Sy^2> and xi_D of each row of ``probs`` (1-d arrays).
+
+    Entry i of a row is the level with index ``first + i`` (per row), and
+    only its first ``count`` entries (per row) are summed, so a row may hold
+    all N+1 levels (``first`` 0, the default ``count``) or a band of them.
+    The moments are centred, mu = sum p_i i, then sum p_i (i - mu)^2, in
+    coordinates local to the row: no digits cancel when the state sits far
+    from m = 0, and a band's values depend on its ``count`` entries alone,
+    not on its width or on the rows beside it.
+    """
+    width = probs.shape[-1]
+    rows = probs.reshape(-1, width)
+    bounds = span_bounds(width, np.full(rows.shape[0], width) if count is None else count)
+    local = np.arange(width, dtype=float)
+    spread = rows * local
+    mean_local = span_sums(spread, bounds)
+    np.subtract(local, mean_local[:, None], spread)
+    np.square(spread, spread)
+    spread *= rows
+    var_sz = span_sums(spread, bounds)
+    mean_sz = (first - 0.5 * n_atoms) + mean_local
+    mean_sz2 = var_sz + mean_sz * mean_sz
     s = n_atoms / 2.0
     mean_perp2 = s * (s + 1.0) - mean_sz2
     return mean_sz, mean_sz2, var_sz, mean_perp2, n_atoms * (var_sz + 0.25) / mean_perp2
@@ -192,13 +227,21 @@ def _z_moments(probs, n_atoms: int):
 def observables(state: SpinEnsembleState) -> ObservableReport:
     """Spin-z moments, transverse second moment, and the squeezing parameter."""
     moments = _z_moments(np.abs(state.amplitudes) ** 2, state.atom_count)
-    return ObservableReport(*(float(v) for v in moments))
+    return ObservableReport(*(float(v[0]) for v in moments))
 
 
-def dicke_squeezing(probs) -> np.ndarray:
-    """xi_D for each row of level probabilities (last axis: the N+1 levels)."""
+def dicke_squeezing(probs, n_atoms: int | None = None, first=0, count=None) -> np.ndarray:
+    """xi_D for each row of level probabilities (last axis: the levels).
+
+    A full row holds the N+1 levels.  A band row holds levels ``first``,
+    ``first + 1``, ... of ``n_atoms`` atoms in its first ``count`` entries
+    (both per row), as :func:`spinprep.measurement.posterior_batch` hands
+    them to its ``reduce``.
+    """
     probs = np.asarray(probs, dtype=float)
-    return _z_moments(probs, probs.shape[-1] - 1)[-1]
+    if n_atoms is None:
+        n_atoms = probs.shape[-1] - 1
+    return _z_moments(probs, n_atoms, first, count)[-1].reshape(probs.shape[:-1])
 
 
 def prob_distribution(state: SpinEnsembleState) -> list[tuple[float, float]]:

@@ -6,6 +6,7 @@ conventions stated in the README and evaluated by independent means.
 
 import functools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
@@ -29,6 +30,45 @@ def mixture_pdf(x, state, setting):
     centers = mixture_centers(state, setting)
     diff = np.asarray(x, dtype=float)[..., None] - centers
     return np.exp(-diff * diff) @ p / math.sqrt(math.pi)
+
+
+def log_domain_rows(amplitudes, records, chi_x, chi_p):
+    """Posterior of each record over all N+1 levels, in the log domain.
+
+    Row r is 2 log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 at every level,
+    relative to its maximum and with no floor.  The residual is rounded as
+    Y + (chi_x m^2 + chi_p m), so that a level near the floor's edge of a
+    far record is judged as an evaluation of the same sum judges it.
+    Returns those relative log weights and the rows exponentiated and
+    normalized.
+    """
+    n_atoms = len(amplitudes) - 1
+    m = np.arange(n_atoms + 1) - n_atoms / 2
+    with np.errstate(divide="ignore"):
+        two_log_mag = 2.0 * np.log(np.abs(amplitudes))
+    residual = np.asarray(records, dtype=float)[:, None] + (chi_x * (m * m) + chi_p * m)
+    log_w = two_log_mag - residual * residual
+    log_w -= log_w.max(axis=1, keepdims=True)
+    probs = np.exp(log_w)
+    return log_w, probs / probs.sum(axis=1, keepdims=True)
+
+
+def decimal_xi_d(probs, n_atoms):
+    """xi_D of level probabilities from 50-digit decimal centred moments.
+
+    mu = sum P(m) m and Var Sz = sum P(m) (m - mu)^2 over the nonzero
+    levels, each float probability taken exactly, then
+    xi_D = N (Var Sz + 1/4) / (S(S+1) - Var Sz - mu^2).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        levels = np.flatnonzero(probs)
+        p = [Decimal(float(probs[k])) for k in levels]
+        m = [Decimal(int(k)) - Decimal(n_atoms) / 2 for k in levels]
+        mu = sum(a * b for a, b in zip(p, m))
+        var = sum(a * (b - mu) ** 2 for a, b in zip(p, m))
+        s = Decimal(n_atoms) / 2
+        return float(n_atoms * (var + Decimal("0.25")) / (s * (s + 1) - var - mu * mu))
 
 
 def mixture_cdf(x, state, setting):

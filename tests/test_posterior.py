@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _oracles import mixture_pdf
+from _oracles import decimal_xi_d, log_domain_rows, mixture_pdf
 from scipy.integrate import quad
 
 from spinprep import (
@@ -23,11 +23,14 @@ from spinprep import (
     acceptance_probability,
     apply_measurement,
     compose,
+    dicke_squeezing,
+    dss_rows,
     log_css_amplitudes,
     make_css,
     make_dicke,
     outcome_pdf,
     posterior_batch,
+    superposition_rows,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -130,6 +133,66 @@ def test_record_density_same_alone_and_in_batch(case):
     for row, y in enumerate(records):
         assert outcome_pdf(state, setting, y) == batch[row]
         assert apply_measurement(state, setting, y)[1] == batch[row]
+
+
+@PROPERTY
+@given(batches(max_records=20))
+def test_figures_same_alone_and_in_batch(case):
+    # up to 20 records change the band width and, past N of about 3000, the
+    # chunk split; neither may change a record's figure by a bit
+    n_atoms, chi_x, chi_p, _, records = case
+    chi_x, chi_p = max(chi_x, 1e-3), max(chi_p, 1e-3)  # the row functions need > 0
+    xi = dss_rows(n_atoms, chi_p, records)[0]
+    per_record_xi = dss_rows(n_atoms, np.full(records.size, chi_p), records)[0]
+    fid = superposition_rows(n_atoms, chi_x, records)[0]
+    for row, y in enumerate(records):
+        assert dss_rows(n_atoms, chi_p, y)[0][0] == xi[row] == per_record_xi[row]
+        assert superposition_rows(n_atoms, chi_x, y)[0][0] == fid[row]
+
+
+@st.composite
+def priors(draw, n_atoms):
+    """Amplitudes of a CSS, a Dicke state or a sparse random state of n_atoms."""
+    kind = draw(st.sampled_from(["css", "dicke", "sparse"]))
+    if kind == "css":
+        return make_css(n_atoms)
+    if kind == "dicke":
+        return make_dicke(n_atoms, draw(st.integers(0, n_atoms)) - n_atoms / 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=n_atoms + 1) + 1j * rng.normal(size=n_atoms + 1)
+    amps[rng.random(n_atoms + 1) < 0.7] = 0.0
+    amps[rng.integers(n_atoms + 1)] = 1.0  # never the zero vector
+    return SpinEnsembleState.from_unnormalized(n_atoms, amps)
+
+
+@PROPERTY
+@given(st.data())
+def test_band_keeps_every_level_the_floor_keeps(data):
+    # the kernel evaluates each record only on its band; a full-width row of
+    # the same formula must find no level within e^-690 of the peak outside it
+    n_atoms, chi_x, chi_p, eta, records = data.draw(batches(max_atoms=2000))
+    state = data.draw(priors(n_atoms))
+    log_w, ref = log_domain_rows(state.amplitudes, records, chi_x, chi_p)
+    setting = MeasurementSetting(chi_x=chi_x, chi_p=chi_p, eta=eta)
+    for row, y in enumerate(records):
+        post, _ = apply_measurement(state, setting, y)
+        probs = np.abs(post.amplitudes) ** 2
+        assert np.all(probs[log_w[row] > -690.0] > 0.0)
+        np.testing.assert_allclose(probs, ref[row], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n_atoms, chi_p, fraction",
+    [(100_000, 3.0, 0.5), (100_000, 2.0, 0.3), (20_000, 4.0, 0.9), (40, 0.4, 0.5)],
+)
+def test_xi_d_matches_decimal_centred_moments(n_atoms, chi_p, fraction):
+    # a record far from m = 0 leaves a narrow packet there; uncentred moments
+    # lost up to 6e-7 of xi_D to cancellation, centred ones keep it to 1e-13
+    y = -chi_p * fraction * n_atoms / 2
+    probs, _ = posterior_batch(log_css_amplitudes(n_atoms), y, chi_p=chi_p)
+    ref = decimal_xi_d(probs[0], n_atoms)
+    assert dicke_squeezing(probs)[0] == pytest.approx(ref, rel=1e-13, abs=0)
+    assert dss_rows(n_atoms, chi_p, y)[0][0] == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 @PROPERTY
