@@ -23,8 +23,9 @@ serve as oracles for the quadrature evaluation done here.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import k1
@@ -90,26 +91,28 @@ class CavityParams:
 class PulseGrid:
     """Sampled probe envelope and derived quantities on a uniform time grid.
 
-    ``times`` is uniform in units of 1/kappa with an odd sample count, as the
-    composite Simpson rule needs, and an even count is a ``ValueError``;
-    ``beta_in`` is the real, normalized input envelope; ``beta_lo`` the
-    unit-norm local-oscillator envelope (None until chosen); ``beta0/1/2``
-    the cavity response functions (None until computed).  Instances are
-    immutable; derived fields are attached with :func:`dataclasses.replace`.
+    ``PulseGrid(times, beta_in, kind)`` is the whole input, validated once,
+    here: ``times`` is a uniform grid in units of 1/kappa with an odd sample
+    count, as the composite Simpson rule needs, and its step ``dt`` comes
+    from the span; ``beta_in`` is the real input envelope of unit L2 mass.
+    The stage arrays are None until their stage runs:
+    :func:`response_functions` attaches the cavity responses ``beta0/1/2``
+    and :func:`set_local_oscillator` the unit-norm local oscillator
+    ``beta_lo``, each to a copy, without re-running the checks.  Instances
+    are immutable, and a :func:`dataclasses.replace` drops the stage arrays.
     """
 
     times: np.ndarray
     beta_in: np.ndarray
     kind: str
-    n_t: float = 1.0
-    beta_lo: np.ndarray | None = None
-    beta0: np.ndarray | None = None
-    beta1: np.ndarray | None = None
-    beta2: np.ndarray | None = None
+    beta_lo: np.ndarray | None = field(default=None, init=False)
+    beta0: np.ndarray | None = field(default=None, init=False)
+    beta1: np.ndarray | None = field(default=None, init=False)
+    beta2: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.kind not in PULSE_KINDS:
-            raise ValueError(f"unknown pulse kind {self.kind!r}")
+            raise ValueError(f"unknown pulse kind {self.kind!r}; expected one of {PULSE_KINDS}")
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 3:
             raise ValueError("times must be a 1-d grid with at least 3 samples")
@@ -118,36 +121,28 @@ class PulseGrid:
         steps = np.diff(t)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("times must be uniformly spaced")
+        beta = np.asarray(self.beta_in)
+        if np.iscomplexobj(beta):
+            raise ValueError("beta_in must be real")
+        if beta.shape != t.shape:
+            raise ValueError("beta_in must match the time grid shape")
         object.__setattr__(self, "times", _locked(t))
-        for name in ("beta_in", "beta_lo", "beta0", "beta1", "beta2"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr)
-            if np.iscomplexobj(arr):
-                raise ValueError(f"{name} must be real")
-            if arr.shape != t.shape:
-                raise ValueError(f"{name} must match the time grid shape")
-            object.__setattr__(self, name, _locked(arr))
+        object.__setattr__(self, "beta_in", _locked(beta))
         norm = l2_mass(self.times, self.beta_in)
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(
-                f"pulse L2 mass {norm} deviates from 1 by more than {_NORM_TOL}"
-            )
-        if self.beta_lo is not None:
-            lo_norm = l2_mass(self.times, self.beta_lo)
-            if abs(lo_norm - 1.0) > _NORM_TOL:
-                raise ValueError(
-                    f"local-oscillator L2 mass {lo_norm} deviates from 1"
-                )
+        if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails too
+            raise ValueError(f"pulse L2 mass {norm} deviates from 1 by more than {_NORM_TOL}")
 
     @property
     def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+        return float(_step(self.times))
 
-    @property
-    def span(self) -> float:
-        return float(self.times[-1])
+
+def _attach(pulse: PulseGrid, **arrays: np.ndarray) -> PulseGrid:
+    """A copy of the grid with stage arrays this module computed, set unchecked."""
+    pulse = copy.copy(pulse)  # no __init__, so no __post_init__
+    for name, arr in arrays.items():
+        object.__setattr__(pulse, name, _locked(arr))
+    return pulse
 
 
 @dataclass(frozen=True)
@@ -167,11 +162,14 @@ class FeasibilityReport:
     threshold: float = 0.01
 
 
+def _step(times: np.ndarray) -> float:
+    """Step of a uniform grid from its span (times[1] - times[0] rounds as times[1] does)."""
+    return (times[-1] - times[0]) / (times.size - 1)
+
+
 def _simpson(times: np.ndarray, values: np.ndarray) -> float:
     """Composite Simpson rule on a uniform grid with an odd sample count."""
-    # the step from the whole span, not times[1] - times[0], which carries
-    # the rounding of times[1] (up to 9e-13 relative on the default grids)
-    h = (times[-1] - times[0]) / (times.size - 1)
+    h = _step(times)
     ends = values[0] + values[-1]
     return float(h / 3.0 * (ends + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-1:2].sum()))
 
@@ -215,19 +213,14 @@ def build_pulse(
     the grid serves any cavity.  ``n_t`` stretches the long exponential
     pulse; ``span``/``dt`` override the grid defaults.
     """
-    if kind not in PULSE_KINDS:
-        raise ValueError(f"unknown pulse kind {kind!r}; expected one of {PULSE_KINDS}")
     if not (np.isfinite(n_t) and n_t >= 1.0):
         raise ValueError(f"n_t must be >= 1, got {n_t}")
     stretch = n_t if kind == LONG_EXPONENTIAL else 1.0
-    if span is None:
-        span = DEFAULT_SPAN_FACTOR * max(1.0, stretch)
-    if span < MIN_SPAN_FACTOR * max(1.0, stretch):
-        raise ValueError(
-            f"grid too short: span {span} < {MIN_SPAN_FACTOR * max(1.0, stretch)}"
-        )
-    if dt > MAX_DT:
-        raise ValueError(f"grid too coarse: dt {dt} > {MAX_DT}")
+    span = DEFAULT_SPAN_FACTOR * stretch if span is None else span
+    if not (np.isfinite(span) and span >= MIN_SPAN_FACTOR * stretch):
+        raise ValueError(f"grid span must be finite and >= {MIN_SPAN_FACTOR * stretch}: {span}")
+    if not 0.0 < dt <= MAX_DT:
+        raise ValueError(f"grid step dt must lie in (0, {MAX_DT}], got {dt}")
 
     times = _time_grid(span, dt)
     if kind == EXPONENTIAL:
@@ -236,7 +229,7 @@ def build_pulse(
         beta = math.sqrt(1.0 / n_t) * np.exp(-np.abs(times) / n_t)
     else:
         beta = _spectral_envelope(times)
-    return PulseGrid(times=times, beta_in=beta, kind=kind, n_t=float(n_t))
+    return PulseGrid(times=times, beta_in=beta, kind=kind)
 
 
 def _convolve_causal(f: np.ndarray, kernels: np.ndarray, dt: float) -> np.ndarray:
@@ -270,7 +263,7 @@ def response_functions(pulse: PulseGrid) -> PulseGrid:
     b0, b1, b2 = _convolve_causal(
         pulse.beta_in, np.stack([decay, tau * decay, tau * tau * decay]), pulse.dt
     )
-    return replace(pulse, beta0=b0, beta1=b1, beta2=b2)
+    return _attach(pulse, beta0=b0, beta1=b1, beta2=b2)
 
 
 def peak_intracavity(pulse: PulseGrid) -> float:
@@ -293,13 +286,15 @@ def set_local_oscillator(pulse: PulseGrid, shape="beta1") -> PulseGrid:
         if ref is None:
             raise ValueError("response functions not computed; call response_functions first")
     else:
+        if np.iscomplexobj(shape):
+            raise ValueError("local-oscillator samples must be real")
         ref = np.asarray(shape, dtype=float)
         if ref.shape != pulse.times.shape:
             raise ValueError("local-oscillator samples must match the time grid")
-    norm = math.sqrt(l2_mass(pulse.times, ref))
-    if norm == 0.0:
-        raise ValueError("local-oscillator envelope has zero mass")
-    return replace(pulse, beta_lo=ref / norm)
+    mass = l2_mass(pulse.times, ref)
+    if not 0.0 < mass < math.inf:  # NaN fails too
+        raise ValueError(f"local-oscillator envelope needs finite, nonzero mass, got {mass}")
+    return _attach(pulse, beta_lo=ref / math.sqrt(mass))
 
 
 def strengths_numeric(pulse: PulseGrid, cavity: CavityParams, phi: float) -> tuple[float, float]:

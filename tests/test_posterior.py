@@ -12,7 +12,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from _oracles import decimal_xi_d, log_domain_rows, mixture_pdf
 from scipy.integrate import quad
@@ -124,6 +124,8 @@ def test_density_equals_outcome_pdf(case):
 
 @PROPERTY
 @given(batches(max_records=20))
+# bands 180 and 1007 levels wide: a density that depends on the batch's widest band shows
+@example((2000, 0.0, 0.3, 0.0, np.array([-0.72, -250.0])))
 def test_record_density_same_alone_and_in_batch(case):
     # up to 20 records span several kernel chunks once N exceeds about 3000
     n_atoms, chi_x, chi_p, eta, records = case

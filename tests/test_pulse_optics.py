@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -109,6 +110,58 @@ def test_complex_envelope_is_rejected():
     pulse = build_pulse("exponential")
     with pytest.raises(ValueError, match="beta_in must be real"):
         PulseGrid(times=pulse.times, beta_in=pulse.beta_in * 1j, kind="exponential")
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        pytest.param(lambda t, b: {"kind": "sawtooth"}, "expected one of", id="unknown-kind"),
+        pytest.param(lambda t, b: {"times": t[None, :]}, "1-d grid", id="2d-times"),
+        pytest.param(
+            lambda t, b: {"times": t[:2], "beta_in": b[:2]}, "at least 3", id="2-samples"
+        ),
+        pytest.param(lambda t, b: {"times": t[:-1], "beta_in": b[:-1]}, "odd", id="even-count"),
+        pytest.param(
+            lambda t, b: {"times": np.where(t > 0, 1.001 * t, t)}, "uniformly", id="non-uniform"
+        ),
+        pytest.param(lambda t, b: {"beta_in": b * 1j}, "beta_in must be real", id="complex"),
+        pytest.param(lambda t, b: {"beta_in": b[:-2]}, "match the time grid", id="shape"),
+        pytest.param(
+            lambda t, b: {"beta_in": b * math.sqrt(1.0 + 2e-6)}, "deviates from 1", id="mass"
+        ),
+        pytest.param(lambda t, b: {"beta_in": np.where(t == 0, np.nan, b)}, "mass nan", id="nan"),
+    ],
+)
+def test_pulse_grid_rejections(exp_pulse, change, match):
+    fields = {"times": exp_pulse.times, "beta_in": exp_pulse.beta_in, "kind": "exponential"}
+    fields.update(change(exp_pulse.times, exp_pulse.beta_in))
+    with pytest.raises(ValueError, match=match):
+        PulseGrid(**fields)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [{"dt": 0.0}, {"dt": -0.005}, {"dt": math.nan}, {"span": math.nan}, {"span": math.inf}],
+    ids=["dt-zero", "dt-negative", "dt-nan", "span-nan", "span-inf"],
+)
+def test_grid_arguments_fail_as_value_errors(grid):
+    with pytest.raises(ValueError, match="grid (span|step)"):
+        build_pulse("exponential", **grid)
+
+
+def test_step_comes_from_the_span(long10_pulse):
+    # times[1] - times[0] is 9.1e-13 relative off on this grid
+    t = long10_pulse.times
+    assert long10_pulse.dt == (t[-1] - t[0]) / (t.size - 1)
+
+
+def test_stages_attach_to_a_copy(exp_pulse):
+    lo = set_local_oscillator(exp_pulse, "beta1")
+    assert exp_pulse.beta_lo is None
+    assert lo.beta1 is exp_pulse.beta1
+    assert not lo.beta_lo.flags.writeable
+    # replace runs the constructor again, which takes no stage arrays
+    assert dataclasses.replace(lo).beta_lo is None
 
 
 def test_import_loads_no_heavy_scipy_submodule():
@@ -278,6 +331,10 @@ def test_local_oscillator_from_array(exp_pulse):
         set_local_oscillator(exp_pulse, custom[:-1])
     with pytest.raises(ValueError):
         set_local_oscillator(exp_pulse, np.zeros_like(custom))
+    with pytest.raises(ValueError, match="finite, nonzero mass"):
+        set_local_oscillator(exp_pulse, np.where(exp_pulse.times == 0, np.nan, custom))
+    with pytest.raises(ValueError, match="must be real"):
+        set_local_oscillator(exp_pulse, custom * (1.0 + 1.0j))
 
 
 # ---------------------------------------------------------------- phase
