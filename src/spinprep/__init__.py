@@ -3,11 +3,13 @@ cavity homodyne measurement: Dicke-basis states, Gaussian measurement
 back-action, pulse response functions, and the preparation protocols
 built from them."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .spin_core import (
+    CssPrior,
     ObservableReport,
     SpinEnsembleState,
+    css_log_window,
     dicke_squeezing,
     fidelity,
     log_css_amplitudes,

@@ -25,7 +25,7 @@ from . import __version__
 from .measurement import MeasurementSetting, posterior_batch, sample_outcomes
 from .pulse_optics import PULSE_KINDS, CavityParams, feasibility
 from .protocols import dss_rows, repetitive_dss_rows, superposition_rows
-from .spin_core import log_css_amplitudes, m_ladder, make_css
+from .spin_core import CssPrior, m_ladder, make_css
 
 
 class UsageError(Exception):
@@ -144,7 +144,7 @@ _FIG2_RATIOS = (("third", 1.0 / 3.0), ("half", 0.5), ("full", 1.0))
 
 def _superposition_pm(n_atoms: int, chi_x, outcomes) -> list[list[float]]:
     """P(m) of the CSS conditioned on each amplitude-quadrature record."""
-    probs, _ = posterior_batch(log_css_amplitudes(n_atoms), outcomes, chi_x=chi_x)
+    probs, _ = posterior_batch(CssPrior(n_atoms), outcomes, chi_x=chi_x)
     return probs.tolist()
 
 

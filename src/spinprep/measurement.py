@@ -23,13 +23,22 @@ unchanged; they are applied afterwards, by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
 
-from .spin_core import NORM_TOL, SpinEnsembleState, m_ladder, span_bounds, span_sums
+from .spin_core import (
+    NORM_TOL,
+    CssPrior,
+    SpinEnsembleState,
+    css_log_window,
+    m_ladder,
+    span_bounds,
+    span_sums,
+)
 
 _LOG_PI = math.log(math.pi)
 # records x band elements per kernel chunk: about 0.5 MB per float matrix,
@@ -187,48 +196,60 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     """Condition one prior on many records at once, in the log domain.
 
     ``log_prior`` holds the real log|a_m| over the N+1 Dicke levels (-inf on
-    unoccupied levels), e.g. from :func:`spinprep.spin_core.log_css_amplitudes`.
-    The operator is diagonal, so the phases of the prior and the e^{i eta m}
-    of the record pass through unchanged and never enter here; a phased state
-    is conditioned by :func:`apply_measurement`.  Record r is taken at
+    unoccupied levels), e.g. of a state, or is a :class:`CssPrior`, the
+    coherent spin state's log|a_m| computed on demand.  The operator is
+    diagonal, so the phases of the prior and the e^{i eta m} of the record
+    pass through unchanged and never enter here; a phased state is
+    conditioned by :func:`apply_measurement`.  Record r is taken at
     strengths ``chi_x[r]`` and ``chi_p[r]``; each of these and ``outcomes``
     may be a scalar shared by every record.
 
     A record selects a narrow packet of levels, so each record's row is
     evaluated only on its band: the ``count[r]`` consecutive levels from
     ``first[r]`` that hold every level within e^-700 of the row's peak (see
-    :func:`_band_limits`).  Every level outside it is one the floor would set
-    to 0.  On the band, the row 2 log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2
-    is shifted by its maximum, exponentiated once (levels more than e^-700
-    below the peak set to 0) and normalized by its sum over the band, which
-    depends on the record alone.  Records are processed in chunks of about
-    2^16 elements of W levels each, W the widest band of the batch.
-    ``reduce(probs, rows, first, count)`` maps each chunk's records x W
-    probabilities, rows ``rows`` of the batch, whose entry [r, i] is level
-    ``first[r] + i`` (zero from ``count[r]`` on), to one value (or array) per
-    record; ``probs`` is reused by the next chunk, so ``reduce`` must not
-    return a view of it.  Without ``reduce`` the bands are scattered into
-    zeros (:func:`level_rows`) and the records x (N+1) probabilities are
-    returned.  Returns the stacked values and the log record densities
-    log ||M(Y_r) psi||^2.
+    :func:`_band_limits`, which needs only the prior's largest level: the
+    array's argmax, or N // 2 for the CSS).  Every level outside it is one
+    the floor would set to 0.  The band limits come first, and the prior is
+    read only on the window the bands index, levels min(first) to
+    max(first) + W - 1: an array prior is sliced, and a :class:`CssPrior` is
+    computed there by :func:`css_log_window`, so that a batch of narrow
+    bands costs O(window), not O(N).  On the band, the row
+    2 log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 is shifted by its maximum,
+    exponentiated once (levels more than e^-700 below the peak set to 0) and
+    normalized by its sum over the band, which depends on the record alone.
+    Records are processed in chunks of about 2^16 elements of W levels
+    each, W the widest band of the batch.  ``reduce(probs, rows, first,
+    count)`` maps each chunk's records x W probabilities, rows ``rows`` of
+    the batch, whose entry [r, i] is level ``first[r] + i`` (zero from
+    ``count[r]`` on), to one value (or array) per record; ``probs`` is
+    reused by the next chunk, so ``reduce`` must not return a view of it.
+    Without ``reduce`` the bands are scattered into zeros
+    (:func:`level_rows`) and the records x (N+1) probabilities are
+    returned.  Returns the stacked values (a batch of one chunk, such as a
+    single record, returns what ``reduce`` gave, as it is) and the log
+    record densities log ||M(Y_r) psi||^2.
 
     Raises :class:`PosteriorError` if a record leaves no finite, nonzero mass
     or a post state misses unit norm by more than ``NORM_TOL``, and
     ``ValueError`` for invalid strengths or a complex prior.
     """
-    log_prior = np.asarray(log_prior)
-    if np.iscomplexobj(log_prior):
-        raise ValueError(
-            "log_prior must be the real log|a_m|; condition a phased state with apply_measurement"
-        )
-    if log_prior.ndim != 1 or log_prior.size < 2:
-        raise ValueError(f"log_prior must hold N+1 >= 2 levels, got shape {log_prior.shape}")
-    two_log_mag = log_prior + log_prior
-    top = int(two_log_mag.argmax())
-    if two_log_mag[top] == -np.inf:
-        raise PosteriorError("prior has empty support")
+    if isinstance(log_prior, CssPrior):
+        n_levels, top = log_prior.atom_count + 1, log_prior.top
+        read_window = functools.partial(css_log_window, log_prior.atom_count)
+    else:
+        log_prior = np.asarray(log_prior)
+        if np.iscomplexobj(log_prior):
+            raise ValueError(
+                "log_prior must be the real log|a_m|; "
+                "condition a phased state with apply_measurement"
+            )
+        if log_prior.ndim != 1 or log_prior.size < 2:
+            raise ValueError(f"log_prior must hold N+1 >= 2 levels, got shape {log_prior.shape}")
+        n_levels, top = log_prior.size, int(log_prior.argmax())
+        if log_prior[top] == -np.inf:
+            raise PosteriorError("prior has empty support")
+        read_window = lambda first, stop: log_prior[first:stop]  # noqa: E731
     y, cx, cp = _per_record(outcomes, chi_x, chi_p)
-    n_levels = two_log_mag.size
     if reduce is None:
         reduce = lambda probs, rows, first, count: level_rows(probs, first, n_levels)  # noqa: E731
     values, log_density = [], []
@@ -237,13 +258,18 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
         first, last = _band_limits(n_levels, top, y, cx, cp)
         count = last - first + 1
         width = int(count.max())
-        # a band starts at its record's first level and may run past the top one
-        padding = np.full(width - 1, -np.inf)
-        level_bands = _level_windows(np.concatenate((two_log_mag, padding)), width)
-        m = np.arange(n_levels + width - 1) - 0.5 * (n_levels - 1)
+        # the window of levels the bands index; a band may run past the top level
+        lo, hi = int(first.min()), int(first.max()) + width
+        stop = min(hi, n_levels)
+        log_window = read_window(lo, stop)
+        two_log_mag = np.full(hi - lo, -np.inf)
+        np.add(log_window, log_window, out=two_log_mag[: stop - lo])
+        level_bands = _level_windows(two_log_mag, width)
+        m = m_ladder(n_levels - 1, lo, hi)
         # strengths shared by every record (each sampled shot) give shared level offsets
         shared = cx.size == 1
         offset_bands = _level_windows(cx[0] * (m * m) + cp[0] * m if shared else m, width)
+        band_start = first - lo  # each band's row in level_bands and offset_bands
         step = max(1, _CHUNK_ELEMENTS // width)
         # one chunk buffer for the whole batch: a fresh records x W matrix per
         # chunk can cost more in page faults than the arithmetic on it
@@ -251,11 +277,12 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
         for start in range(0, y.size, step):
             rows = slice(start, start + step)
             band_first = first[rows]
+            bands = band_start[rows]
             log_p = work[: band_first.size * width].reshape(-1, width)
             if shared:
-                np.add(offset_bands[band_first], y[rows, None], log_p)
+                np.add(offset_bands[bands], y[rows, None], log_p)
             else:
-                band_m = offset_bands[band_first]
+                band_m = offset_bands[bands]
                 np.multiply(band_m, band_m, log_p)
                 log_p *= cx[rows, None]
                 band_m *= cp[rows, None]
@@ -263,7 +290,7 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
                 log_p += y[rows, None]
             # 2 log|a_m w_m| up to the row constant -(1/2) log pi, in place
             np.square(log_p, log_p)
-            np.subtract(level_bands[band_first], log_p, log_p)
+            np.subtract(level_bands[bands], log_p, log_p)
             shift = log_p.max(axis=1)
             log_p -= shift[:, None]
             lost = log_p < _LOG_PROB_FLOOR
@@ -316,16 +343,25 @@ def apply_measurement(
     """Conditioned state after recording ``outcome``, plus its density.
 
     The one-record case of :func:`posterior_batch`, fed log|a_m| of the
-    state; the post state keeps the prior's phases, rotated by eta m.  The
-    returned density is ||M psi||^2 before renormalization, the kernel's log
-    density exponentiated: it equals :func:`outcome_pdf` at the same record
-    bit for bit.
+    state; the post state is built from the record's band, where it keeps
+    the prior's phases, rotated by eta m, and is 0 on every other level.
+    The returned density is ||M psi||^2 before renormalization, the
+    kernel's log density exponentiated: it equals :func:`outcome_pdf` at the
+    same record bit for bit.
     """
-    probs, log_density = posterior_batch(
-        _log_magnitudes(state), outcome, setting.chi_x, setting.chi_p
+    n_atoms = state.atom_count
+
+    def post_state(probs, rows, first, count):
+        band = slice(first[0], first[0] + count[0])
+        phase = np.angle(state.amplitudes[band]) + setting.eta * m_ladder(
+            n_atoms, band.start, band.stop
+        )
+        band_probs = probs[0, : count[0]]
+        return SpinEnsembleState.from_probabilities(n_atoms, band_probs, phase, band.start)
+
+    post, log_density = posterior_batch(
+        _log_magnitudes(state), outcome, setting.chi_x, setting.chi_p, post_state
     )
-    phase = np.angle(state.amplitudes) + setting.eta * m_ladder(state.atom_count)
-    post = SpinEnsembleState.from_probabilities(state.atom_count, probs[0], phase)
     return post, float(np.exp(log_density[0]))
 
 

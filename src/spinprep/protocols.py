@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measurement import MeasurementSetting, level_rows, posterior_batch, sample_outcomes
+from .measurement import MeasurementSetting, posterior_batch, sample_outcomes
 from .pulse_optics import (
     LONG_EXPONENTIAL,
     CavityParams,
@@ -24,9 +24,9 @@ from .pulse_optics import (
     feasibility,
 )
 from .spin_core import (
+    CssPrior,
     SpinEnsembleState,
     dicke_squeezing,
-    log_css_amplitudes,
     m_ladder,
     make_css,
 )
@@ -149,20 +149,22 @@ def _condition_css(
     """The CSS conditioned on one record, and ``figure`` of its level probabilities.
 
     The one-record case of the kernel; the real CSS takes only the phase
-    eta m.  ``figure`` is a kernel ``reduce`` of the batched row functions,
-    so a one-record protocol reads its figure from the same band through the
-    same formula, bit for bit.
+    eta m, and the post state is built from the record's band, 0 on every
+    other level.  ``figure`` is a kernel ``reduce`` of the batched row
+    functions, so a one-record protocol reads its figure from the same band
+    through the same formula, bit for bit.
     """
 
-    def state_and_figure(probs, rows, first, count):
-        full = level_rows(probs, first, n_atoms + 1)
-        return np.concatenate((full, figure(probs, rows, first, count)[:, None]), axis=1)
+    def post_and_figure(probs, rows, first, count):
+        band = probs[0, : count[0]]
+        phase = setting.eta * m_ladder(n_atoms, first[0], first[0] + band.size)
+        post = SpinEnsembleState.from_probabilities(n_atoms, band, phase, first[0])
+        return post, float(figure(probs, rows, first, count)[0])
 
-    (row,), _ = posterior_batch(
-        log_css_amplitudes(n_atoms), outcome, setting.chi_x, setting.chi_p, state_and_figure
+    (post, value), _ = posterior_batch(
+        CssPrior(n_atoms), outcome, setting.chi_x, setting.chi_p, post_and_figure
     )
-    phase = setting.eta * m_ladder(n_atoms)
-    return SpinEnsembleState.from_probabilities(n_atoms, row[:-1], phase), float(row[-1])
+    return post, value
 
 
 def _xi_rows(n_atoms: int):
@@ -204,7 +206,7 @@ def superposition_rows(n_atoms: int, chi_x, outcomes):
     _require_positive("chi_x", chi_x)
     m_c, separation, width = _packet_geometry(n_atoms, *np.atleast_1d(chi_x, outcomes))
     fid, log_density = posterior_batch(
-        log_css_amplitudes(n_atoms), outcomes, chi_x=chi_x, reduce=_fidelity_rows(n_atoms, m_c)
+        CssPrior(n_atoms), outcomes, chi_x=chi_x, reduce=_fidelity_rows(n_atoms, m_c)
     )
     return fid, m_c, separation, width, log_density
 
@@ -217,9 +219,7 @@ def dss_rows(n_atoms: int, chi_p, outcomes):
     for that record at any accumulated phase.
     """
     _require_positive("chi_p", chi_p)
-    return posterior_batch(
-        log_css_amplitudes(n_atoms), outcomes, chi_p=chi_p, reduce=_xi_rows(n_atoms)
-    )
+    return posterior_batch(CssPrior(n_atoms), outcomes, chi_p=chi_p, reduce=_xi_rows(n_atoms))
 
 
 def repetitive_dss_rows(n_atoms: int, chi_p, n_rounds, outcomes=0.0):

@@ -87,7 +87,7 @@ class CavityParams:
         return cls(g * scale, delta * scale, kappa * scale, n_photons)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseGrid:
     """Sampled probe envelope and derived quantities on a uniform time grid.
 
@@ -100,6 +100,7 @@ class PulseGrid:
     and :func:`set_local_oscillator` the unit-norm local oscillator
     ``beta_lo``, each to a copy, without re-running the checks.  Instances
     are immutable, and a :func:`dataclasses.replace` drops the stage arrays.
+    Equality is identity, so grids can be compared and hashed.
     """
 
     times: np.ndarray

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 # Unit-norm tolerance enforced on every state.
 NORM_TOL = 1e-12
@@ -25,9 +24,13 @@ _LATTICE_TOL = 1e-9
 _LN2 = math.log(2.0)
 
 
-def m_ladder(n_atoms: int) -> np.ndarray:
-    """Eigenvalue ladder m = -S ... S of n_atoms atoms, index k <-> m = k - S."""
-    return np.arange(n_atoms + 1) - n_atoms / 2.0
+def m_ladder(n_atoms: int, first: int = 0, stop: int | None = None) -> np.ndarray:
+    """Eigenvalue ladder m = -S ... S of n_atoms atoms, index k <-> m = k - S.
+
+    With ``first`` and ``stop``, the entries k = first ... stop - 1 alone,
+    each the same float as in the whole ladder.
+    """
+    return np.arange(first, n_atoms + 1 if stop is None else stop) - n_atoms / 2.0
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
@@ -36,12 +39,14 @@ def _locked(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinEnsembleState:
     """Normalized pure state of ``atom_count`` atoms in the Dicke basis.
 
     ``amplitudes[k]`` multiplies |S, m> with m = k - S, S = atom_count / 2.
-    Instances are immutable; the amplitude array is write-locked.
+    Instances are immutable; the amplitude array is write-locked.  Equality
+    is identity, so states can be compared and hashed; compare amplitudes
+    (or take :func:`fidelity`) to compare two states' contents.
     """
 
     atom_count: int
@@ -54,10 +59,11 @@ class SpinEnsembleState:
             raise ValueError(
                 f"expected {self.atom_count + 1} amplitudes, got shape {amps.shape}"
             )
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > NORM_TOL:
+        # a non-finite amplitude makes the norm inf or nan, so this check runs only then
+        if not abs(norm2 - 1.0) <= NORM_TOL:
+            if not np.isfinite(amps).all():
+                raise ValueError("amplitudes must be finite")
             raise ValueError(f"squared norm {norm2} deviates from 1 by more than {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _locked(amps))
 
@@ -81,13 +87,23 @@ class SpinEnsembleState:
         return cls(atom_count, amps / norm)
 
     @classmethod
-    def from_probabilities(cls, atom_count: int, probs, phase) -> "SpinEnsembleState":
-        """Build the state with amplitudes sqrt(probs) exp(i phase), level by level."""
+    def from_probabilities(
+        cls, atom_count: int, probs, phase, first: int = 0
+    ) -> "SpinEnsembleState":
+        """Build the state with amplitudes sqrt(probs) exp(i phase), level by level.
+
+        ``probs`` and ``phase`` hold the levels ``first``, ``first + 1``, ...:
+        all N+1 levels (``first`` 0, the default) or a band of them, such as
+        a record's band from :func:`spinprep.measurement.posterior_batch`.
+        Every level outside them gets amplitude 0, and ``sqrt``, ``cos`` and
+        ``sin`` run on the given levels only.
+        """
         magnitude = np.sqrt(probs)
+        amps = np.zeros(atom_count + 1, dtype=complex)
+        band = amps[first : first + magnitude.size]
         # magnitude * exp(i phase) through cos and sin: several times faster than complex exp
-        amps = np.empty(magnitude.shape, dtype=complex)
-        np.multiply(magnitude, np.cos(phase), out=amps.real)
-        np.multiply(magnitude, np.sin(phase), out=amps.imag)
+        np.multiply(magnitude, np.cos(phase), out=band.real)
+        np.multiply(magnitude, np.sin(phase), out=band.imag)
         return cls(atom_count, amps)
 
 
@@ -124,17 +140,72 @@ def _check_atom_count(n_atoms) -> int:
     return int(n_atoms)
 
 
+def css_log_window(n_atoms: int, first: int, stop: int) -> np.ndarray:
+    """log|a_m| of the coherent spin state along +x on levels ``first`` ... ``stop - 1``.
+
+    log a_m = (1/2) log C(N, k) - (N/2) log 2 at index k = m + S.  One
+    ``math.lgamma`` anchor gives the value at the window's level nearest
+    m = 0 (index N // 2, the state's largest level, or the window's end
+    closest to it); every other level adds half the cumulative sum of
+    log C(N, i) / C(N, i - 1) = log((N - i + 1) / i), taken outward from
+    the anchor as ``log1p((N + 1 - 2i) / i)``.  So the cost is O(window),
+    the anchor's rounding (at the scale of log N!) shifts the whole window
+    by one constant, and the ratios between levels, all the measurement
+    update reads, are exact to a few ulps however large N is.  No level
+    underflows, however far it sits from m = 0.  A window that holds level
+    N // 2 equals the same slice of :func:`log_css_amplitudes` bit for bit.
+    """
+    n = _check_atom_count(n_atoms)
+    if not 0 <= first < stop <= n + 1:
+        raise ValueError(f"window [{first}, {stop}) is not inside levels 0 ... {n}")
+    anchor = min(max(n // 2, first), stop - 1)
+    at = anchor - first
+    i = np.arange(first + 1, stop, dtype=float)
+    # log C(N, i) - log C(N, i - 1) = log((N - i + 1) / i) for each level i past the first
+    steps = np.log1p((n + 1.0 - 2.0 * i) / i)
+    log_ratio = np.empty(stop - first)  # log C(N, k) - log C(N, anchor)
+    log_ratio[at] = 0.0
+    np.cumsum(steps[at:], out=log_ratio[at + 1 :])
+    # below the anchor the steps i = anchor, anchor - 1, ..., k + 1 are taken off
+    np.cumsum(-steps[:at][::-1], out=log_ratio[:at][::-1])
+    log_ratio *= 0.5
+    log_ratio += 0.5 * (
+        math.lgamma(n + 1) - math.lgamma(anchor + 1) - math.lgamma(n - anchor + 1) - n * _LN2
+    )
+    return log_ratio
+
+
+@dataclass(frozen=True)
+class CssPrior:
+    """The coherent spin state's log|a_m| as a prior for the measurement kernel.
+
+    It stands in for the array :func:`log_css_amplitudes` would give:
+    :func:`spinprep.measurement.posterior_batch` takes its largest level,
+    ``top`` = N // 2, in closed form and computes only the window of levels
+    that its records' bands index, through :func:`css_log_window`.
+    """
+
+    atom_count: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "atom_count", _check_atom_count(self.atom_count))
+
+    @property
+    def top(self) -> int:
+        """Index of the largest level, the first of the two middle ones for odd N."""
+        return self.atom_count // 2
+
+
 def log_css_amplitudes(n_atoms: int) -> np.ndarray:
     """Log amplitudes of the coherent spin state along +x, index k <-> m = k - S.
 
-    log a_m = (1/2) log C(2S, S+m) - S log 2 through log-gamma, so no level
-    underflows however far it sits from m = 0.  This is the prior the
-    measurement kernel conditions; it is never exponentiated before the
-    update.
+    :func:`css_log_window` over all N+1 levels.  This is the prior the
+    measurement kernel conditions (which computes only the window of levels
+    its records can reach, through the same function); it is never
+    exponentiated before the update.
     """
     n = _check_atom_count(n_atoms)
-    log_factorial = gammaln(np.arange(1, n + 2))  # log k! for k = 0 ... N
-    return 0.5 * (log_factorial[n] - log_factorial - log_factorial[::-1]) - 0.5 * n * _LN2
+    return css_log_window(n, 0, n + 1)
 
 
 def make_css(n_atoms: int) -> SpinEnsembleState:

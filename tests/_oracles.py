@@ -7,6 +7,7 @@ conventions stated in the README and evaluated by independent means.
 import functools
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -68,6 +69,67 @@ def decimal_xi_d(probs, n_atoms):
         mu = sum(a * b for a, b in zip(p, m))
         var = sum(a * (b - mu) ** 2 for a, b in zip(p, m))
         s = Decimal(n_atoms) / 2
+        return float(n_atoms * (var + Decimal("0.25")) / (s * (s + 1) - var - mu * mu))
+
+
+def full_ladder_amplitudes(probs, phase):
+    """Amplitudes sqrt(probs) e^{i phase} built level by level over the whole ladder.
+
+    The post-state construction that conditions every level, occupied or
+    not: ``probs`` holds all N+1 level probabilities (zeros outside a
+    record's band) and ``phase`` all N+1 phases, and the product goes
+    through cos and sin.
+    """
+    magnitude = np.sqrt(probs)
+    amps = np.empty(magnitude.shape, dtype=complex)
+    np.multiply(magnitude, np.cos(phase), out=amps.real)
+    np.multiply(magnitude, np.sin(phase), out=amps.imag)
+    return amps
+
+
+def binomial_ratio(n_atoms, k, center):
+    """C(N, k) / C(N, center) as an exact fraction, one factor per level stepped."""
+    ratio = Fraction(1)
+    for i in range(center + 1, k + 1):
+        ratio *= Fraction(n_atoms - i + 1, i)
+    for i in range(k + 1, center + 1):
+        ratio /= Fraction(n_atoms - i + 1, i)
+    return ratio
+
+
+def exact_log_binomial_ratio(n_atoms, k, center):
+    """log C(N, k) - log C(N, center), from the exact fraction in 40-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ratio = binomial_ratio(n_atoms, k, center)
+        return float((Decimal(ratio.numerator) / Decimal(ratio.denominator)).ln())
+
+
+def exact_dss_xi_d(n_atoms, chi_p, record, reach=40):
+    """xi_D of the CSS after one phase-quadrature record, in exact arithmetic.
+
+    The posterior is p(m) ∝ C(N, N/2 + m) exp[-(Y + chi_p m)^2] (see
+    :func:`dss_floor_ratio`).  The binomial weights are exact fractions
+    relative to level N // 2, the Gaussian factors 45-digit decimals, and
+    only the ``reach`` levels on each side of N // 2 are kept: for records
+    near 0 and chi_p of order 1 the rest weigh less than e^-1000.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 45
+        center = n_atoms // 2
+        s = Decimal(n_atoms) / 2
+        levels, weights = [], []
+        for k in range(max(0, center - reach), min(n_atoms, center + reach) + 1):
+            ratio = binomial_ratio(n_atoms, k, center)
+            m = Decimal(k) - s
+            residual = Decimal(record) + Decimal(chi_p) * m
+            weights.append(
+                Decimal(ratio.numerator) / Decimal(ratio.denominator) * (-residual * residual).exp()
+            )
+            levels.append(m)
+        total = sum(weights)
+        mu = sum(w * m for w, m in zip(weights, levels)) / total
+        var = sum(w * (m - mu) ** 2 for w, m in zip(weights, levels)) / total
         return float(n_atoms * (var + Decimal("0.25")) / (s * (s + 1) - var - mu * mu))
 
 

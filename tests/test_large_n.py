@@ -1,0 +1,170 @@
+"""The coherent-state prior on a window of levels, and post states built from a band.
+
+Every CSS-conditioned path reads the prior only on the window of Dicke levels
+its records' bands index, through ``css_log_window``, and builds a post state
+only on its record's band.  These tests pin that against the whole-ladder
+constructions, against exact rational arithmetic, and in memory at N = 10^7.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from _oracles import exact_dss_xi_d, exact_log_binomial_ratio, full_ladder_amplitudes
+
+from spinprep import (
+    CssPrior,
+    MeasurementSetting,
+    SpinEnsembleState,
+    apply_measurement,
+    css_log_window,
+    dss_rows,
+    log_css_amplitudes,
+    make_css,
+    posterior_batch,
+    prepare_dss,
+    prepare_superposition,
+    superposition_rows,
+)
+from spinprep.spin_core import m_ladder
+
+# (N, chi, record) per protocol: a band of a few levels at N = 40 and of
+# about 1800 (DSS) or 750 (two-Dicke) levels out of 10^5 + 1
+DSS_CASES = ((40, 0.8, 3.0), (10**5, 0.03, 3.0))
+SUPERPOSITION_CASES = ((40, 0.2, -5.0), (10**5, 2e-4, -2.0))
+
+
+def _full_ladder_post(prior, setting, outcome, phase):
+    """Post state's amplitudes through the full-ladder rows of the kernel's default ``reduce``."""
+    probs, _ = posterior_batch(prior, outcome, setting.chi_x, setting.chi_p)
+    return full_ladder_amplitudes(probs[0], phase)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.37])
+@pytest.mark.parametrize("n_atoms, chi_p, outcome", DSS_CASES)
+def test_dss_band_post_state_matches_full_ladder(n_atoms, chi_p, outcome, eta):
+    result = prepare_dss(n_atoms, chi_p, outcome, eta)
+    setting = MeasurementSetting(chi_p=chi_p)
+    expected = _full_ladder_post(CssPrior(n_atoms), setting, outcome, eta * m_ladder(n_atoms))
+    np.testing.assert_array_equal(result.post_state.amplitudes, expected)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.37])
+@pytest.mark.parametrize("n_atoms, chi_x, outcome", SUPERPOSITION_CASES)
+def test_superposition_band_post_state_matches_full_ladder(n_atoms, chi_x, outcome, eta):
+    result = prepare_superposition(n_atoms, chi_x, outcome, eta)
+    setting = MeasurementSetting(chi_x=chi_x)
+    expected = _full_ladder_post(CssPrior(n_atoms), setting, outcome, eta * m_ladder(n_atoms))
+    np.testing.assert_array_equal(result.post_state.amplitudes, expected)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.37])
+@pytest.mark.parametrize("n_atoms, chi_p, outcome", DSS_CASES)
+def test_apply_measurement_band_post_state_matches_full_ladder(n_atoms, chi_p, outcome, eta):
+    # a CSS with a twist phase 0.3 m^2, so the prior's own phases are carried too
+    css = make_css(n_atoms)
+    m = m_ladder(n_atoms)
+    state = SpinEnsembleState(n_atoms, css.amplitudes * np.exp(0.3j * m * m))
+    setting = MeasurementSetting(chi_p=chi_p, eta=eta)
+    post, _ = apply_measurement(state, setting, outcome)
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(state.amplitudes))
+    expected = _full_ladder_post(log_mag, setting, outcome, np.angle(state.amplitudes) + eta * m)
+    np.testing.assert_array_equal(post.amplitudes, expected)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 7, 40, 1001, 10**5])
+def test_css_windows_holding_the_centre_equal_the_whole_ladder(n_atoms):
+    # every band of a CSS-conditioned record holds the prior's top level N // 2,
+    # so every window the kernel reads is one of these
+    full = log_css_amplitudes(n_atoms)
+    center = n_atoms // 2
+    for first, stop in {(0, n_atoms + 1), (center, center + 1), (0, center + 1),
+                        (center, n_atoms + 1), (max(0, center - 3), min(n_atoms + 1, center + 9))}:
+        window = css_log_window(n_atoms, first, stop)
+        np.testing.assert_array_equal(window, full[first:stop])
+
+
+def test_css_windows_off_the_centre_differ_by_the_anchor_rounding_only():
+    n_atoms = 10**5
+    full = log_css_amplitudes(n_atoms)
+    # the lgamma anchor rounds at the scale of log N!, about 1e6 here
+    tol = 4 * np.spacing(math.lgamma(n_atoms + 1))
+    windows = ((0, 10), (100, 2000), (40_000, 49_999), (50_001, 52_000), (99_000, n_atoms + 1))
+    for first, stop in windows:
+        window = css_log_window(n_atoms, first, stop)
+        assert np.abs(window - full[first:stop]).max() <= tol
+        # within the window, level-to-level ratios are exact to a few ulps of log|a_m|
+        local = 2.0 * (window[:5] - window[0])
+        exact = [exact_log_binomial_ratio(n_atoms, k, first) for k in range(first, first + 5)]
+        atol = 8 * np.spacing(np.abs(window[:5]).max())
+        np.testing.assert_allclose(local, exact, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("bad", [(-1, 3), (3, 3), (0, 42), (5, 2)])
+def test_css_window_must_lie_inside_the_ladder(bad):
+    with pytest.raises(ValueError, match="window"):
+        css_log_window(40, *bad)
+
+
+@pytest.mark.parametrize("n_atoms", [40, 1001, 10**5])
+def test_css_prior_conditions_as_its_array(n_atoms):
+    records = np.array([-4.0, 0.0, 0.7, 3.0, 25.0])
+    reduce = lambda probs, rows, first, count: np.concatenate(  # noqa: E731
+        (probs, first[:, None], count[:, None]), axis=1
+    )
+    for chi_x, chi_p in ((0.0, 0.5), (0.01, 0.0), (0.02, 0.3)):
+        band, log_density = posterior_batch(CssPrior(n_atoms), records, chi_x, chi_p, reduce)
+        band_ref, log_density_ref = posterior_batch(
+            log_css_amplitudes(n_atoms), records, chi_x, chi_p, reduce
+        )
+        np.testing.assert_array_equal(band, band_ref)
+        np.testing.assert_array_equal(log_density, log_density_ref)
+
+
+def test_css_log_ratios_match_exact_binomials():
+    n_atoms = 10**5
+    center = n_atoms // 2
+    log_amps = log_css_amplitudes(n_atoms)
+    worst = max(
+        abs(2.0 * (log_amps[k] - log_amps[center]) - exact_log_binomial_ratio(n_atoms, k, center))
+        for k in range(center - 40, center + 41)
+    )
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("outcome", [0.0, 0.7])
+@pytest.mark.parametrize("n_atoms", [10**5, 10**6, 10**7])
+def test_dss_xi_d_matches_exact_arithmetic_at_large_n(n_atoms, outcome):
+    (xi_d,), _ = dss_rows(n_atoms, 2.0, [outcome])
+    exact = exact_dss_xi_d(n_atoms, 2.0, outcome)
+    assert abs(xi_d / exact - 1.0) <= 1e-13
+
+
+def test_dss_rows_at_ten_million_atoms_never_holds_the_ladder():
+    n_atoms = 10**7
+    rng = np.random.default_rng(11)
+    m = rng.binomial(n_atoms, 0.5, 2000) - n_atoms / 2
+    records = rng.normal(-2.0 * m, math.sqrt(0.5))
+    tracemalloc.start()
+    try:
+        xi_d, log_density = dss_rows(n_atoms, 2.0, records)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # one float array over the ladder alone is 80 MB
+    assert np.all((xi_d >= 1.0 / (n_atoms + 2)) & (xi_d <= 1.0))
+    assert np.all(np.isfinite(log_density))
+
+
+def test_superposition_rows_read_the_prior_on_their_window_only():
+    n_atoms = 10**7
+    tracemalloc.start()
+    try:
+        fid, *_ = superposition_rows(n_atoms, 0.5, [-50.0, -200.0, 3.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.all((fid >= 0.0) & (fid <= 1.0 + 1e-12))

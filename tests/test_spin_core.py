@@ -7,12 +7,16 @@ from spinprep import (
     MeasurementSetting,
     SpinEnsembleState,
     apply_measurement,
+    build_pulse,
     fidelity,
     make_css,
     make_dicke,
     make_superposition_target,
     observables,
+    prepare_dss,
+    prepare_superposition,
     prob_distribution,
+    response_functions,
     spin_matrix_oracle,
 )
 
@@ -239,8 +243,10 @@ def test_state_validation():
         SpinEnsembleState(4, np.ones(5))  # unnormalized
     with pytest.raises(ValueError):
         SpinEnsembleState(4, np.zeros(3))  # wrong length
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite"):
         SpinEnsembleState(4, [np.nan] + [0.0] * 4)
+    with pytest.raises(ValueError, match="finite"):
+        SpinEnsembleState(4, [1j * np.inf] + [0.0] * 4)
     with pytest.raises(ValueError):
         SpinEnsembleState.from_unnormalized(4, np.zeros(5))
 
@@ -249,6 +255,22 @@ def test_state_amplitudes_are_immutable():
     css = make_css(4)
     with pytest.raises(ValueError):
         css.amplitudes[0] = 1.0
+
+
+def test_states_grids_and_results_compare_and_hash_by_identity():
+    # array fields make field-wise equality ambiguous; equality is identity instead
+    pairs = [
+        (make_css(4), make_css(4)),
+        (build_pulse("exponential"), build_pulse("exponential")),
+        (response_functions(build_pulse("exponential")), build_pulse("exponential")),
+        (prepare_dss(40, 0.5, 0.0), prepare_dss(40, 0.5, 0.0)),
+        (prepare_superposition(40, 0.2, -5.0), prepare_superposition(40, 0.2, -5.0)),
+    ]
+    for a, b in pairs:
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert isinstance(hash(a), int) and hash(a) == hash(a)
+        assert len({a, a, b}) == 2
 
 
 def test_eta_enters_only_as_phase():
