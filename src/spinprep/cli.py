@@ -13,6 +13,7 @@ Exit codes: 0 success (and a passing feasibility check), 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -83,14 +84,32 @@ def write_csv(result: SweepResult, stream) -> None:
     stream.write("".join(row_format % row for row in result.rows))
 
 
+# one JSON array per row, each value on its own line: with no indent the
+# stdlib's C encoder writes the rows, where indent=1 falls back to pure Python
+_ROWS_ENCODER = json.JSONEncoder(separators=(",\n   ", ": "))
+
+
 def write_json(result: SweepResult, stream) -> None:
+    """Write ``json.dumps(payload, sort_keys=True, indent=1)`` and a newline.
+
+    The bytes are those of the stdlib's ``indent=1`` layout, made faster: the
+    payload is dumped with ``"rows": null``, the rows are encoded in one call
+    of the C encoder, the separators between and around rows are set to the
+    indented ones, and the result replaces that ``null``.  Inside a JSON
+    string every quote is escaped, so the first ``"rows": null`` is the key.
+    Numbers keep the stdlib's own formatting (``Infinity``, ``NaN``, ints).
+    """
     payload = {
         "spec": asdict(result.spec),
         "version": __version__,
         "columns": result.columns,
-        "rows": result.rows,
+        "rows": None,
     }
-    stream.write(json.dumps(payload, sort_keys=True, indent=1))
+    rows = _ROWS_ENCODER.encode(result.rows)
+    if rows != "[]":
+        rows = "[\n  [\n   " + rows[2:-2].replace("],\n   [", "\n  ],\n  [\n   ") + "\n  ]\n ]"
+    text = json.dumps(payload, sort_keys=True, indent=1)
+    stream.write(text.replace('"rows": null', '"rows": ' + rows, 1))
     stream.write("\n")
 
 
@@ -469,37 +488,65 @@ def _config_file() -> dict:
     return loaded
 
 
-def _configured(name: str, kw: dict, cfg: dict) -> dict:
-    """``kw`` with its default from SPINPREP_<DEST> or else the config file."""
-    dest = kw.get("dest", name.lstrip("-").replace("-", "_"))
-    variable = f"SPINPREP_{dest.upper()}"
-    if not name.startswith("-") or (variable not in os.environ and dest not in cfg):
-        return kw
-    raw = os.environ.get(variable, cfg.get(dest))
-    try:  # a file value goes through the flag's type as if typed on the command line
-        value = kw.get("type", str)(str(raw))
-    except ValueError as exc:
-        raise UsageError(f"configured {dest}={raw!r}: {exc}") from exc
-    if "choices" in kw and value not in kw["choices"]:
-        raise UsageError(f"configured {dest}={value!r} not in {sorted(kw['choices'])}")
-    return {**kw, "default": value}
+def _configured(command: str) -> dict:
+    """Flag values of ``command`` set by SPINPREP_<DEST> or else the config file.
+
+    Keyed by dest; a flag set by neither is left out.  Each value goes through
+    the flag's type and choices as if typed on the command line.
+    """
+    cfg = _config_file()
+    values = {}
+    for name, kw in COMMANDS[command][1]:
+        dest = kw.get("dest", name.lstrip("-").replace("-", "_"))
+        variable = f"SPINPREP_{dest.upper()}"
+        if not name.startswith("-") or (variable not in os.environ and dest not in cfg):
+            continue
+        raw = os.environ.get(variable, cfg.get(dest))
+        try:
+            value = kw.get("type", str)(str(raw))
+        except ValueError as exc:
+            raise UsageError(f"configured {dest}={raw!r}: {exc}") from exc
+        if "choices" in kw and value not in kw["choices"]:
+            raise UsageError(f"configured {dest}={value!r} not in {sorted(kw['choices'])}")
+        values[dest] = value
+    return values
+
+
+@functools.cache
+def _command_parser(command: str) -> _Parser:
+    """The parser of one subcommand, built once: it depends only on ``COMMANDS``."""
+    parser = _Parser(prog=f"spinprep {command}")
+    for name, kw in COMMANDS[command][1]:
+        parser.add_argument(name, **kw)
+    return parser
+
+
+def _listing_parser() -> _Parser:
+    """The top-level parser: lists every subcommand, with no flags."""
+    parser = _Parser(prog="spinprep", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_line, _) in COMMANDS.items():
+        sub.add_parser(command, help=help_line)
+    return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv``, adding flags only to the subcommand it names.
+    """Parse ``argv`` with the cached parser of the subcommand it names.
 
-    Precedence of flag defaults: file named by SPINPREP_CONFIG < SPINPREP_<DEST> < flags.
+    Precedence of flag values: file named by SPINPREP_CONFIG < SPINPREP_<DEST> < flags.
+    The file and the variables are read again on every call, and their values
+    pre-fill the namespace that the command's parser fills from the flags:
+    argparse sets a default only where the namespace has no value yet.  (A
+    subparser would not do: it parses into a fresh namespace and copies its
+    defaults over the pre-filled values.)
+    Without a subcommand in ``argv[0]`` (``--help``, none or an unknown one)
+    the top-level parser lists all of them, or reports the error.
     """
-    parser = _Parser(prog="spinprep", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv else None
-    cfg = _config_file() if named in COMMANDS else {}
-    for command, (help_line, flags) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
-        if command == named:
-            for name, kw in flags:
-                p.add_argument(name, **_configured(name, kw, cfg))
-    return parser.parse_args(argv)
+    command = argv[0] if argv else None
+    if command not in COMMANDS:
+        return _listing_parser().parse_args(argv)
+    namespace = argparse.Namespace(command=command, **_configured(command))
+    return _command_parser(command).parse_args(argv[1:], namespace)
 
 
 def main(argv=None) -> int:

@@ -82,8 +82,13 @@ class MeasurementRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.probability_density < 0:
-            raise ValueError("probability density cannot be negative")
+        # a density of exactly 0 is legal: a far-tail record underflows to it
+        if not math.isfinite(self.outcome):
+            raise ValueError(f"outcome must be finite, got {self.outcome}")
+        if not 0 <= self.probability_density < math.inf:
+            raise ValueError(
+                f"probability density must be finite and >= 0, got {self.probability_density}"
+            )
 
     def to_json(self) -> dict:
         return {

@@ -5,6 +5,7 @@ conventions stated in the README and evaluated by independent means.
 """
 
 import functools
+import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -14,6 +15,11 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 from scipy.special import erf
 from scipy.stats import chi2
+
+
+def stdlib_json_text(payload) -> str:
+    """A result file in the stdlib's own JSON layout: sorted keys, indent 1, newline."""
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def mixture_centers(state, setting):

@@ -2,11 +2,15 @@ import argparse
 import io
 import json
 import math
+import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import chi_square_gof, flat_top_peak, mixture_pdf
+from _oracles import chi_square_gof, flat_top_peak, mixture_pdf, stdlib_json_text
 from spinprep import (
     MeasurementSetting,
     __version__,
@@ -23,6 +27,7 @@ from spinprep import (
 )
 from spinprep.cli import (
     COMMANDS,
+    _command_parser,
     SweepResult,
     SweepSpec,
     main,
@@ -243,6 +248,48 @@ def test_emitted_bytes_pinned():
         '   "start": 0.1,\n   "stop": 0.2\n  },\n  "param": "chi_x",\n  "seed": 3,\n'
         f'  "subvariant": "superposition"\n }},\n "version": "{__version__}"\n}}\n'
     )
+
+
+_JSON_NUMBERS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.tuples(*[_JSON_NUMBERS] * width), max_size=40))
+    return [f"col_{i}" for i in range(width)], rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_write_json_is_the_stdlib_layout(table):
+    columns, rows = table
+    spec = SweepSpec("sweep", "dss", "chi_p",
+                     {"start": 0.1, "stop": 2.0, "count": 7, "scale": "linear"}, {"N": 40}, 5)
+    stream = io.StringIO()
+    write_json(SweepResult(spec, columns, rows), stream)
+    payload = {"spec": asdict(spec), "version": __version__, "columns": columns, "rows": rows}
+    assert stream.getvalue() == stdlib_json_text(payload)
+
+
+def test_infinite_width_in_csv_and_json(tmp_path):
+    # a superposition record >= 0 leaves a single packet, whose width is inf
+    argv = ["sweep", "superposition", "--param", "outcome", "--start", "-2", "--stop", "0",
+            "--count", "3"]
+    text = {}
+    for fmt in ("csv", "json"):
+        res, path = run(tmp_path, *argv, "--format", fmt, name=f"sw.{fmt}")
+        width = column(res, "width")
+        assert np.all(np.isfinite(width[:-1])) and width[-1] == math.inf
+        text[fmt] = path.read_text(encoding="utf-8")
+    assert text["csv"].endswith(",inf\n")
+    assert "   Infinity\n  ]\n ]" in text["json"]
+    assert stdlib_json_text(json.loads(text["json"])) == text["json"]
 
 
 def test_csv_flat_format(tmp_path):
@@ -551,3 +598,56 @@ def test_help_lists_commands_and_flags(capsys):
     for name, _ in COMMANDS["sweep"][1]:
         if name.startswith("-"):
             assert f"\n  {name} " in text
+
+
+def test_configured_defaults_read_on_every_call(tmp_path, monkeypatch):
+    # the parser is cached; the file and the variables must not be
+    for name in [k for k in os.environ if k.startswith("SPINPREP_")]:
+        monkeypatch.delenv(name)
+    res, _ = run(tmp_path, "fig2", "a", name="plain.csv")
+    assert len(res["rows"]) == 101
+    monkeypatch.setenv("SPINPREP_N", "6")
+    res, _ = run(tmp_path, "fig2", "a", name="env.csv")
+    assert len(res["rows"]) == 7
+    monkeypatch.delenv("SPINPREP_N")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4}))
+    monkeypatch.setenv("SPINPREP_CONFIG", str(cfg))
+    res, _ = run(tmp_path, "fig2", "a", name="file.csv")
+    assert len(res["rows"]) == 5
+    monkeypatch.delenv("SPINPREP_CONFIG")
+    res, _ = run(tmp_path, "fig2", "a", name="plain_again.csv")
+    assert len(res["rows"]) == 101
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_help_names_the_command(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: spinprep {command} ")
+
+
+def test_unknown_command_lists_every_command(capsys):
+    assert main(["fig5", "a"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'fig5'" in err
+    for command in COMMANDS:
+        assert f"'{command}'" in err
+
+
+def test_second_call_builds_no_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _command_parser.cache_clear()
+    argv = ["fig3", "c", "--N", "10", "--out", str(tmp_path / "f3c.csv")]
+    assert main(argv) == 0
+    assert built == ["spinprep fig3"]
+    assert main(argv) == 0
+    assert built == ["spinprep fig3"]

@@ -293,6 +293,26 @@ def test_sample_outcome_deterministic_and_serializable():
     assert back == rec1
 
 
+@pytest.mark.parametrize("outcome, density", [
+    (math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1),
+    (0.5, math.nan), (0.5, math.inf), (0.5, -1e-300),
+])
+def test_record_rejects_non_finite_values_and_bad_densities(outcome, density):
+    setting = MeasurementSetting(chi_p=0.4)
+    with pytest.raises(ValueError):
+        MeasurementRecord(outcome=outcome, probability_density=density, setting=setting)
+    blob = {"outcome": outcome, "density": density, "chi_x": 0.0, "chi_p": 0.4, "eta": 0.0}
+    with pytest.raises(ValueError):
+        MeasurementRecord.from_json(json.loads(json.dumps(blob)))
+
+
+def test_record_allows_an_underflowed_density():
+    # a far-tail record's density can underflow to exactly 0
+    setting = MeasurementSetting(chi_p=0.4)
+    record = MeasurementRecord(outcome=1e3, probability_density=0.0, setting=setting)
+    assert MeasurementRecord.from_json(json.loads(json.dumps(record.to_json()))) == record
+
+
 def test_sample_outcome_fresh_entropy():
     state = make_css(12)
     setting = MeasurementSetting(chi_p=0.4)
