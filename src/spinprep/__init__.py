@@ -18,7 +18,6 @@ from .spin_core import (
     make_superposition_target,
     observables,
     prob_distribution,
-    spin_matrix_oracle,
 )
 from .pulse_optics import (
     EXPONENTIAL,

@@ -149,6 +149,14 @@ def _zip_columns(values: np.ndarray, columns) -> list[tuple]:
     return list(zip(values.tolist(), *(np.asarray(c).tolist() for c in columns)))
 
 
+def _curves(curves, points) -> tuple[np.ndarray, np.ndarray]:
+    """One record per curve and point, curve by curve: a table's curves in one batch.
+
+    The rows of the batch's results, reshaped to (curves, points), are the curves.
+    """
+    return np.repeat(curves, len(points)), np.tile(points, len(curves))
+
+
 def _slug(x: float) -> str:
     return f"{x:g}".replace(".", "p").replace("-", "m")
 
@@ -186,8 +194,9 @@ def cmd_fig2(sub: str, n_atoms: int, chi_x: float | None, seed: int) -> SweepRes
         spec = SweepSpec("fig2", "c", "chi_x", grid, {"N": n_atoms}, seed)
         columns = ["chi_x"] + [f"f_xl_{name}" for name, _ in _FIG2_RATIOS]
         chis = spec.points()
-        fids = [superposition_rows(n_atoms, chis, -chis * s * r)[0] for _, r in _FIG2_RATIOS]
-        return SweepResult(spec, columns, _zip_columns(chis, fids))
+        ratio, chi = _curves([r for _, r in _FIG2_RATIOS], chis)
+        fids = superposition_rows(n_atoms, chi, -chi * s * ratio)[0]
+        return SweepResult(spec, columns, _zip_columns(chis, fids.reshape(len(_FIG2_RATIOS), -1)))
     raise UsageError(f"unknown fig2 subvariant {sub!r}")
 
 
@@ -199,22 +208,23 @@ def cmd_fig3(sub: str, n_atoms: int | None, chi_p: float | None, seed: int) -> S
         spec = SweepSpec("fig3", "a", "outcome_fraction", grid, {"N": n, "chi_p": chis}, seed)
         columns = ["outcome_fraction"] + [f"xi_d_chi_{_slug(c)}" for c in chis]
         fracs = spec.points()
-        xis = [dss_rows(n, c, fracs * c * n / 2.0)[0] for c in chis]
-        return SweepResult(spec, columns, _zip_columns(fracs, xis))
+        chi, frac = _curves(chis, fracs)
+        xis = dss_rows(n, chi, frac * chi * n / 2.0)[0]
+        return SweepResult(spec, columns, _zip_columns(fracs, xis.reshape(len(chis), -1)))
     if sub == "b":
         ns = [n_atoms] if n_atoms is not None else [40, 80, 120]
         grid = {"start": 0.05, "stop": 2.0, "count": 40, "scale": "linear"}
         spec = SweepSpec("fig3", "b", "chi_p", grid, {"N": ns}, seed)
         columns = ["chi_p"] + [f"xi_d_n{n}" for n in ns]
         chis = spec.points()
-        xis = [dss_rows(n, chis, 0.0)[0] for n in ns]
-        return SweepResult(spec, columns, _zip_columns(chis, xis))
+        xis = dss_rows(*_curves(ns, chis), 0.0)[0]
+        return SweepResult(spec, columns, _zip_columns(chis, xis.reshape(len(ns), -1)))
     if sub == "c":
         chi = chi_p if chi_p is not None else 2.0
         ns = [n_atoms] if n_atoms is not None else list(range(10, 121, 2))
         spec = SweepSpec("fig3", "c", "n_atoms", None, {"chi_p": chi, "N": ns}, seed)
         columns = ["n_atoms", "xi_d", "xi_d_ideal", "xi_d_times_n_plus_2"]
-        xis = [float(dss_rows(n, chi, 0.0)[0][0]) for n in ns]
+        xis = dss_rows(np.array(ns), chi, 0.0)[0].tolist()
         rows = [(n, xi, 1.0 / (n + 2), xi * (n + 2)) for n, xi in zip(ns, xis)]
         return SweepResult(spec, columns, rows)
     raise UsageError(f"unknown fig3 subvariant {sub!r}")
@@ -235,15 +245,17 @@ def cmd_fig4(
         )
         columns = ["outcome_fraction"] + [f"xi_d_n{r}" for r in rounds]
         fracs = spec.points()
-        xis = [repetitive_dss_rows(n, chi, r, fracs * chi * n / 2.0) for r in rounds]
-        return SweepResult(spec, columns, _zip_columns(fracs, xis))
+        record_rounds, frac = _curves(rounds, fracs)
+        xis = repetitive_dss_rows(n, chi, record_rounds, frac * chi * n / 2.0)
+        return SweepResult(spec, columns, _zip_columns(fracs, xis.reshape(len(rounds), -1)))
     if sub == "b":
         grid = {"start": 0.05, "stop": 2.0, "count": 40, "scale": "linear"}
         spec = SweepSpec("fig4", "b", "chi_p", grid, {"N": n, "n": rounds}, seed)
         columns = ["chi_p"] + [f"xi_d_n{r}" for r in rounds]
         chis = spec.points()
-        xis = [repetitive_dss_rows(n, chis, r) for r in rounds]
-        return SweepResult(spec, columns, _zip_columns(chis, xis))
+        record_rounds, chi = _curves(rounds, chis)
+        xis = repetitive_dss_rows(n, chi, record_rounds)
+        return SweepResult(spec, columns, _zip_columns(chis, xis.reshape(len(rounds), -1)))
     if sub == "c":
         chis = [chi_p] if chi_p is not None else [0.2, 0.4]
         max_rounds = n_rounds if n_rounds is not None else 40
@@ -255,7 +267,7 @@ def cmd_fig4(
         )
         markers = [(2.0 / c) ** 2 for c in chis]
         rounds = np.arange(1, max_rounds + 1)
-        xis = [repetitive_dss_rows(n, c, rounds) for c in chis]
+        xis = repetitive_dss_rows(n, *_curves(chis, rounds)).reshape(len(chis), -1)
         rows = [(*row, *markers) for row in _zip_columns(rounds, xis)]
         return SweepResult(spec, columns, rows)
     raise UsageError(f"unknown fig4 subvariant {sub!r}")
@@ -313,8 +325,8 @@ SWEEP_PROTOCOLS = {
 
 
 def _sweep_values(protocol: str, params: dict) -> list[np.ndarray]:
-    """Result columns after ``value``; any parameter may hold one value per record."""
-    n_atoms = int(params["N"])
+    """Result columns after ``value``; any parameter, N too, may hold one value per record."""
+    n_atoms = params["N"]
     if protocol == "dss":
         xi_d, _ = dss_rows(n_atoms, params["chi_p"], params["outcome"])
         return [xi_d]
@@ -342,12 +354,8 @@ def cmd_sweep(spec: SweepSpec) -> SweepResult:
         if off.any():
             raise UsageError(f"--param {spec.param} takes integers, got {points[off][0]:.17g}")
         points = snapped
-    if spec.param == "N":
-        # each N has its own level count, so each point is a batch of one record
-        blocks = [_sweep_values(protocol, {**spec.fixed, "N": n}) for n in points]
-        columns = [np.concatenate(c) for c in zip(*blocks)]
-    else:
-        columns = _sweep_values(protocol, {**spec.fixed, spec.param: points})
+    swept = points.astype(int) if spec.param == "N" else points
+    columns = _sweep_values(protocol, {**spec.fixed, spec.param: swept})
     return SweepResult(spec, SWEEP_PROTOCOLS[protocol]["columns"], _zip_columns(points, columns))
 
 

@@ -23,7 +23,6 @@ unchanged; they are applied afterwards, by
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +43,9 @@ _LOG_PI = math.log(math.pi)
 # records x band elements per kernel chunk: about 0.5 MB per float matrix,
 # so peak memory is independent of the number of records
 _CHUNK_ELEMENTS = 1 << 16
+# the rows of _band_limits: its two residual signs, and the margins of its ends
+_RESIDUAL_SIGNS = np.array([[-1.0], [1.0]])
+_END_MARGINS = np.array([[-1.0], [2.0]])
 # exp is several times slower on arguments whose result underflows; a level
 # more than e^-700 below its row's largest probability is set to 0 instead
 _LOG_PROB_FLOOR = -700.0
@@ -118,12 +120,13 @@ def _centers(setting: MeasurementSetting, m: np.ndarray) -> np.ndarray:
     return -(setting.chi_x * m * m + setting.chi_p * m)
 
 
-def _per_record(outcomes, chi_x, chi_p):
+def _per_record(outcomes, chi_x, chi_p, ladders=1):
     """Record values and strengths as 1-d arrays; validate strengths.
 
     The strengths keep a single entry when they are shared by every record
-    (a scalar or one-element input); otherwise all three broadcast to one
-    entry per record.
+    (a scalar or one-element input); otherwise they broadcast to one entry
+    per record.  The records always do, also to ``ladders`` entries, the
+    number of atom counts (1, or one per record).
     """
     y = np.array(outcomes, dtype=float, ndmin=1)
     cx = np.array(chi_x, dtype=float, ndmin=1)
@@ -137,14 +140,19 @@ def _per_record(outcomes, chi_x, chi_p):
             bad = ~(np.isfinite(val) & (val >= 0))
             if bad.any():
                 raise ValueError(f"{name} must be finite and >= 0, got {val[bad][0]}")
-    if strengths.size != 2:  # per-record strengths: one entry of each per record
-        size = max(y.size, cx.size, cp.size)
-        if any(v.ndim != 1 or v.size not in (1, size) for v in (cx, cp)) or y.size not in (1, size):
+    if strengths.size != 2 or ladders != 1:  # some input holds one entry per record
+        size = max(y.size, cx.size, cp.size, ladders)
+        if any(v.ndim != 1 or v.size not in (1, size) for v in (cx, cp)) or not (
+            y.size in (1, size) and ladders in (1, size)
+        ):
             raise ValueError(
-                f"records and strengths do not broadcast: sizes {y.size}, {cx.size} and {cp.size}"
+                "records, strengths and atom counts do not broadcast: "
+                f"sizes {y.size}, {cx.size}, {cp.size} and {ladders}"
             )
         zeros = np.zeros(size)
-        y, cx, cp = y + zeros, cx + zeros, cp + zeros
+        y = y + zeros
+        if strengths.size != 2:
+            cx, cp = cx + zeros, cp + zeros
     return y, cx, cp
 
 
@@ -154,7 +162,7 @@ def _level_windows(levels: np.ndarray, width: int) -> np.ndarray:
     return np.ndarray((levels.size - width + 1, width), levels.dtype, levels, 0, (step, step))
 
 
-def _band_limits(n_levels: int, top: int, y, cx, cp) -> np.ndarray:
+def _band_limits(n_levels, top, y, cx, cp) -> np.ndarray:
     """Index of the lowest and the highest level each record's row can keep, as two rows.
 
     Level m survives the floor only if 2 log|a_m| - (Y + c_m)^2, with
@@ -172,11 +180,14 @@ def _band_limits(n_levels: int, top: int, y, cx, cp) -> np.ndarray:
     non-finite record gives nan ends and a band over every level; the
     kernel's row checks see it, and a record whose row overflows, in any
     band.
+
+    ``n_levels`` and ``top``, the prior's level count and largest level, are
+    shared by every record or hold one entry per record.
     """
     s = 0.5 * (n_levels - 1)
     m = top - s
     reach = np.hypot((cx * m + cp) * m + y, math.sqrt(-_LOG_PROB_FLOOR))
-    c = y + np.array([[-1.0], [1.0]]) * reach  # Y + c_m = R, then Y + c_m = -R
+    c = y + _RESIDUAL_SIGNS * reach  # Y + c_m = R, then Y + c_m = -R
     # roots q / cx <= c / q of cx m^2 + cp m + c = 0, q = -(cp/2 + sqrt(cp^2/4 - cx c)):
     # free of cancellation for cx, cp >= 0; q / cx is -inf at cx = 0
     half_cp = 0.5 * cp
@@ -184,8 +195,49 @@ def _band_limits(n_levels: int, top: int, y, cx, cp) -> np.ndarray:
     ends, upper = q / cx, c / q
     np.fmax(ends[0], upper[1], out=ends[0], where=ends[1] <= ends[0])
     ends[1] = upper[0]
-    ends = np.floor(ends + ((s - 1.0,), (s + 2.0,)))
+    ends = np.floor(ends + (_END_MARGINS + s))
     return np.fmin(np.fmax(ends, 0.0), 2.0 * s).astype(np.intp)
+
+
+def _ladders(atoms, n_records: int) -> tuple[list, list]:
+    """The atom count of each ladder, a run of records with one count, and the runs' bounds.
+
+    Records ``bounds[i]`` to ``bounds[i + 1] - 1`` form ladder i; ``atoms``
+    is one atom count (one ladder) or an array of one per record.
+    """
+    if not isinstance(atoms, np.ndarray):
+        return [atoms], [0, n_records]
+    bounds = [0, *(np.flatnonzero(atoms[1:] != atoms[:-1]) + 1).tolist(), n_records]
+    return atoms[bounds[:-1]].tolist(), bounds
+
+
+def _ladder_groups(lo, hi, widest):
+    """Consecutive ladders that share one level axis, as (first, stop, W, levels).
+
+    Ladder i's bands start at levels ``lo[i]`` to ``hi[i]`` and are at most
+    ``widest[i]`` wide.  A group adds ladders while its axis, each ladder's
+    window running W levels past its highest band start, W the group's
+    widest band, holds at most ``_CHUNK_ELEMENTS`` levels; a ladder wider
+    than that forms a group alone.  ``levels`` is the size of the axis.
+    """
+    groups = []
+    g0, width, spread = 0, widest[0], hi[0] - lo[0]
+    for i in range(1, len(lo)):
+        wider = max(width, widest[i])
+        if spread + hi[i] - lo[i] + (i - g0 + 1) * wider > _CHUNK_ELEMENTS:
+            groups.append((g0, i, width, spread + (i - g0) * width))
+            g0, width, spread = i, widest[i], hi[i] - lo[i]
+        else:
+            width, spread = wider, spread + hi[i] - lo[i]
+    groups.append((g0, len(lo), width, spread + (len(lo) - g0) * width))
+    return groups
+
+
+def _in_record_order(values, order):
+    """``values`` of the records ``order``, rearranged into record order."""
+    out = np.empty_like(values)
+    out[order] = values
+    return out
 
 
 def level_rows(bands, first, n_levels: int) -> np.ndarray:
@@ -202,45 +254,56 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
 
     ``log_prior`` holds the real log|a_m| over the N+1 Dicke levels (-inf on
     unoccupied levels), e.g. of a state, or is a :class:`CssPrior`, the
-    coherent spin state's log|a_m| computed on demand.  The operator is
-    diagonal, so the phases of the prior and the e^{i eta m} of the record
-    pass through unchanged and never enter here; a phased state is
-    conditioned by :func:`apply_measurement`.  Record r is taken at
-    strengths ``chi_x[r]`` and ``chi_p[r]``; each of these and ``outcomes``
-    may be a scalar shared by every record.
+    coherent spin state's log|a_m| computed on demand, for one atom count or
+    for one per record.  The operator is diagonal, so the phases of the
+    prior and the e^{i eta m} of the record pass through unchanged and never
+    enter here; a phased state is conditioned by :func:`apply_measurement`.
+    Record r is taken at strengths ``chi_x[r]`` and ``chi_p[r]``; each of
+    these and ``outcomes`` may be a scalar shared by every record.
 
     A record selects a narrow packet of levels, so each record's row is
     evaluated only on its band: the ``count[r]`` consecutive levels from
     ``first[r]`` that hold every level within e^-700 of the row's peak (see
     :func:`_band_limits`, which needs only the prior's largest level: the
     array's argmax, or N // 2 for the CSS).  Every level outside it is one
-    the floor would set to 0.  The band limits come first, and the prior is
-    read only on the window the bands index, levels min(first) to
-    max(first) + W - 1: an array prior is sliced, and a :class:`CssPrior` is
-    computed there by :func:`css_log_window`, so that a batch of narrow
-    bands costs O(window), not O(N).  On the band, the row
+    the floor would set to 0.  On the band, the row
     2 log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 is shifted by its maximum,
     exponentiated once (levels more than e^-700 below the peak set to 0) and
     normalized by its sum over the band, which depends on the record alone.
-    Records are processed in chunks of about 2^16 elements of W levels
-    each, W the widest band of the batch.  ``reduce(probs, rows, first,
-    count)`` maps each chunk's records x W probabilities, rows ``rows`` of
-    the batch, whose entry [r, i] is level ``first[r] + i`` (zero from
-    ``count[r]`` on), to one value (or array) per record; ``probs`` is
+
+    The band limits come first, and the prior is read only on the window of
+    levels its bands index.  A ladder is a run of consecutive records with
+    one atom count (an array prior is one ladder).  Consecutive ladders form
+    a group while their windows, each running from its lowest band start to
+    W levels past its highest, W the group's widest band, fit in about 2^16
+    levels; a larger ladder forms a group alone.  Each group lays its
+    ladders' windows end to end on one level axis, read once: an array
+    prior is sliced, and a :class:`CssPrior` is computed there by
+    :func:`css_log_window`, so a batch of narrow bands costs O(window), not
+    O(N), and no band reads a neighbour's levels.  A group's records are
+    processed in chunks of about 2^16 elements, each chunk of records x W
+    levels with W its own widest band: a group that fits in one chunk keeps
+    record order, and a larger one is stable-sorted by band width, widest
+    first, so that narrow bands are not padded to the widest.
+    ``reduce(probs, rows, first, count)`` maps each chunk's records x W
+    probabilities, records ``rows`` (an index array) of the batch, whose
+    entry [r, i] is level ``first[r] + i`` of the record's ladder (zero
+    from ``count[r]`` on), to one value (or array) per record; ``probs`` is
     reused by the next chunk, so ``reduce`` must not return a view of it.
-    Without ``reduce`` the bands are scattered into zeros
-    (:func:`level_rows`) and the records x (N+1) probabilities are
-    returned.  Returns the stacked values (a batch of one chunk, such as a
-    single record, returns what ``reduce`` gave, as it is) and the log
-    record densities log ||M(Y_r) psi||^2.
+    Without ``reduce`` the bands are scattered into zeros over the levels of
+    the largest ladder (:func:`level_rows`) and the records x (N+1)
+    probabilities are returned.  Returns the stacked values in record order
+    (a batch of one chunk, such as a single record, returns what ``reduce``
+    gave, as it is) and the log record densities log ||M(Y_r) psi||^2.
 
     Raises :class:`PosteriorError` if a record leaves no finite, nonzero mass
-    or a post state misses unit norm by more than ``NORM_TOL``, and
-    ``ValueError`` for invalid strengths or a complex prior.
+    (naming the batch's first such record) or a post state misses unit norm
+    by more than ``NORM_TOL``, and ``ValueError`` for invalid strengths or a
+    complex prior.
     """
     if isinstance(log_prior, CssPrior):
-        n_levels, top = log_prior.atom_count + 1, log_prior.top
-        read_window = functools.partial(css_log_window, log_prior.atom_count)
+        atoms, top = log_prior.atom_count, log_prior.top
+        read_window = css_log_window
     else:
         log_prior = np.asarray(log_prior)
         if np.iscomplexobj(log_prior):
@@ -250,52 +313,72 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
             )
         if log_prior.ndim != 1 or log_prior.size < 2:
             raise ValueError(f"log_prior must hold N+1 >= 2 levels, got shape {log_prior.shape}")
-        n_levels, top = log_prior.size, int(log_prior.argmax())
+        atoms, top = log_prior.size - 1, int(log_prior.argmax())
         if log_prior[top] == -np.inf:
             raise PosteriorError("prior has empty support")
-        read_window = lambda first, stop: log_prior[first:stop]  # noqa: E731
-    y, cx, cp = _per_record(outcomes, chi_x, chi_p)
+        read_window = lambda n_atoms, first, stop: log_prior[first:stop]  # noqa: E731
+    n_counts = atoms.size if isinstance(atoms, np.ndarray) else 1  # 1, or one per record
+    y, cx, cp = _per_record(outcomes, chi_x, chi_p, n_counts)
+    ladder_n, bounds = _ladders(atoms, y.size)
     if reduce is None:
+        n_levels = max(ladder_n) + 1
         reduce = lambda probs, rows, first, count: level_rows(probs, first, n_levels)  # noqa: E731
-    values, log_density = [], []
-    # an overflowing residual or a non-finite record is caught by the density check
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first, last = _band_limits(n_levels, top, y, cx, cp)
-        count = last - first + 1
-        width = int(count.max())
-        # the window of levels the bands index; a band may run past the top level
-        lo, hi = int(first.min()), int(first.max()) + width
-        stop = min(hi, n_levels)
-        log_window = read_window(lo, stop)
-        two_log_mag = np.full(hi - lo, -np.inf)
-        np.add(log_window, log_window, out=two_log_mag[: stop - lo])
-        level_bands = _level_windows(two_log_mag, width)
-        m = m_ladder(n_levels - 1, lo, hi)
-        # strengths shared by every record (each sampled shot) give shared level offsets
-        shared = cx.size == 1
-        offset_bands = _level_windows(cx[0] * (m * m) + cp[0] * m if shared else m, width)
-        band_start = first - lo  # each band's row in level_bands and offset_bands
-        step = max(1, _CHUNK_ELEMENTS // width)
-        # one chunk buffer for the whole batch: a fresh records x W matrix per
+    # strengths shared by every record (each sampled shot) give shared level offsets
+    shared = cx.size == 1
+    values, log_density, value_rows = [], [], []
+    # (first record, message) of each failing chunk; chunks do not run in
+    # record order, so the batch's first failure is named once all have run
+    failures = []
+
+    def condition_group(g0, g1, width, levels):
+        """Condition the records of ladders g0 ... g1 - 1, W = ``width``, on one level axis.
+
+        A function of its own, so that the group's arrays are freed before
+        the next group reads its window.
+        """
+        # each ladder's window runs W levels past its highest band start,
+        # so that no band of the group reads the next ladder's levels
+        two_log_mag = np.full(levels, -np.inf)
+        m = np.empty(two_log_mag.size)
+        base = 0
+        for i in range(g0, g1):
+            n_atoms, low, end = ladder_n[i], lo[i], hi[i] + width
+            stop = min(end, n_atoms + 1)  # a band may run past the top level
+            log_window = read_window(n_atoms, low, stop)
+            np.add(log_window, log_window, out=two_log_mag[base : base + stop - low])
+            m_ladder(n_atoms, low, end, out=m[base : base + end - low])
+            rows = slice(bounds[i], bounds[i + 1])
+            np.add(first[rows], base - low, out=band_start[rows])
+            base += end - low
+        if shared:
+            offsets = cx[0] * (m * m) + cp[0] * m
+        r0, r1 = bounds[g0], bounds[g1]
+        order = np.arange(r0, r1)
+        if order.size * width > _CHUNK_ELEMENTS:  # more than one chunk: widest band first
+            order = r0 + np.argsort(-count[r0:r1], kind="stable")
+        # one chunk buffer for the whole group: a fresh records x W matrix per
         # chunk can cost more in page faults than the arithmetic on it
-        work = np.empty(min(step, y.size) * width)
-        for start in range(0, y.size, step):
-            rows = slice(start, start + step)
-            band_first = first[rows]
+        work = np.empty(min(order.size * width, max(_CHUNK_ELEMENTS, width)))
+        start = 0
+        while start < order.size:
+            # the first chunk holds the group's widest band
+            band_width = int(count[order[start]]) if start else width
+            rows = order[start : start + max(1, _CHUNK_ELEMENTS // band_width)]
+            start += rows.size
             bands = band_start[rows]
-            log_p = work[: band_first.size * width].reshape(-1, width)
+            log_p = work[: rows.size * band_width].reshape(-1, band_width)
             if shared:
-                np.add(offset_bands[bands], y[rows, None], log_p)
+                np.add(_level_windows(offsets, band_width)[bands], y[rows][:, None], log_p)
             else:
-                band_m = offset_bands[bands]
+                band_m = _level_windows(m, band_width)[bands]
                 np.multiply(band_m, band_m, log_p)
-                log_p *= cx[rows, None]
-                band_m *= cp[rows, None]
+                log_p *= cx[rows][:, None]
+                band_m *= cp[rows][:, None]
                 log_p += band_m
-                log_p += y[rows, None]
+                log_p += y[rows][:, None]
             # 2 log|a_m w_m| up to the row constant -(1/2) log pi, in place
             np.square(log_p, log_p)
-            np.subtract(level_bands[bands], log_p, log_p)
+            np.subtract(_level_windows(two_log_mag, band_width)[bands], log_p, log_p)
             shift = log_p.max(axis=1)
             log_p -= shift[:, None]
             lost = log_p < _LOG_PROB_FLOOR
@@ -303,25 +386,42 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
             probs = np.exp(log_p, log_p)
             probs[lost] = 0.0
             band_count = count[rows]
-            bounds = span_bounds(width, band_count)
-            mass = span_sums(probs, bounds)
+            mass = span_sums(probs, span_bounds(band_width, band_count))
             probs /= mass[:, None]
             chunk_density = np.log(mass) + (shift - 0.5 * _LOG_PI)
             # a record without finite, nonzero mass fails the norm check too
             norm_dev = float(np.abs(probs.sum(axis=1) - 1.0).max())
             if not norm_dev <= NORM_TOL:
-                bad = ~np.isfinite(chunk_density)
-                if bad.any():
-                    record = y[rows][np.argmax(bad)]
-                    raise PosteriorError(
-                        f"measurement update of record {record} lost all amplitude mass"
-                    )
-                raise PosteriorError(f"post state misses unit norm by {norm_dev}")
-            values.append(reduce(probs, rows, band_first, band_count))
+                bad = rows[~np.isfinite(chunk_density)]
+                if bad.size:
+                    record = f"measurement update of record {y[bad.min()]} lost all amplitude mass"
+                    failures.append((bad.min(), record))
+                else:
+                    failures.append((rows.min(), f"post state misses unit norm by {norm_dev}"))
+                continue
+            values.append(reduce(probs, rows, first[rows], band_count))
             log_density.append(chunk_density)
+            value_rows.append(rows)
+
+    # an overflowing residual or a non-finite record is caught by the density check
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        first, last = _band_limits(atoms + 1, top, y, cx, cp)
+        count = last - first + 1
+        starts = bounds[:-1]
+        lo = np.minimum.reduceat(first, starts).tolist()
+        hi = np.maximum.reduceat(first, starts).tolist()
+        widest = np.maximum.reduceat(count, starts).tolist()
+        band_start = np.empty_like(first)  # each band's row on its group's level axis
+        for group in _ladder_groups(lo, hi, widest):
+            condition_group(*group)
+    if failures:
+        raise PosteriorError(min(failures)[1])
     if len(values) == 1:  # one chunk, e.g. a single record at large N: no copy
         return values[0], log_density[0]
-    return np.concatenate(values), np.concatenate(log_density)
+    order = np.concatenate(value_rows)
+    return _in_record_order(np.concatenate(values), order), _in_record_order(
+        np.concatenate(log_density), order
+    )
 
 
 def _log_magnitudes(state: SpinEnsembleState) -> np.ndarray:
@@ -336,10 +436,10 @@ def _log_magnitudes(state: SpinEnsembleState) -> np.ndarray:
 def _densities_only(probs, rows, first, count):
     """A ``reduce`` for :func:`posterior_batch` that keeps no post state.
 
-    A fresh empty array per chunk, not a view of ``probs``, which the
-    kernel reuses for the next chunk.
+    An empty row per record, in a fresh array per chunk, not a view of
+    ``probs``, which the kernel reuses for the next chunk.
     """
-    return np.empty(0)
+    return np.empty((rows.size, 0))
 
 
 def apply_measurement(

@@ -100,21 +100,23 @@ class LongPulsePlan:
     achievable: bool
 
 
-def _snap_to_lattice(n_atoms: int, value):
+def _snap_to_lattice(n_atoms, value):
     """Nearest non-negative lattice m to ``value``; ties round toward zero."""
     s = n_atoms / 2.0
-    k_min = math.ceil(s - 1e-9)  # index of the smallest non-negative m
+    k_min = np.ceil(s - 1e-9)  # index of the smallest non-negative m
     k = np.clip(np.ceil(np.asarray(value) + s - 0.5), k_min, n_atoms)
     return k - s
 
 
-def _packet_geometry(n_atoms: int, chi_x, outcome):
+def _packet_geometry(n_atoms, chi_x, outcome):
     """Target m_c, packet separation and packet width per amplitude-quadrature record.
 
     A non-negative record collapses to a single packet at m = 0: separation
     0, infinite width, and the smallest non-negative lattice point as m_c.
+    Each of the three has one entry per record, also where only the atom
+    counts vary (adding zeros leaves every depth as it is).
     """
-    depth = np.maximum(-np.asarray(outcome, dtype=float), 0.0)
+    depth = np.maximum(-np.asarray(outcome, dtype=float), 0.0) + np.zeros(np.shape(n_atoms))
     center = np.sqrt(depth / chi_x)
     with np.errstate(divide="ignore"):
         width = 1.0 / (2.0 * np.sqrt(depth * chi_x))
@@ -167,12 +169,19 @@ def _condition_css(
     return post, value
 
 
-def _xi_rows(n_atoms: int):
+def _of_rows(n_atoms, rows):
+    """The atom count of each of the records ``rows``, or the one shared by all."""
+    return n_atoms[rows] if isinstance(n_atoms, np.ndarray) else n_atoms
+
+
+def _xi_rows(n_atoms):
     """Kernel ``reduce``: xi_D of each record's band."""
-    return lambda probs, rows, first, count: dicke_squeezing(probs, n_atoms, first, count)
+    return lambda probs, rows, first, count: dicke_squeezing(
+        probs, _of_rows(n_atoms, rows), first, count
+    )
 
 
-def _fidelity_rows(n_atoms: int, m_c):
+def _fidelity_rows(n_atoms, m_c):
     """Kernel ``reduce``: fidelity of each record's band against its target at ``m_c``.
 
     The target's two levels are read from the band; a level outside it is
@@ -182,7 +191,7 @@ def _fidelity_rows(n_atoms: int, m_c):
 
     def fidelity_rows(probs, rows, first, count):
         k = k_plus[rows]
-        column = np.array((k, n_atoms - k)) - first
+        column = np.array((k, _of_rows(n_atoms, rows) - k)) - first
         inside = (column >= 0) & (column < probs.shape[1])
         p_plus, p_minus = probs[np.arange(k.size), column * inside] * inside
         return _target_fidelity(p_plus, p_minus, m_c[rows])
@@ -191,41 +200,50 @@ def _fidelity_rows(n_atoms: int, m_c):
 
 
 def _require_positive(name: str, value) -> None:
-    if not (np.asarray(value) > 0).all():
-        raise ValueError(f"{name} must be positive, got {value}")
+    """Reject a scalar or array ``value`` unless every entry is > 0; name the first that is not."""
+    values = np.asarray(value)
+    if not (values > 0).all():
+        raise ValueError(f"{name} must be positive, got {values[~(values > 0)][0]}")
 
 
-def superposition_rows(n_atoms: int, chi_x, outcomes):
+def superposition_rows(n_atoms, chi_x, outcomes):
     """Amplitude-quadrature preparation from the CSS for a batch of records.
 
-    ``chi_x`` and ``outcomes`` broadcast to one value per record.  Returns
-    arrays (fidelity, target m_c, packet separation, packet width, log record
-    density), each row equal to :func:`prepare_superposition` for that record
-    at any accumulated phase, without materializing any post state.
+    ``n_atoms``, ``chi_x`` and ``outcomes`` broadcast to one value per
+    record; one atom count per record conditions each record on the CSS of
+    its own N, all in one kernel call.  Returns arrays (fidelity, target
+    m_c, packet separation, packet width, log record density), each row
+    equal to :func:`prepare_superposition` for that record at any
+    accumulated phase, without materializing any post state.
     """
     _require_positive("chi_x", chi_x)
-    m_c, separation, width = _packet_geometry(n_atoms, *np.atleast_1d(chi_x, outcomes))
+    prior = CssPrior(n_atoms)
+    m_c, separation, width = _packet_geometry(prior.atom_count, *np.atleast_1d(chi_x, outcomes))
     fid, log_density = posterior_batch(
-        CssPrior(n_atoms), outcomes, chi_x=chi_x, reduce=_fidelity_rows(n_atoms, m_c)
+        prior, outcomes, chi_x=chi_x, reduce=_fidelity_rows(prior.atom_count, m_c)
     )
     return fid, m_c, separation, width, log_density
 
 
-def dss_rows(n_atoms: int, chi_p, outcomes):
+def dss_rows(n_atoms, chi_p, outcomes):
     """Phase-quadrature preparation from the CSS for a batch of records.
 
-    ``chi_p`` and ``outcomes`` broadcast to one value per record.  Returns
-    arrays (xi_D, log record density), each row equal to :func:`prepare_dss`
-    for that record at any accumulated phase.
+    ``n_atoms``, ``chi_p`` and ``outcomes`` broadcast to one value per
+    record; one atom count per record conditions each record on the CSS of
+    its own N, all in one kernel call.  Returns arrays (xi_D, log record
+    density), each row equal to :func:`prepare_dss` for that record at any
+    accumulated phase.
     """
     _require_positive("chi_p", chi_p)
-    return posterior_batch(CssPrior(n_atoms), outcomes, chi_p=chi_p, reduce=_xi_rows(n_atoms))
+    prior = CssPrior(n_atoms)
+    return posterior_batch(prior, outcomes, chi_p=chi_p, reduce=_xi_rows(prior.atom_count))
 
 
-def repetitive_dss_rows(n_atoms: int, chi_p, n_rounds, outcomes=0.0):
+def repetitive_dss_rows(n_atoms, chi_p, n_rounds, outcomes=0.0):
     """xi_D after n phase-quadrature rounds that each record ``outcomes``.
 
-    ``chi_p``, ``n_rounds`` and ``outcomes`` broadcast to one value per row.
+    ``n_atoms``, ``chi_p``, ``n_rounds`` and ``outcomes`` broadcast to one
+    value per row.
     n rounds that all record Y equal one round at sqrt(n) chi_p recording
     sqrt(n) Y; the default record 0 is the all-zero repetitive protocol.
     """

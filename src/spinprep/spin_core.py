@@ -4,8 +4,8 @@ The symmetric subspace of N spin-1/2 atoms carries total spin S = N/2 and is
 spanned by the Dicke states |S, m>, m = -S ... S (half-integer lattice for odd
 N).  A pure state is a complex amplitude vector of length N+1 over that basis.
 Every z-axis observable is a diagonal sum over |a_m|^2, and within the fixed-S
-subspace <Sx^2 + Sy^2> = S(S+1) - <Sz^2>, an identity that the explicit matrix
-construction in :func:`spin_matrix_oracle` verifies independently for small N.
+subspace <Sx^2 + Sy^2> = S(S+1) - <Sz^2>, an identity that the tests check
+against explicit spin matrices for small N.
 """
 
 from __future__ import annotations
@@ -17,20 +17,18 @@ import numpy as np
 
 # Unit-norm tolerance enforced on every state.
 NORM_TOL = 1e-12
-# Dense matrices are only meant for cross-checks; keep them small.
-ORACLE_MAX_ATOMS = 12
 
 _LATTICE_TOL = 1e-9
 _LN2 = math.log(2.0)
 
 
-def m_ladder(n_atoms: int, first: int = 0, stop: int | None = None) -> np.ndarray:
+def m_ladder(n_atoms: int, first: int = 0, stop: int | None = None, out=None) -> np.ndarray:
     """Eigenvalue ladder m = -S ... S of n_atoms atoms, index k <-> m = k - S.
 
     With ``first`` and ``stop``, the entries k = first ... stop - 1 alone,
-    each the same float as in the whole ladder.
+    each the same float as in the whole ladder; ``out``, if given, receives them.
     """
-    return np.arange(first, n_atoms + 1 if stop is None else stop) - n_atoms / 2.0
+    return np.subtract(np.arange(first, n_atoms + 1 if stop is None else stop), n_atoms / 2.0, out)
 
 
 def _locked(arr: np.ndarray) -> np.ndarray:
@@ -66,11 +64,6 @@ class SpinEnsembleState:
                 raise ValueError("amplitudes must be finite")
             raise ValueError(f"squared norm {norm2} deviates from 1 by more than {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _locked(amps))
-
-    @property
-    def total_spin(self) -> float:
-        """S = N/2."""
-        return self.atom_count / 2.0
 
     @property
     def m_values(self) -> np.ndarray:
@@ -175,7 +168,7 @@ def css_log_window(n_atoms: int, first: int, stop: int) -> np.ndarray:
     return log_ratio
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CssPrior:
     """The coherent spin state's log|a_m| as a prior for the measurement kernel.
 
@@ -183,17 +176,33 @@ class CssPrior:
     :func:`spinprep.measurement.posterior_batch` takes its largest level,
     ``top`` = N // 2, in closed form and computes only the window of levels
     that its records' bands index, through :func:`css_log_window`.
+    ``atom_count`` is one atom count, or a non-empty 1-d integer array of one
+    per record, each record then conditioned on the CSS of its own N.
+    Equality is identity, as for :class:`SpinEnsembleState`.
     """
 
-    atom_count: int
+    atom_count: int | np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "atom_count", _check_atom_count(self.atom_count))
+        object.__setattr__(self, "atom_count", _check_atom_counts(self.atom_count))
 
     @property
-    def top(self) -> int:
+    def top(self):
         """Index of the largest level, the first of the two middle ones for odd N."""
         return self.atom_count // 2
+
+
+def _check_atom_counts(n_atoms):
+    """One atom count as an int, or a 1-d array of several as a locked integer array."""
+    if isinstance(n_atoms, (int, np.integer)) or np.ndim(n_atoms) == 0:
+        return _check_atom_count(n_atoms)
+    counts = np.asarray(n_atoms)
+    if counts.ndim != 1 or counts.size == 0:
+        raise ValueError(f"atom counts must be a non-empty 1-d array, got shape {counts.shape}")
+    bad = counts < 1 if counts.dtype.kind in "iu" else np.ones(counts.size, dtype=bool)
+    if bad.any():
+        raise ValueError(f"atom count must be a positive integer, got {counts[bad][0].item()!r}")
+    return int(counts[0]) if counts.size == 1 else _locked(counts.astype(np.intp))
 
 
 def log_css_amplitudes(n_atoms: int) -> np.ndarray:
@@ -328,27 +337,3 @@ def fidelity(a: SpinEnsembleState, b: SpinEnsembleState) -> float:
             f"fidelity requires equal atom counts, got {a.atom_count} and {b.atom_count}"
         )
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def spin_matrix_oracle(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (N+1)x(N+1) matrices (Sx, Sy, Sz) in the Dicke basis.
-
-    Standard ladder construction: <m+1| S_+ |m> = sqrt(S(S+1) - m(m+1)).
-    Guarded to small N; the point of these matrices is to verify the O(N)
-    diagonal formulas used everywhere else, not to do linear algebra at scale.
-    """
-    n = _check_atom_count(n_atoms)
-    if n > ORACLE_MAX_ATOMS:
-        raise ValueError(
-            f"matrix oracle limited to {ORACLE_MAX_ATOMS} atoms, got {n}"
-        )
-    s = n / 2.0
-    m = np.arange(n + 1) - s
-    sz = np.diag(m).astype(complex)
-    raise_elems = np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] + 1.0))
-    sp = np.zeros((n + 1, n + 1), dtype=complex)
-    sp[np.arange(1, n + 1), np.arange(n)] = raise_elems
-    sm = sp.conj().T
-    sx = 0.5 * (sp + sm)
-    sy = -0.5j * (sp - sm)
-    return sx, sy, sz

@@ -17,6 +17,31 @@ from scipy.special import erf
 from scipy.stats import chi2
 
 
+# Dense matrices are only meant for cross-checks; keep them small.
+ORACLE_MAX_ATOMS = 12
+
+
+def spin_matrix_oracle(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense (N+1)x(N+1) matrices (Sx, Sy, Sz) in the Dicke basis.
+
+    Standard ladder construction: <m+1| S_+ |m> = sqrt(S(S+1) - m(m+1)).
+    Guarded to small N; the point of these matrices is to verify the O(N)
+    diagonal formulas of the package, not to do linear algebra at scale.
+    """
+    if not 1 <= n_atoms <= ORACLE_MAX_ATOMS:
+        raise ValueError(f"matrix oracle needs 1 to {ORACLE_MAX_ATOMS} atoms, got {n_atoms}")
+    s = n_atoms / 2.0
+    m = np.arange(n_atoms + 1) - s
+    sz = np.diag(m).astype(complex)
+    raise_elems = np.sqrt(s * (s + 1.0) - m[:-1] * (m[:-1] + 1.0))
+    sp = np.zeros((n_atoms + 1, n_atoms + 1), dtype=complex)
+    sp[np.arange(1, n_atoms + 1), np.arange(n_atoms)] = raise_elems
+    sm = sp.conj().T
+    sx = 0.5 * (sp + sm)
+    sy = -0.5j * (sp - sm)
+    return sx, sy, sz
+
+
 def stdlib_json_text(payload) -> str:
     """A result file in the stdlib's own JSON layout: sorted keys, indent 1, newline."""
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"

@@ -23,7 +23,13 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import chi_square_gof, dss_floor_ratio, flat_top_peak, stretched_peak
+from _oracles import (
+    chi_square_gof,
+    dss_floor_ratio,
+    flat_top_peak,
+    spin_matrix_oracle,
+    stretched_peak,
+)
 from spinprep import (
     CavityParams,
     MeasurementSetting,
@@ -40,7 +46,6 @@ from spinprep import (
     repetitive_dss,
     sample_outcomes,
     set_local_oscillator,
-    spin_matrix_oracle,
     strengths_numeric,
     SpinEnsembleState,
 )

@@ -406,6 +406,14 @@ def test_numeric_failure_exits_2(capsys):
             "--count", "2"]
     assert main(argv) == 2
     assert "numeric failure" in capsys.readouterr().err
+    # 4001 records at N = 3000 run in several chunks, widest band first; the
+    # message still names the first record, in record order, that failed
+    argv = ["sweep", "dss", "--param", "outcome", "--start=-1e160", "--stop=1e160",
+            "--count", "4001", "--N", "3000"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "numeric failure: measurement update of record -1e+160 lost all amplitude mass\n"
+    )
 
 
 
@@ -450,6 +458,60 @@ def test_sweep_integer_params_snap_to_computed_value(tmp_path, capsys):
                 "--start", start, "--stop", "20", "--count", "3"]
         assert main(argv) == 1
         assert f"--param {param} " in capsys.readouterr().err
+
+
+def test_sweep_over_n_equals_per_n_calls(tmp_path):
+    # one kernel call over several atom counts: each row as its own N alone
+    res, _ = run(tmp_path, "sweep", "dss", "--param", "N", "--start", "10", "--stop", "200",
+                 "--count", "20", "--outcome", "-2", name="dss.csv")
+    for n, xi in res["rows"]:
+        assert xi == dss_rows(int(n), 0.4, -2.0)[0][0]
+    res, _ = run(tmp_path, "sweep", "superposition", "--param", "N", "--start", "10",
+                 "--stop", "200", "--count", "20", "--outcome", "-3", name="sup.csv")
+    for n, fid, m_c, sep, width in res["rows"]:
+        ref = prepare_superposition(int(n), 0.2, -3.0)
+        assert (fid, m_c, sep, width) == (
+            ref.fidelity_vs_target, ref.target_m_c, ref.packet_separation, ref.packet_width
+        )
+
+
+@pytest.mark.parametrize("argv", [
+    *([fig, sub] for fig in ("fig2", "fig3", "fig4") for sub in "abc"),
+    ["sweep", "dss", "--param", "N", "--start", "10", "--stop", "120", "--count", "56"],
+    ["sweep", "superposition", "--param", "N", "--start", "10", "--stop", "120",
+     "--count", "56"],
+])
+def test_each_table_is_one_kernel_call(argv, monkeypatch, capsys):
+    # a table's curves, and its atom counts, are records of one batch
+    import spinprep.cli
+    import spinprep.protocols
+
+    calls = []
+    kernel = spinprep.protocols.posterior_batch
+    for module in (spinprep.cli, spinprep.protocols):
+        monkeypatch.setattr(module, "posterior_batch",
+                            lambda *args, **kw: calls.append(1) or kernel(*args, **kw))
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "dss", "--param", "N", "--start", "0", "--stop", "2", "--count", "3"],
+     "error: atom count must be a positive integer, got 0\n"),
+    (["sweep", "superposition", "--param", "N", "--start", "2", "--stop", "-2",
+      "--count", "5"], "error: atom count must be a positive integer, got 0\n"),
+    (["sweep", "dss", "--param", "chi_p", "--start", "0", "--stop", "1", "--count", "3"],
+     "error: chi_p must be positive, got 0.0\n"),
+    (["sweep", "dss", "--param", "chi_p", "--start", "1", "--stop", "-1", "--count", "5"],
+     "error: chi_p must be positive, got 0.0\n"),
+    (["sweep", "dss", "--param", "chi_p", "--start", "-1", "--stop", "1", "--count", "400"],
+     "error: chi_p must be positive, got -1.0\n"),
+    (["sweep", "superposition", "--param", "chi_x", "--start", "-1", "--stop", "1",
+      "--count", "3"], "error: chi_x must be positive, got -1.0\n"),
+])
+def test_swept_value_errors_name_the_first_bad_value(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_sweep_usage_errors():

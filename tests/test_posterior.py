@@ -8,6 +8,7 @@ by adaptive quadrature of each level's outcome density.
 """
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -18,6 +19,7 @@ from _oracles import decimal_xi_d, log_domain_rows, mixture_pdf
 from scipy.integrate import quad
 
 from spinprep import (
+    CssPrior,
     MeasurementSetting,
     SpinEnsembleState,
     acceptance_probability,
@@ -150,6 +152,104 @@ def test_figures_same_alone_and_in_batch(case):
     for row, y in enumerate(records):
         assert dss_rows(n_atoms, chi_p, y)[0][0] == xi[row] == per_record_xi[row]
         assert superposition_rows(n_atoms, chi_x, y)[0][0] == fid[row]
+
+
+def assert_rows_equal_per_record_calls(n_atoms, chi, records):
+    """Every figure of a batch over per-record atom counts equals its own call's."""
+    xi, xi_density = dss_rows(n_atoms, chi, records)
+    fid, m_c, separation, width, fid_density = superposition_rows(n_atoms, chi, records)
+    for row, (n, c, y) in enumerate(np.broadcast(n_atoms, chi, records)):
+        one_xi, one_xi_density = dss_rows(int(n), c, y)
+        assert (xi[row], xi_density[row]) == (one_xi[0], one_xi_density[0])
+        one = superposition_rows(int(n), c, y)
+        assert (fid[row], m_c[row], separation[row], width[row], fid_density[row]) == tuple(
+            v[0] for v in one
+        )
+
+
+@st.composite
+def ladder_batches(draw, max_records=8):
+    """(atom counts, chi, records): a few atom counts, in runs or interleaved."""
+    counts = draw(st.lists(st.integers(1, 3000), min_size=1, max_size=3))
+    n_atoms = np.array(draw(st.lists(st.sampled_from(counts), min_size=1, max_size=max_records)))
+    chi = draw(st.floats(1e-3, 4.0))
+    reach = chi * (n_atoms.max() / 2.0) ** 2 + 5.0
+    records = draw(st.lists(st.floats(-reach, reach), min_size=n_atoms.size,
+                            max_size=n_atoms.size))
+    return n_atoms, chi, np.array(records)
+
+
+@PROPERTY
+@given(ladder_batches())
+def test_figures_same_alone_and_in_batch_over_atom_counts(case):
+    # records of several atom counts share one kernel call and one level axis;
+    # no record's figure may change by a bit
+    assert_rows_equal_per_record_calls(*case)
+
+
+def test_figures_same_alone_and_in_batch_across_chunks():
+    # bands of 27 to about 1060 levels: width-sorted chunks, each cut at its own
+    # widest band, over one atom count and over several
+    chis = np.linspace(0.05, 2.0, 200)
+    assert_rows_equal_per_record_calls(2000, chis, 0.0)
+    assert_rows_equal_per_record_calls(np.repeat([1999, 2000, 2001], 60), chis[::-1][:180], 1.5)
+
+
+def test_band_never_reads_a_neighbouring_ladder():
+    # the N = 3000 record -1250 has a band of 1503 levels, so its group's windows
+    # run 1503 levels past each band start; the 11- and 12-level ladders beside
+    # it must see -inf there, not the next ladder's levels
+    n_atoms = np.array([10, 3000, 11, 10])
+    records = np.array([0.0, -1250.0, 0.3, 2.0])
+    count, _ = posterior_batch(CssPrior(n_atoms), records, chi_p=1.0,
+                               reduce=lambda probs, rows, first, count: count)
+    assert count.tolist() == [11, 1503, 12, 11]
+    assert_rows_equal_per_record_calls(n_atoms, 1.0, records)
+    probs, log_density = posterior_batch(CssPrior(n_atoms), records, chi_p=1.0)
+    assert probs.shape == (4, 3001)
+    for row, (n, y) in enumerate(zip(n_atoms, records)):
+        alone, alone_density = posterior_batch(CssPrior(int(n)), y, chi_p=1.0)
+        np.testing.assert_array_equal(probs[row, : n + 1], alone[0])
+        assert not probs[row, n + 1 :].any()
+        assert log_density[row] == alone_density[0]
+
+
+def test_batch_over_atom_counts_peaks_as_one_call():
+    # at chi_p 1e-6 each band holds all 10^5 + 1 levels, so each ladder forms a
+    # group alone; a group's arrays are freed before the next group reads its
+    # window, so the batch peaks as one call does (a group kept alive while the
+    # next one is built reads 1.2x)
+    def peak(run):
+        tracemalloc.start()
+        run()
+        traced = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return traced
+
+    one = peak(lambda: dss_rows(100_000, 1e-6, 0.0))
+    batch = peak(lambda: dss_rows(np.arange(100_000, 100_020), 1e-6, 0.0))
+    assert batch <= 1.1 * one
+
+
+def test_one_atom_count_in_an_array_is_shared_by_every_record():
+    records = np.array([-3.0, 0.0, 0.5])
+    assert CssPrior(np.array([40])).atom_count == 40
+    shared = superposition_rows(40, 0.1, records)
+    for got, want in zip(superposition_rows([40], 0.1, records), shared):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(dss_rows([40], 0.4, records)[0], dss_rows(40, 0.4, records)[0])
+
+
+@pytest.mark.parametrize("n_atoms, message", [
+    ([3, 0, 5], "got 0"),
+    (np.array([4, -2]), "got -2"),
+    ([4.0, 6.0], "got 4.0"),
+    ([[4, 6]], "1-d array"),
+    ([], "1-d array"),
+])
+def test_css_prior_rejects_bad_atom_counts(n_atoms, message):
+    with pytest.raises(ValueError, match=message):
+        CssPrior(n_atoms)
 
 
 @st.composite

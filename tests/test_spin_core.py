@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import spin_matrix_oracle
 
 from spinprep import (
     MeasurementSetting,
@@ -17,7 +18,6 @@ from spinprep import (
     prepare_superposition,
     prob_distribution,
     response_functions,
-    spin_matrix_oracle,
 )
 
 
