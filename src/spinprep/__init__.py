@@ -17,7 +17,6 @@ from .spin_core import (
     make_dicke,
     make_superposition_target,
     observables,
-    prob_distribution,
 )
 from .pulse_optics import (
     EXPONENTIAL,
@@ -30,13 +29,11 @@ from .pulse_optics import (
     build_pulse,
     feasibility,
     peak_intracavity,
-    pulse_to_csv,
     response_functions,
     set_local_oscillator,
     strengths_numeric,
 )
 from .measurement import (
-    MeasurementRecord,
     MeasurementSetting,
     PosteriorError,
     acceptance_probability,

@@ -64,7 +64,7 @@ class SweepSpec:
 
     def points(self) -> np.ndarray:
         g = self.grid
-        if g["scale"] == "log":
+        if g.get("scale", "linear") == "log":
             return np.geomspace(g["start"], g["stop"], g["count"])
         return np.linspace(g["start"], g["stop"], g["count"])
 

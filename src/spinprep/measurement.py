@@ -74,47 +74,6 @@ class MeasurementSetting:
             raise ValueError(f"eta must be finite, got {self.eta}")
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One realized outcome with its exact probability density."""
-
-    outcome: float
-    probability_density: float
-    setting: MeasurementSetting
-    seed: int | None = None
-
-    def __post_init__(self):
-        # a density of exactly 0 is legal: a far-tail record underflows to it
-        if not math.isfinite(self.outcome):
-            raise ValueError(f"outcome must be finite, got {self.outcome}")
-        if not 0 <= self.probability_density < math.inf:
-            raise ValueError(
-                f"probability density must be finite and >= 0, got {self.probability_density}"
-            )
-
-    def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "density": self.probability_density,
-            "chi_x": self.setting.chi_x,
-            "chi_p": self.setting.chi_p,
-            "eta": self.setting.eta,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MeasurementRecord":
-        setting = MeasurementSetting(
-            chi_x=data["chi_x"], chi_p=data["chi_p"], eta=data["eta"]
-        )
-        return cls(
-            outcome=data["outcome"],
-            probability_density=data["density"],
-            setting=setting,
-            seed=data.get("seed"),
-        )
-
-
 def _centers(setting: MeasurementSetting, m: np.ndarray) -> np.ndarray:
     """Gaussian centers -(chi_x m^2 + chi_p m) of the outcome per Dicke level."""
     return -(setting.chi_x * m * m + setting.chi_p * m)
@@ -494,21 +453,17 @@ def outcome_pdf(state: SpinEnsembleState, setting: MeasurementSetting, outcome):
 
 def sample_outcome(
     state: SpinEnsembleState, setting: MeasurementSetting, seed
-) -> MeasurementRecord:
-    """Draw one record, the one-shot case of :func:`sample_outcomes`.
+) -> tuple[float, float]:
+    """Draw one record, the one-shot case of :func:`sample_outcomes`, plus its density.
 
-    ``seed`` may be an integer (deterministic record), None (fresh entropy,
-    recorded as ``seed=None``) or an existing numpy Generator (caller-owned
-    stream, advanced by the draw).
+    ``seed`` may be an integer (deterministic record), None (fresh entropy)
+    or an existing numpy Generator (caller-owned stream, advanced by the
+    draw).  Returns ``(outcome, density)``, as :func:`apply_measurement`
+    returns ``(post, density)``; the density is :func:`outcome_pdf` at the
+    drawn record.
     """
-    seed_out = None if seed is None or isinstance(seed, np.random.Generator) else int(seed)
     outcome = float(sample_outcomes(state, setting, 1, seed)[0])
-    return MeasurementRecord(
-        outcome=outcome,
-        probability_density=outcome_pdf(state, setting, outcome),
-        setting=setting,
-        seed=seed_out,
-    )
+    return outcome, outcome_pdf(state, setting, outcome)
 
 
 def sample_outcomes(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measurement import MeasurementSetting, posterior_batch, sample_outcomes
+from .measurement import MeasurementSetting, _per_record, posterior_batch, sample_outcomes
 from .pulse_optics import (
     LONG_EXPONENTIAL,
     CavityParams,
@@ -51,16 +51,6 @@ class SuperpositionResult:
     packet_width: float
     outcome: float
 
-    def to_json(self) -> dict:
-        return {
-            "n_atoms": self.post_state.atom_count,
-            "fidelity": self.fidelity_vs_target,
-            "target_m_c": self.target_m_c,
-            "separation": self.packet_separation,
-            "width": self.packet_width,
-            "outcome": self.outcome,
-        }
-
 
 @dataclass(frozen=True)
 class DssResult:
@@ -70,14 +60,6 @@ class DssResult:
     xi_d: float
     outcome: float
     n_rounds: int
-
-    def to_json(self) -> dict:
-        return {
-            "n_atoms": self.post_state.atom_count,
-            "xi_d": self.xi_d,
-            "outcome": self.outcome,
-            "n_rounds": self.n_rounds,
-        }
 
 
 @dataclass(frozen=True)
@@ -118,7 +100,7 @@ def _packet_geometry(n_atoms, chi_x, outcome):
     """
     depth = np.maximum(-np.asarray(outcome, dtype=float), 0.0) + np.zeros(np.shape(n_atoms))
     center = np.sqrt(depth / chi_x)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         width = 1.0 / (2.0 * np.sqrt(depth * chi_x))
     return _snap_to_lattice(n_atoms, center), 2.0 * center, width
 
@@ -218,9 +200,11 @@ def superposition_rows(n_atoms, chi_x, outcomes):
     """
     _require_positive("chi_x", chi_x)
     prior = CssPrior(n_atoms)
-    m_c, separation, width = _packet_geometry(prior.atom_count, *np.atleast_1d(chi_x, outcomes))
+    # the kernel's size check, before the geometry broadcasts the same inputs
+    y, cx, _ = _per_record(outcomes, chi_x, 0.0, np.size(prior.atom_count))
+    m_c, separation, width = _packet_geometry(prior.atom_count, cx, y)
     fid, log_density = posterior_batch(
-        prior, outcomes, chi_x=chi_x, reduce=_fidelity_rows(prior.atom_count, m_c)
+        prior, y, chi_x=cx, reduce=_fidelity_rows(prior.atom_count, m_c)
     )
     return fid, m_c, separation, width, log_density
 

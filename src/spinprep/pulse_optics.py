@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import k1
 
+from .spin_core import _locked
+
 EXPONENTIAL = "exponential"
 LONG_EXPONENTIAL = "long_exponential"
 OPTIMAL_X_SPECTRAL = "optimal_x_spectral"
@@ -43,12 +45,6 @@ MIN_SPAN_FACTOR = 10.0
 MAX_DT = 0.01
 
 _NORM_TOL = 1e-6
-
-
-def _locked(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -359,23 +355,3 @@ def feasibility(
         ok=bool(max_photons < threshold * dispersive),
         threshold=threshold,
     )
-
-
-def pulse_to_csv(pulse: PulseGrid, stream) -> None:
-    """Write the grid as CSV columns t, re_beta_in, im_beta_in, beta0..beta2.
-
-    Response columns are written as zeros when not yet computed.  ``stream``
-    is any text file object.
-    """
-    zeros = np.zeros(pulse.times.size)
-    cols = [
-        pulse.times,
-        pulse.beta_in,
-        zeros,  # envelopes are real
-        zeros if pulse.beta0 is None else pulse.beta0,
-        zeros if pulse.beta1 is None else pulse.beta1,
-        zeros if pulse.beta2 is None else pulse.beta2,
-    ]
-    stream.write("t,re_beta_in,im_beta_in,beta0,beta1,beta2\n")
-    for row in zip(*cols):
-        stream.write(",".join(f"{v:.17g}" for v in row) + "\n")

@@ -310,24 +310,16 @@ def observables(state: SpinEnsembleState) -> ObservableReport:
     return ObservableReport(*(float(v[0]) for v in moments))
 
 
-def dicke_squeezing(probs, n_atoms: int | None = None, first=0, count=None) -> np.ndarray:
-    """xi_D for each row of level probabilities (last axis: the levels).
+def dicke_squeezing(probs, n_atoms, first=0, count=None) -> np.ndarray:
+    """xi_D for each row of level probabilities (last axis: the levels) of ``n_atoms`` atoms.
 
     A full row holds the N+1 levels.  A band row holds levels ``first``,
-    ``first + 1``, ... of ``n_atoms`` atoms in its first ``count`` entries
-    (both per row), as :func:`spinprep.measurement.posterior_batch` hands
-    them to its ``reduce``.
+    ``first + 1``, ... in its first ``count`` entries (``n_atoms`` and both
+    of these per row or shared), as
+    :func:`spinprep.measurement.posterior_batch` hands them to its ``reduce``.
     """
     probs = np.asarray(probs, dtype=float)
-    if n_atoms is None:
-        n_atoms = probs.shape[-1] - 1
     return _z_moments(probs, n_atoms, first, count)[-1].reshape(probs.shape[:-1])
-
-
-def prob_distribution(state: SpinEnsembleState) -> list[tuple[float, float]]:
-    """P(m) = |<S, m | psi>|^2 as a list of (m, P(m)) pairs."""
-    p = np.abs(state.amplitudes) ** 2
-    return list(zip(state.m_values.tolist(), p.tolist()))
 
 
 def fidelity(a: SpinEnsembleState, b: SpinEnsembleState) -> float:

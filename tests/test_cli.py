@@ -447,6 +447,11 @@ def test_sweep_log_scale(tmp_path):
     assert all(b <= a + 1e-12 for a, b in zip(xi, xi[1:]))
 
 
+def test_sweep_spec_without_scale_is_linear():
+    spec = SweepSpec("sweep", "dss", "chi_p", {"start": 0.1, "stop": 1.0, "count": 3}, {})
+    assert spec.points().tolist() == np.linspace(0.1, 1.0, 3).tolist()
+
+
 def test_sweep_integer_params_snap_to_computed_value(tmp_path, capsys):
     # geomspace(3, 300, 3)[1] is 29.999999999999996: the row reads and is computed at N = 30
     res, _ = run(tmp_path, "sweep", "dss", "--param", "N", "--start", "3", "--stop", "300",

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -8,7 +7,6 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from spinprep import (
-    MeasurementRecord,
     MeasurementSetting,
     PosteriorError,
     SpinEnsembleState,
@@ -19,7 +17,6 @@ from spinprep import (
     make_dicke,
     outcome_pdf,
     posterior_batch,
-    prob_distribution,
     sample_outcome,
     sample_outcomes,
 )
@@ -115,7 +112,7 @@ def test_dicke_states_are_fixed_points():
 
 def test_dss_update_matches_brute_force():
     post, _ = apply_measurement(make_css(40), MeasurementSetting(chi_p=2.0), 0.0)
-    probs = [p for _, p in prob_distribution(post)]
+    probs = np.abs(post.amplitudes) ** 2
     oracle = brute_css_post_probs(40, 0.0, 2.0, 0.0)
     np.testing.assert_allclose(probs, oracle, atol=1e-14)
     # strong measurement of the zero record concentrates on |S, 0>
@@ -125,7 +122,7 @@ def test_dss_update_matches_brute_force():
 
 def test_superposition_update_matches_brute_force():
     post, _ = apply_measurement(make_css(100), MeasurementSetting(chi_x=0.2), -5.0)
-    probs = [p for _, p in prob_distribution(post)]
+    probs = np.abs(post.amplitudes) ** 2
     oracle = brute_css_post_probs(100, 0.2, 0.0, -5.0)
     np.testing.assert_allclose(probs, oracle, atol=1e-14)
     mass_two_peaks = probs[45] + probs[55]
@@ -282,43 +279,17 @@ def test_pdf_memory_does_not_grow_with_records():
 # ---------------------------------------------------------------- sampling
 
 
-def test_sample_outcome_deterministic_and_serializable():
+def test_sample_outcome_deterministic():
     state = make_css(12)
     setting = MeasurementSetting(chi_p=0.4, eta=0.2)
-    rec1 = sample_outcome(state, setting, 99)
-    rec2 = sample_outcome(state, setting, 99)
-    assert rec1 == rec2
-    blob = json.dumps(rec1.to_json())
-    back = MeasurementRecord.from_json(json.loads(blob))
-    assert back == rec1
-
-
-@pytest.mark.parametrize("outcome, density", [
-    (math.nan, 0.1), (math.inf, 0.1), (-math.inf, 0.1),
-    (0.5, math.nan), (0.5, math.inf), (0.5, -1e-300),
-])
-def test_record_rejects_non_finite_values_and_bad_densities(outcome, density):
-    setting = MeasurementSetting(chi_p=0.4)
-    with pytest.raises(ValueError):
-        MeasurementRecord(outcome=outcome, probability_density=density, setting=setting)
-    blob = {"outcome": outcome, "density": density, "chi_x": 0.0, "chi_p": 0.4, "eta": 0.0}
-    with pytest.raises(ValueError):
-        MeasurementRecord.from_json(json.loads(json.dumps(blob)))
-
-
-def test_record_allows_an_underflowed_density():
-    # a far-tail record's density can underflow to exactly 0
-    setting = MeasurementSetting(chi_p=0.4)
-    record = MeasurementRecord(outcome=1e3, probability_density=0.0, setting=setting)
-    assert MeasurementRecord.from_json(json.loads(json.dumps(record.to_json()))) == record
+    assert sample_outcome(state, setting, 99) == sample_outcome(state, setting, 99)
 
 
 def test_sample_outcome_fresh_entropy():
     state = make_css(12)
     setting = MeasurementSetting(chi_p=0.4)
-    rec = sample_outcome(state, setting, None)
-    assert rec.seed is None
-    assert rec.probability_density == outcome_pdf(state, setting, rec.outcome)
+    outcome, density = sample_outcome(state, setting, None)
+    assert density == outcome_pdf(state, setting, outcome)
 
 
 @pytest.mark.parametrize(
@@ -328,9 +299,9 @@ def test_sample_outcome_fresh_entropy():
 def test_sample_outcome_is_one_shot_of_sample_outcomes(n_atoms, setting):
     state = make_css(n_atoms)
     for seed in range(400):
-        rec = sample_outcome(state, setting, seed)
-        assert rec.outcome == sample_outcomes(state, setting, 1, seed)[0]
-        assert rec.seed == seed
+        outcome, density = sample_outcome(state, setting, seed)
+        assert outcome == sample_outcomes(state, setting, 1, seed)[0]
+        assert density == outcome_pdf(state, setting, outcome)
 
 
 def test_sample_dicke_outcome_mean():

@@ -293,7 +293,7 @@ def test_xi_d_matches_decimal_centred_moments(n_atoms, chi_p, fraction):
     y = -chi_p * fraction * n_atoms / 2
     probs, _ = posterior_batch(log_css_amplitudes(n_atoms), y, chi_p=chi_p)
     ref = decimal_xi_d(probs[0], n_atoms)
-    assert dicke_squeezing(probs)[0] == pytest.approx(ref, rel=1e-13, abs=0)
+    assert dicke_squeezing(probs, n_atoms)[0] == pytest.approx(ref, rel=1e-13, abs=0)
     assert dss_rows(n_atoms, chi_p, y)[0][0] == pytest.approx(ref, rel=1e-13, abs=0)
 
 

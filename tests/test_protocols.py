@@ -19,7 +19,6 @@ from spinprep import (
     observables,
     prepare_dss,
     prepare_superposition,
-    prob_distribution,
     repetitive_dss,
     repetitive_dss_rows,
     sample_outcome,
@@ -31,8 +30,9 @@ CAVITY = CavityParams.from_two_pi_megahertz(0.4, 3000.0, 1.0, 100.0)
 
 def _positive_side_argmax(state):
     """The m > 0 value with the largest probability."""
-    pairs = [(m, p) for m, p in prob_distribution(state) if m > 0]
-    return max(pairs, key=lambda mp: mp[1])[0]
+    probs = np.abs(state.amplitudes) ** 2
+    positive = state.m_values > 0
+    return state.m_values[positive][np.argmax(probs[positive])]
 
 
 def _sequential_sampled(n_atoms, chi_p, n_rounds, seed):
@@ -42,8 +42,8 @@ def _sequential_sampled(n_atoms, chi_p, n_rounds, seed):
     setting = MeasurementSetting(chi_p=chi_p)
     state = make_css(n_atoms)
     for _ in range(n_rounds):
-        record = sample_outcome(state, setting, rng)
-        state, _ = apply_measurement(state, setting, record.outcome)
+        outcome, _ = sample_outcome(state, setting, rng)
+        state, _ = apply_measurement(state, setting, outcome)
     return state
 
 
@@ -68,8 +68,9 @@ def test_superposition_two_packet_structure():
     res = prepare_superposition(100, 0.2, -0.2 * 25.0)
     assert res.target_m_c == 5.0
     assert _positive_side_argmax(res.post_state) == 5.0
-    dist = dict(prob_distribution(res.post_state))
-    assert dist[5.0] == pytest.approx(dist[-5.0])
+    probs = np.abs(res.post_state.amplitudes) ** 2
+    m = res.post_state.m_values
+    assert probs[m == 5.0] == pytest.approx(probs[m == -5.0])
     assert res.packet_separation == pytest.approx(10.0)
     assert res.packet_width == pytest.approx(0.5)  # 1 / (2 sqrt(5 * 0.2))
 
@@ -88,7 +89,8 @@ def test_superposition_reaches_ghz():
     assert abs(np.vdot(res.post_state.amplitudes, ghz.amplitudes)) ** 2 == (
         pytest.approx(res.fidelity_vs_target)
     )
-    assert dict(prob_distribution(res.post_state))[2.0] == pytest.approx(0.5, abs=0.01)
+    probs = np.abs(res.post_state.amplitudes) ** 2
+    assert probs[res.post_state.m_values == 2.0] == pytest.approx([0.5], abs=0.01)
 
 
 def test_superposition_fidelity_monotone_over_grid():
@@ -216,6 +218,21 @@ def test_one_record_protocols_equal_their_rows(n_atoms):
         for y in [-f * chi_x * s * s for f in (0.9, 0.5, 0.25, 0.1, 0.01)] + [0.0]:
             fidelity = prepare_superposition(n_atoms, chi_x, y, 0.2).fidelity_vs_target
             assert fidelity == superposition_rows(n_atoms, chi_x, y)[0][0]
+
+
+@pytest.mark.parametrize("n_atoms, chi", [([40, 50], 0.1), (40, [0.1, 0.2])])
+def test_row_functions_reject_unbroadcastable_sizes_alike(n_atoms, chi):
+    # the kernel's size check runs before the superposition packet geometry
+    for rows in (superposition_rows, dss_rows):
+        with pytest.raises(ValueError, match="do not broadcast"):
+            rows(n_atoms, chi, [-1.0, 0.0, 1.0])
+
+
+def test_superposition_rows_zero_width_without_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        width = superposition_rows(3, 1e200, -2.25e200)[3]
+    assert width.tolist() == [0.0]
 
 
 # ---------------------------------------------------------------- repetition
@@ -370,21 +387,3 @@ def test_round_count_must_be_a_whole_number_at_least_one(n_rounds):
             call()
     # an integer-valued float, as a sweep over n passes it, is a round count
     assert repetitive_dss(40, 0.4, 4.0).xi_d == repetitive_dss(40, 0.4, 4).xi_d
-
-
-# ---------------------------------------------------------------- records
-
-
-def test_results_serialize_to_json_records():
-    import json
-
-    dss = prepare_dss(40, 0.4, 0.0)
-    record = json.loads(json.dumps(dss.to_json()))
-    assert record == {
-        "n_atoms": 40, "xi_d": dss.xi_d, "outcome": 0.0, "n_rounds": 1,
-    }
-    sup = prepare_superposition(100, 0.2, -5.0)
-    record = json.loads(json.dumps(sup.to_json()))
-    assert record["target_m_c"] == 5.0
-    assert record["fidelity"] == sup.fidelity_vs_target
-    assert record["separation"] == 10.0

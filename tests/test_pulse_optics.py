@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 import os
 import subprocess
@@ -18,7 +17,6 @@ from spinprep import (
     build_pulse,
     feasibility,
     peak_intracavity,
-    pulse_to_csv,
     response_functions,
     set_local_oscillator,
     strengths_numeric,
@@ -392,16 +390,3 @@ def test_cavity_params():
         CavityParams(g=1.0, delta=1.0, kappa=1.0, n_photons=-2.0)
     converted = CavityParams.from_two_pi_megahertz(0.4, 3000.0, 1.0, 10.0)
     assert converted.g == pytest.approx(2 * math.pi * 0.4e6)
-
-
-# ---------------------------------------------------------------- export
-
-
-def test_pulse_to_csv(exp_pulse):
-    buf = io.StringIO()
-    pulse_to_csv(exp_pulse, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,re_beta_in,im_beta_in,beta0,beta1,beta2"
-    assert len(lines) == exp_pulse.times.size + 1
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == exp_pulse.times[0]

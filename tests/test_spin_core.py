@@ -16,7 +16,6 @@ from spinprep import (
     observables,
     prepare_dss,
     prepare_superposition,
-    prob_distribution,
     response_functions,
 )
 
@@ -156,14 +155,15 @@ def test_observables_match_matrix_oracle():
 # ---------------------------------------------------------------- distributions
 
 
-def test_prob_distribution_dicke():
-    dist = dict(prob_distribution(make_dicke(4, 1)))
-    assert dist[1.0] == pytest.approx(1.0)
-    assert sum(dist.values()) == pytest.approx(1.0)
+def test_dicke_state_probabilities():
+    state = make_dicke(4, 1)
+    probs = np.abs(state.amplitudes) ** 2
+    assert probs[state.m_values == 1.0] == pytest.approx([1.0])
+    assert probs.sum() == pytest.approx(1.0)
 
 
-def test_prob_distribution_css2():
-    probs = [p for _, p in prob_distribution(make_css(2))]
+def test_css2_probabilities():
+    probs = np.abs(make_css(2).amplitudes) ** 2
     np.testing.assert_allclose(probs, [0.25, 0.5, 0.25], atol=1e-15)
 
 
@@ -172,9 +172,9 @@ def test_post_measurement_peak_position():
     post, _ = apply_measurement(
         make_css(100), MeasurementSetting(chi_x=0.2), -0.2 * 25.0
     )
-    pairs = [(m, p) for m, p in prob_distribution(post) if m > 0]
-    m_star = max(pairs, key=lambda mp: mp[1])[0]
-    assert m_star == 5.0
+    probs = np.abs(post.amplitudes) ** 2
+    positive = post.m_values > 0
+    assert post.m_values[positive][np.argmax(probs[positive])] == 5.0
 
 
 # ---------------------------------------------------------------- fidelity
@@ -276,7 +276,7 @@ def test_states_grids_and_results_compare_and_hash_by_identity():
 def test_eta_enters_only_as_phase():
     plain = make_superposition_target(20, 4, 0.0)
     phased = make_superposition_target(20, 4, 1.3)
-    p0 = [p for _, p in prob_distribution(plain)]
-    p1 = [p for _, p in prob_distribution(phased)]
+    p0 = np.abs(plain.amplitudes) ** 2
+    p1 = np.abs(phased.amplitudes) ** 2
     np.testing.assert_allclose(p0, p1, atol=1e-15)
     assert observables(plain).xi_d == pytest.approx(observables(phased).xi_d)
