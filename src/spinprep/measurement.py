@@ -401,32 +401,45 @@ def _densities_only(probs, rows, first, count):
     return np.empty((rows.size, 0))
 
 
+def _condition_one(prior, setting: MeasurementSetting, outcome, figure=None):
+    """One record's post state, ``figure`` of its band (or None) and log density.
+
+    Every single-record update builds its post state here, on the record's
+    band, 0 on every other level.  ``prior`` is a state, whose phases the
+    post state keeps, or the real :class:`CssPrior` of one atom count; both
+    are rotated by eta m.  ``figure`` is a kernel ``reduce``, such as a row
+    function, so its value equals that record's row bit for bit.
+    """
+    css, n_atoms = isinstance(prior, CssPrior), prior.atom_count
+
+    def post_and_figure(probs, rows, first, count):
+        band = slice(first[0], first[0] + count[0])
+        phase = setting.eta * m_ladder(n_atoms, band.start, band.stop)
+        if not css:
+            phase = np.angle(prior.amplitudes[band]) + phase
+        post = SpinEnsembleState.from_probabilities(n_atoms, probs[0, : count[0]], phase, band.start)
+        return post, None if figure is None else float(figure(probs, rows, first, count)[0])
+
+    (post, value), log_density = posterior_batch(
+        prior if css else _log_magnitudes(prior), outcome, setting.chi_x, setting.chi_p,
+        post_and_figure,
+    )
+    return post, value, log_density[0]
+
+
 def apply_measurement(
     state: SpinEnsembleState, setting: MeasurementSetting, outcome: float
 ) -> tuple[SpinEnsembleState, float]:
     """Conditioned state after recording ``outcome``, plus its density.
 
     The one-record case of :func:`posterior_batch`, fed log|a_m| of the
-    state; the post state is built from the record's band, where it keeps
-    the prior's phases, rotated by eta m, and is 0 on every other level.
-    The returned density is ||M psi||^2 before renormalization, the
-    kernel's log density exponentiated: it equals :func:`outcome_pdf` at the
-    same record bit for bit.
+    state; the post state keeps the prior's phases, rotated by eta m.  The
+    returned density is ||M psi||^2 before renormalization, the kernel's log
+    density exponentiated: it equals :func:`outcome_pdf` at the same record
+    bit for bit.
     """
-    n_atoms = state.atom_count
-
-    def post_state(probs, rows, first, count):
-        band = slice(first[0], first[0] + count[0])
-        phase = np.angle(state.amplitudes[band]) + setting.eta * m_ladder(
-            n_atoms, band.start, band.stop
-        )
-        band_probs = probs[0, : count[0]]
-        return SpinEnsembleState.from_probabilities(n_atoms, band_probs, phase, band.start)
-
-    post, log_density = posterior_batch(
-        _log_magnitudes(state), outcome, setting.chi_x, setting.chi_p, post_state
-    )
-    return post, float(np.exp(log_density[0]))
+    post, _, log_density = _condition_one(state, setting, outcome)
+    return post, float(np.exp(log_density))
 
 
 def outcome_pdf(state: SpinEnsembleState, setting: MeasurementSetting, outcome):

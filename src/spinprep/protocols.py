@@ -12,24 +12,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import MeasurementSetting, _per_record, posterior_batch, sample_outcomes
-from .pulse_optics import (
-    LONG_EXPONENTIAL,
-    CavityParams,
-    FeasibilityReport,
-    feasibility,
+from .measurement import (
+    MeasurementSetting,
+    _condition_one,
+    _per_record,
+    posterior_batch,
+    sample_outcomes,
 )
-from .spin_core import (
-    CssPrior,
-    SpinEnsembleState,
-    dicke_squeezing,
-    m_ladder,
-    make_css,
-)
+from .pulse_optics import LONG_EXPONENTIAL, CavityParams, FeasibilityReport, feasibility
+from .spin_core import CssPrior, SpinEnsembleState, dicke_squeezing, make_css
 
 OUTCOME_POLICIES = ("all_zero", "sampled")
 
@@ -99,8 +94,10 @@ def _packet_geometry(n_atoms, chi_x, outcome):
     counts vary (adding zeros leaves every depth as it is).
     """
     depth = np.maximum(-np.asarray(outcome, dtype=float), 0.0) + np.zeros(np.shape(n_atoms))
-    center = np.sqrt(depth / chi_x)
+    # depth 0 gives an infinite width, and an overflowing depth / chi_x or depth * chi_x
+    # an infinite center or a zero width: each the right limit
     with np.errstate(divide="ignore", over="ignore"):
+        center = np.sqrt(depth / chi_x)
         width = 1.0 / (2.0 * np.sqrt(depth * chi_x))
     return _snap_to_lattice(n_atoms, center), 2.0 * center, width
 
@@ -127,30 +124,6 @@ def _root_rounds(n_rounds):
     return float(np.sqrt(n)) if n.ndim == 0 else np.sqrt(n)
 
 
-def _condition_css(
-    n_atoms: int, setting: MeasurementSetting, outcome: float, figure
-) -> tuple[SpinEnsembleState, float]:
-    """The CSS conditioned on one record, and ``figure`` of its level probabilities.
-
-    The one-record case of the kernel; the real CSS takes only the phase
-    eta m, and the post state is built from the record's band, 0 on every
-    other level.  ``figure`` is a kernel ``reduce`` of the batched row
-    functions, so a one-record protocol reads its figure from the same band
-    through the same formula, bit for bit.
-    """
-
-    def post_and_figure(probs, rows, first, count):
-        band = probs[0, : count[0]]
-        phase = setting.eta * m_ladder(n_atoms, first[0], first[0] + band.size)
-        post = SpinEnsembleState.from_probabilities(n_atoms, band, phase, first[0])
-        return post, float(figure(probs, rows, first, count)[0])
-
-    (post, value), _ = posterior_batch(
-        CssPrior(n_atoms), outcome, setting.chi_x, setting.chi_p, post_and_figure
-    )
-    return post, value
-
-
 def _of_rows(n_atoms, rows):
     """The atom count of each of the records ``rows``, or the one shared by all."""
     return n_atoms[rows] if isinstance(n_atoms, np.ndarray) else n_atoms
@@ -167,13 +140,14 @@ def _fidelity_rows(n_atoms, m_c):
     """Kernel ``reduce``: fidelity of each record's band against its target at ``m_c``.
 
     The target's two levels are read from the band; a level outside it is
-    one the kernel's floor sets to 0.
+    one the kernel's floor sets to 0.  Only a chunk's rows cast m_c to an
+    index, so a failing record's m_c, nan for a nan record, is never cast.
     """
-    k_plus = np.rint(m_c + n_atoms / 2.0).astype(int)
 
     def fidelity_rows(probs, rows, first, count):
-        k = k_plus[rows]
-        column = np.array((k, _of_rows(n_atoms, rows) - k)) - first
+        atoms = _of_rows(n_atoms, rows)
+        k = np.rint(m_c[rows] + atoms / 2.0).astype(int)
+        column = np.array((k, atoms - k)) - first
         inside = (column >= 0) & (column < probs.shape[1])
         p_plus, p_minus = probs[np.arange(k.size), column * inside] * inside
         return _target_fidelity(p_plus, p_minus, m_c[rows])
@@ -232,6 +206,7 @@ def repetitive_dss_rows(n_atoms, chi_p, n_rounds, outcomes=0.0):
     sqrt(n) Y; the default record 0 is the all-zero repetitive protocol.
     """
     root_n = _root_rounds(n_rounds)
+    _require_positive("chi_p", chi_p)  # the value passed, before sqrt(n) scales it
     xi, _ = dss_rows(n_atoms, np.asarray(chi_p, dtype=float) * root_n, root_n * outcomes)
     return xi
 
@@ -255,7 +230,9 @@ def prepare_superposition(
         )
     m_c, separation, width = _packet_geometry(n_atoms, chi_x, np.atleast_1d(outcome))
     setting = MeasurementSetting(chi_x=chi_x, eta=eta)
-    post, fidelity = _condition_css(n_atoms, setting, outcome, _fidelity_rows(n_atoms, m_c))
+    post, fidelity, _ = _condition_one(
+        CssPrior(n_atoms), setting, outcome, _fidelity_rows(n_atoms, m_c)
+    )
     return SuperpositionResult(
         post_state=post,
         fidelity_vs_target=fidelity,
@@ -297,7 +274,7 @@ def dss_with_repeated_outcome(
     _require_positive("chi_p", chi_p)
     root_n = _root_rounds(n_rounds)
     setting = MeasurementSetting(chi_p=root_n * chi_p, eta=n_rounds * eta)
-    post, xi_d = _condition_css(n_atoms, setting, root_n * outcome, _xi_rows(n_atoms))
+    post, xi_d, _ = _condition_one(CssPrior(n_atoms), setting, root_n * outcome, _xi_rows(n_atoms))
     return DssResult(
         post_state=post, xi_d=xi_d, outcome=outcome,
         n_rounds=int(n_rounds),
@@ -323,13 +300,13 @@ def repetitive_dss(
     drawn, and ``outcome`` is the mean per-round record Y_eff / sqrt(n).
     """
     root_n = _root_rounds(n_rounds)
+    _require_positive("chi_p", chi_p)  # the value passed, before sqrt(n) scales it
     if outcome_policy == "all_zero":
         outcome = 0.0
     elif outcome_policy == "sampled":
         if seed is None:
             raise ValueError("sampled outcome policy requires a seed")
-        # validated at the chi_p passed, so an error names it, then scaled by sqrt(n)
-        setting = replace(MeasurementSetting(chi_p=chi_p), chi_p=root_n * chi_p)
+        setting = MeasurementSetting(chi_p=root_n * chi_p)
         outcome = float(sample_outcomes(make_css(n_atoms), setting, 1, seed)[0]) / root_n
     else:
         raise ValueError(
@@ -353,6 +330,7 @@ def long_pulse_plan(
     squeezing point) is reachable within both budgets.
     """
     root_n = _root_rounds(n_rounds)
+    _require_positive("target_effective", target_effective)
     report = feasibility(cavity, kind=LONG_EXPONENTIAL, n_t=n_t)
     required = target_effective / root_n
     return LongPulsePlan(

@@ -134,6 +134,16 @@ class PulseGrid:
         return float(_step(self.times))
 
 
+def _stage(pulse: PulseGrid, name: str) -> np.ndarray:
+    """The grid's stage array ``name``; raise, naming the stage to run, if it has not run."""
+    arr = getattr(pulse, name)
+    if arr is None:
+        if name == "beta_lo":
+            raise ValueError("local oscillator not set; call set_local_oscillator first")
+        raise ValueError("response functions not computed; call response_functions first")
+    return arr
+
+
 def _attach(pulse: PulseGrid, **arrays: np.ndarray) -> PulseGrid:
     """A copy of the grid with stage arrays this module computed, set unchecked."""
     pulse = copy.copy(pulse)  # no __init__, so no __post_init__
@@ -156,7 +166,7 @@ class FeasibilityReport:
     chi_x_bound: float
     chi_p_bound: float
     ok: bool
-    threshold: float = 0.01
+    threshold: float
 
 
 def _step(times: np.ndarray) -> float:
@@ -265,9 +275,7 @@ def response_functions(pulse: PulseGrid) -> PulseGrid:
 
 def peak_intracavity(pulse: PulseGrid) -> float:
     """max_t |beta0(t)|^2; multiply by N_p for the peak photon number."""
-    if pulse.beta0 is None:
-        raise ValueError("response functions not computed; call response_functions first")
-    return float(np.max(np.abs(pulse.beta0) ** 2))
+    return float(np.max(np.abs(_stage(pulse, "beta0")) ** 2))
 
 
 def set_local_oscillator(pulse: PulseGrid, shape="beta1") -> PulseGrid:
@@ -279,9 +287,7 @@ def set_local_oscillator(pulse: PulseGrid, shape="beta1") -> PulseGrid:
     if isinstance(shape, str):
         if shape not in ("beta1", "beta2"):
             raise ValueError(f"shape must be 'beta1', 'beta2' or an array, got {shape!r}")
-        ref = getattr(pulse, shape)
-        if ref is None:
-            raise ValueError("response functions not computed; call response_functions first")
+        ref = _stage(pulse, shape)
     else:
         if np.iscomplexobj(shape):
             raise ValueError("local-oscillator samples must be real")
@@ -301,14 +307,12 @@ def strengths_numeric(pulse: PulseGrid, cavity: CavityParams, phi: float) -> tup
     chi_p = sqrt(N_p) 2 sqrt(2) (Omega/kappa) sin(phi) int beta_lo beta1 dt,
     with the sqrt(N_p) prefactor carried by the probe amplitude.
     """
-    if pulse.beta_lo is None:
-        raise ValueError("local oscillator not set; call set_local_oscillator first")
-    if pulse.beta1 is None or pulse.beta2 is None:
-        raise ValueError("response functions not computed; call response_functions first")
+    beta_lo = _stage(pulse, "beta_lo")
+    beta1, beta2 = _stage(pulse, "beta1"), _stage(pulse, "beta2")
     ratio = cavity.omega / cavity.kappa
     root_np = math.sqrt(cavity.n_photons)
-    overlap2 = _simpson(pulse.times, pulse.beta_lo * pulse.beta2)
-    overlap1 = _simpson(pulse.times, pulse.beta_lo * pulse.beta1)
+    overlap2 = _simpson(pulse.times, beta_lo * beta2)
+    overlap1 = _simpson(pulse.times, beta_lo * beta1)
     # sqrt(N_p) multiplies last so the photon number scales the result exactly
     chi_x = math.sqrt(2.0) * ratio * ratio * math.cos(phi) * overlap2 * root_np
     chi_p = 2.0 * math.sqrt(2.0) * ratio * math.sin(phi) * overlap1 * root_np
@@ -340,8 +344,11 @@ def feasibility(
     """Check the dispersive-regime photon budget for the given probe choice.
 
     The peak intracavity photon number N_p max|beta0|^2 must stay well below
-    (Delta/g)^2; ``threshold`` sets how much headroom "well below" means.
+    (Delta/g)^2; ``threshold``, a positive fraction of that bound, sets how
+    much headroom "well below" means.
     """
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     peak = peak_intracavity(response_functions(build_pulse(kind, n_t=n_t)))
     max_photons = cavity.n_photons * peak
     dispersive = (cavity.delta / cavity.g) ** 2

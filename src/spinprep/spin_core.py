@@ -118,7 +118,7 @@ class ObservableReport:
 def _lattice_index(n_atoms: int, m: float) -> int:
     """Index k with m = k - S, or raise if m is off the lattice of n_atoms."""
     k = m + n_atoms / 2.0
-    k_round = round(k)
+    k_round = round(k) if math.isfinite(k) else -1  # an infinite or nan m is off the lattice
     if abs(k - k_round) > _LATTICE_TOL or not 0 <= k_round <= n_atoms:
         raise ValueError(
             f"m = {m} is not on the spin-z lattice of {n_atoms} atoms "

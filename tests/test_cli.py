@@ -436,6 +436,17 @@ def test_non_finite_flags_exit_usage(argv, flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+def test_negative_strength_is_named_as_typed(capsys):
+    # n rounds act as one at sqrt(n) chi_p; the message names the chi_p typed
+    for argv in (
+        ["fig4", "a", "--chi-p", "-1", "--n", "4"],
+        ["sweep", "repetitive_dss", "--param", "chi_p", "--start", "-1", "--stop", "1",
+         "--count", "3", "--n", "4"],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: chi_p must be positive, got -1.0\n"
+
+
 def test_sweep_log_scale(tmp_path):
     res, _ = run(
         tmp_path, "sweep", "repetitive_dss", "--param", "n", "--start", "1",
@@ -578,6 +589,7 @@ def test_feasibility_exit_codes(capsys):
         (["--kappa", "-1"], "--kappa"),
         (["--delta", "0"], "--delta"),
         (["--n-t", "0.5"], "n_t"),
+        (["--threshold", "0"], "threshold"),
     )
     for args, name in cases:
         assert main(["feasibility", *args]) == 1

@@ -9,6 +9,7 @@ from scipy.stats import ks_2samp
 from spinprep import (
     CavityParams,
     MeasurementSetting,
+    PosteriorError,
     apply_measurement,
     dss_rows,
     dss_with_repeated_outcome,
@@ -189,12 +190,27 @@ def test_dss_requires_positive_strength():
                 call()
 
 
-@pytest.mark.parametrize("policy", ["all_zero", "sampled"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda chi_p: repetitive_dss(40, chi_p, 4, "all_zero"), id="all_zero"),
+    pytest.param(lambda chi_p: repetitive_dss(40, chi_p, 4, "sampled", seed=1), id="sampled"),
+    pytest.param(lambda chi_p: repetitive_dss_rows(40, chi_p, 4), id="rows"),
+])
 @pytest.mark.parametrize("chi_p", [-0.4, math.nan])
-def test_invalid_strength_is_reported_as_passed(policy, chi_p):
-    # the sampled policy draws at sqrt(n) chi_p; its error must still name chi_p
+def test_invalid_strength_is_reported_as_passed(call, chi_p):
+    # n rounds act at sqrt(n) chi_p; the error must still name the chi_p passed
     with pytest.raises(ValueError, match=rf"chi_p .* got {chi_p}$"):
-        repetitive_dss(40, chi_p, 4, policy, seed=1)
+        call(chi_p)
+
+
+def test_one_record_protocols_reject_non_finite_eta():
+    calls = (
+        lambda: prepare_dss(40, 0.4, 0.0, eta=math.nan),
+        lambda: prepare_superposition(40, 0.1, -1.0, eta=math.inf),
+        lambda: dss_with_repeated_outcome(40, 0.4, 3, 0.0, eta=math.nan),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="eta must be finite"):
+            call()
 
 
 # ---------------------------------------------------------------- one record vs rows
@@ -232,7 +248,17 @@ def test_superposition_rows_zero_width_without_overflow_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         width = superposition_rows(3, 1e200, -2.25e200)[3]
+        # a subnormal strength puts the packets at infinite m, snapped to the ladder's end
+        m_c, separation = superposition_rows(40, 1e-320, -1.0)[1:3]
+        # a nan record fails the update before its target level is taken
+        for call in (
+            lambda: superposition_rows(40, 0.1, math.nan),
+            lambda: prepare_superposition(40, 0.1, math.nan),
+        ):
+            with pytest.raises(PosteriorError):
+                call()
     assert width.tolist() == [0.0]
+    assert (m_c.tolist(), separation.tolist()) == ([20.0], [math.inf])
 
 
 # ---------------------------------------------------------------- repetition
@@ -371,6 +397,12 @@ def test_long_pulse_plan_validation():
         long_pulse_plan(CAVITY, n_t=0.5, n_rounds=4)
     with pytest.raises(ValueError):
         long_pulse_plan(CAVITY, n_t=10.0, n_rounds=0)
+    for target in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="target_effective"):
+            long_pulse_plan(CAVITY, 2.0, 4, target_effective=target)
+    for threshold in (0.0, -0.01, math.nan):
+        with pytest.raises(ValueError, match="threshold"):
+            feasibility(CAVITY, threshold=threshold)
 
 
 

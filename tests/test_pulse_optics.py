@@ -240,7 +240,7 @@ def test_responses_match_scipy_convolution(kind, n_t, span, dt, size):
 
 
 def test_peak_requires_responses():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="response functions not computed"):
         peak_intracavity(build_pulse("exponential"))
 
 
@@ -312,10 +312,13 @@ def test_quadrature_matches_scipy_simpson(fixture, request):
 
 
 def test_strengths_error_paths(exp_pulse):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="local oscillator not set"):
         strengths_numeric(exp_pulse, CAVITY, 0.0)  # no local oscillator
     bare = build_pulse("exponential")
-    with pytest.raises(ValueError):
+    # with neither stage run, the local-oscillator check comes first
+    with pytest.raises(ValueError, match="local oscillator not set"):
+        strengths_numeric(bare, CAVITY, 0.0)
+    with pytest.raises(ValueError, match="response functions not computed"):
         set_local_oscillator(bare, "beta1")  # responses missing
     with pytest.raises(ValueError):
         set_local_oscillator(exp_pulse, "beta9")

@@ -69,9 +69,9 @@ def test_dicke_half_integer_lattice():
     assert state.amplitudes[2] == 1.0
 
 
-@pytest.mark.parametrize("m", [3, -2.5, 0.3])
+@pytest.mark.parametrize("m", [3, -2.5, 0.3, math.inf, -math.inf, math.nan])
 def test_dicke_off_lattice_rejected(m):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lattice"):
         make_dicke(4, m)
 
 
@@ -110,6 +110,9 @@ def test_superposition_target_invalid():
         make_superposition_target(10, -1)
     with pytest.raises(ValueError):
         make_superposition_target(3, 0)  # odd N has a half-integer lattice
+    for m_c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lattice"):
+            make_superposition_target(4, m_c)
 
 
 # ---------------------------------------------------------------- observables
