@@ -158,7 +158,8 @@ class FeasibilityReport:
 
     ``ok`` holds when the peak photon number stays below ``threshold`` times
     the dispersive bound (Delta/g)^2.  The strength bounds are the closed
-    forms sqrt(42) g^3 / (kappa^2 |Delta|) and g sqrt(20 n_t e) / kappa.
+    forms sqrt(42) g^3 / (kappa^2 |Delta|) and g sqrt(20 n_t e) / kappa, where
+    n_t is the pulse's stretch: ``n_t`` for the long exponential, else 1.
     """
 
     max_intracavity_photons: float
@@ -208,6 +209,11 @@ def _spectral_envelope(times: np.ndarray) -> np.ndarray:
     return math.sqrt(8.0 / (3.0 * math.pi)) * math.sqrt(2.0 / math.pi) * shape
 
 
+def _stretch(kind: str, n_t: float) -> float:
+    """The factor by which ``n_t`` stretches a pulse: only the long exponential's."""
+    return n_t if kind == LONG_EXPONENTIAL else 1.0
+
+
 def build_pulse(
     kind: str,
     n_t: float = 1.0,
@@ -222,7 +228,7 @@ def build_pulse(
     """
     if not (np.isfinite(n_t) and n_t >= 1.0):
         raise ValueError(f"n_t must be >= 1, got {n_t}")
-    stretch = n_t if kind == LONG_EXPONENTIAL else 1.0
+    stretch = _stretch(kind, n_t)
     span = DEFAULT_SPAN_FACTOR * stretch if span is None else span
     if not (np.isfinite(span) and span >= MIN_SPAN_FACTOR * stretch):
         raise ValueError(f"grid span must be finite and >= {MIN_SPAN_FACTOR * stretch}: {span}")
@@ -239,37 +245,50 @@ def build_pulse(
     return PulseGrid(times=times, beta_in=beta, kind=kind)
 
 
-def _convolve_causal(f: np.ndarray, kernels: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid quadrature of int_{-inf}^{t} k(t - t') f(t') dt' on the grid.
+def _decay_sums(f: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
+    """S_j[n] = sum_{i<=n} i^j r^i f[n-i] for j = 0, 1, 2, with r = e^{-dt}.
 
-    ``kernels`` holds one sampled kernel per row; ``f`` is transformed once
-    and shared by all of them.  The transform length is the power of two
-    above 2 f.size - 2, so the circular product equals the linear convolution
-    on the first f.size samples; pocketfft is many times slower on lengths
-    such as 2 f.size - 1 = 24001.
+    Each obeys y[n] = r y[n-1] + g[n] from y[-1] = 0: g[n] is f[n] for S_0,
+    r S_0[n-1] for S_1 and r (S_0 + 2 S_1)[n-1] for S_2.  A block of the
+    recursion is the cumsum of g[i] e^{i dt} over e^{i dt}, the previous
+    block's last value carried into its first term.
     """
-    n = 1 << (2 * f.size - 2).bit_length()
-    spectra = np.fft.rfft(f, n) * np.fft.rfft(kernels, n)
-    out = np.fft.irfft(spectra, n)[:, : f.size] * dt
-    # trapezoid end corrections: the tau = 0 sample and the earliest sample
-    # each carry half weight
-    out -= 0.5 * dt * kernels[:, :1] * f
-    out -= 0.5 * dt * kernels * f[0]
-    return out
+    r = math.exp(-dt)
+    size = min(f.size, max(1, int(300.0 / dt)))  # 300 decay times: weights below e^300
+    grow = np.exp(dt * np.arange(size))
+
+    def recur(g: np.ndarray) -> np.ndarray:
+        out, carry = np.empty_like(g), 0.0
+        for start in range(0, g.size, size):
+            block = out[start : start + size]
+            np.multiply(g[start : start + size], grow[: block.size], out=block)
+            block[0] += r * carry
+            np.cumsum(block, out=block)
+            block /= grow[: block.size]
+            carry = block[-1]
+        return out
+
+    s0 = recur(f)
+    s1 = recur(np.concatenate(([0.0], r * s0[:-1])))
+    return s0, s1, recur(np.concatenate(([0.0], r * (s0[:-1] + 2.0 * s1[:-1]))))
 
 
 def response_functions(pulse: PulseGrid) -> PulseGrid:
     """Attach the cavity response functions beta0, beta1, beta2 to the grid.
 
     Causal convolutions of beta_in with sqrt(2) tau^j e^{-tau}, j = 0, 1, 2,
-    evaluated by trapezoid quadrature; the three share one transform of the
-    pulse.
+    evaluated by trapezoid quadrature; on the grid the kernel is
+    sqrt(2) dt^j i^j e^{-i dt}, so the sums come from exact recursions.
     """
+    f, dt = pulse.beta_in, pulse.dt
     tau = pulse.times - pulse.times[0]
-    decay = math.sqrt(2.0) * np.exp(-tau)
-    b0, b1, b2 = _convolve_causal(
-        pulse.beta_in, np.stack([decay, tau * decay, tau * tau * decay]), pulse.dt
-    )
+    s0, s1, s2 = _decay_sums(f, dt)
+    # trapezoid end corrections: the tau = 0 sample and the earliest sample
+    # each carry half weight
+    edge = 0.5 * dt * f[0] * math.sqrt(2.0) * np.exp(-tau)
+    b0 = math.sqrt(2.0) * dt * (s0 - 0.5 * f) - edge
+    b1 = math.sqrt(2.0) * dt**2 * s1 - tau * edge
+    b2 = math.sqrt(2.0) * dt**3 * s2 - tau * tau * edge
     return _attach(pulse, beta0=b0, beta1=b1, beta2=b2)
 
 
@@ -309,6 +328,8 @@ def strengths_numeric(pulse: PulseGrid, cavity: CavityParams, phi: float) -> tup
     """
     beta_lo = _stage(pulse, "beta_lo")
     beta1, beta2 = _stage(pulse, "beta1"), _stage(pulse, "beta2")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     ratio = cavity.omega / cavity.kappa
     root_np = math.sqrt(cavity.n_photons)
     overlap2 = _simpson(pulse.times, beta_lo * beta2)
@@ -353,7 +374,7 @@ def feasibility(
     max_photons = cavity.n_photons * peak
     dispersive = (cavity.delta / cavity.g) ** 2
     chi_x_bound = math.sqrt(42.0) * cavity.g**3 / (cavity.kappa**2 * abs(cavity.delta))
-    chi_p_bound = cavity.g * math.sqrt(20.0 * n_t * math.e) / cavity.kappa
+    chi_p_bound = cavity.g * math.sqrt(20.0 * _stretch(kind, n_t) * math.e) / cavity.kappa
     return FeasibilityReport(
         max_intracavity_photons=max_photons,
         dispersive_bound=dispersive,

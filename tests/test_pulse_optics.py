@@ -10,6 +10,7 @@ from scipy.integrate import quad, simpson
 from scipy.signal import fftconvolve
 
 import spinprep
+from _oracles import stretched_peak
 from spinprep import (
     CavityParams,
     PulseGrid,
@@ -212,14 +213,14 @@ def test_response_edge_decay(fixture, request):
         assert abs(arr[-1]) < 1e-6  # decayed by the grid edge
 
 
-def _response_oracle(pulse):
-    """scipy's fftconvolve with the same trapezoid end corrections."""
+def _response_oracle(pulse, convolve=fftconvolve):
+    """scipy's fftconvolve (or ``convolve``) with the same trapezoid end corrections."""
     tau = pulse.times - pulse.times[0]
     dt, f = pulse.dt, pulse.beta_in
     out = []
     for j in range(3):
         kernel = math.sqrt(2.0) * tau**j * np.exp(-tau)
-        full = fftconvolve(f, kernel)[: f.size] * dt
+        full = convolve(f, kernel)[: f.size] * dt
         out.append(full - 0.5 * dt * kernel[0] * f - 0.5 * dt * kernel * f[0])
     return out
 
@@ -235,6 +236,27 @@ def _response_oracle(pulse):
 def test_responses_match_scipy_convolution(kind, n_t, span, dt, size):
     pulse = response_functions(build_pulse(kind, n_t=n_t, span=span, dt=dt))
     assert pulse.times.size == size
+    for got, want in zip((pulse.beta0, pulse.beta1, pulse.beta2), _response_oracle(pulse)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_responses_match_direct_sums_for_a_sign_changing_pulse():
+    # t e^{-|t|} changes sign at t = 0, and the grid starts where it is far
+    # from zero, so the earliest sample's half weight counts
+    times = np.linspace(-3.0, 12.0, 1501)
+    beta = times * np.exp(-np.abs(times))
+    beta /= math.sqrt(l2_mass(times, beta))
+    pulse = response_functions(PulseGrid(times=times, beta_in=beta, kind="exponential"))
+    assert beta[0] < -0.1
+    want = _response_oracle(pulse, convolve=np.convolve)
+    for got, ref in zip((pulse.beta0, pulse.beta1, pulse.beta2), want):
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+def test_responses_carry_across_recursion_blocks():
+    # a block of the recursion spans 300 decay times; this grid needs more than four
+    pulse = response_functions(build_pulse("long_exponential", n_t=25.0, dt=0.01))
+    assert pulse.times.size > 4 * 300.0 / pulse.dt
     for got, want in zip((pulse.beta0, pulse.beta1, pulse.beta2), _response_oracle(pulse)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -322,6 +344,10 @@ def test_strengths_error_paths(exp_pulse):
         set_local_oscillator(bare, "beta1")  # responses missing
     with pytest.raises(ValueError):
         set_local_oscillator(exp_pulse, "beta9")
+    lo = set_local_oscillator(exp_pulse, "beta1")
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            strengths_numeric(lo, CAVITY, phi)
 
 
 def test_local_oscillator_from_array(exp_pulse):
@@ -375,6 +401,23 @@ def test_feasibility_long_pulse_bound():
     assert report.chi_p_bound == pytest.approx(3.0 * math.sqrt(10.0), rel=0.05)
     # stretching lowers the instantaneous field
     assert report.max_intracavity_photons < feasibility(CAVITY).max_intracavity_photons
+
+
+def test_feasibility_long_pulse_peak_matches_closed_form():
+    report = feasibility(CAVITY, kind="long_exponential", n_t=20.0)
+    peak = report.max_intracavity_photons / CAVITY.n_photons
+    assert peak == pytest.approx(stretched_peak(20.0), rel=1e-4)
+
+
+def test_feasibility_chi_p_bound_uses_the_pulse_stretch():
+    # n_t stretches only the long exponential pulse, and so only its bound
+    for kind in ("exponential", "optimal_x_spectral"):
+        assert feasibility(CAVITY, kind, n_t=10.0).chi_p_bound == (
+            feasibility(CAVITY, kind).chi_p_bound
+        )
+    long1 = feasibility(CAVITY, "long_exponential").chi_p_bound
+    long10 = feasibility(CAVITY, "long_exponential", n_t=10.0).chi_p_bound
+    assert long10 == pytest.approx(math.sqrt(10.0) * long1, rel=1e-12)
 
 
 def test_feasibility_flags_strong_probe():
