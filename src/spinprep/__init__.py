@@ -12,7 +12,6 @@ from .spin_core import (
     css_log_window,
     dicke_squeezing,
     fidelity,
-    log_css_amplitudes,
     make_css,
     make_dicke,
     make_superposition_target,

@@ -584,7 +584,7 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

@@ -192,13 +192,6 @@ def _ladder_groups(lo, hi, widest):
     return groups
 
 
-def _in_record_order(values, order):
-    """``values`` of the records ``order``, rearranged into record order."""
-    out = np.empty_like(values)
-    out[order] = values
-    return out
-
-
 def level_rows(bands, first, n_levels: int) -> np.ndarray:
     """Band rows of :func:`posterior_batch` scattered into zeros over all ``n_levels`` levels."""
     rows, width = bands.shape
@@ -240,20 +233,21 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     prior is sliced, and a :class:`CssPrior` is computed there by
     :func:`css_log_window`, so a batch of narrow bands costs O(window), not
     O(N), and no band reads a neighbour's levels.  A group's records are
-    processed in chunks of about 2^16 elements, each chunk of records x W
-    levels with W its own widest band: a group that fits in one chunk keeps
-    record order, and a larger one is stable-sorted by band width, widest
-    first, so that narrow bands are not padded to the widest.
+    taken widest band first, so that narrow bands are not padded to the
+    widest, in chunks of about 2^16 elements, each chunk of records x W
+    levels with W its own widest band and its rows in record order.
     ``reduce(probs, rows, first, count)`` maps each chunk's records x W
-    probabilities, records ``rows`` (an index array) of the batch, whose
-    entry [r, i] is level ``first[r] + i`` of the record's ladder (zero
-    from ``count[r]`` on), to one value (or array) per record; ``probs`` is
-    reused by the next chunk, so ``reduce`` must not return a view of it.
+    probabilities, records ``rows`` (an ascending index array) of the
+    batch, whose entry [r, i] is level ``first[r] + i`` of the record's
+    ladder (zero from ``count[r]`` on), to one value (or array) per record;
+    ``probs`` is reused by the next chunk, so ``reduce`` must not return a
+    view of it.
     Without ``reduce`` the bands are scattered into zeros over the levels of
     the largest ladder (:func:`level_rows`) and the records x (N+1)
-    probabilities are returned.  Returns the stacked values in record order
-    (a batch of one chunk, such as a single record, returns what ``reduce``
-    gave, as it is) and the log record densities log ||M(Y_r) psi||^2.
+    probabilities are returned.  Each chunk's values are written at its
+    records' rows, and the values are returned in record order (a batch of
+    one chunk, such as a single record, returns what ``reduce`` gave, as it
+    is) with the log record densities log ||M(Y_r) psi||^2.
 
     Raises :class:`PosteriorError` if a record leaves no finite, nonzero mass
     (naming the batch's first such record) or a post state misses unit norm
@@ -284,7 +278,7 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
         reduce = lambda probs, rows, first, count: level_rows(probs, first, n_levels)  # noqa: E731
     # strengths shared by every record (each sampled shot) give shared level offsets
     shared = cx.size == 1
-    values, log_density, value_rows = [], [], []
+    values, log_density = None, np.empty(y.size)
     # (first record, message) of each failing chunk; chunks do not run in
     # record order, so the batch's first failure is named once all have run
     failures = []
@@ -295,6 +289,7 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
         A function of its own, so that the group's arrays are freed before
         the next group reads its window.
         """
+        nonlocal values
         # each ladder's window runs W levels past its highest band start,
         # so that no band of the group reads the next ladder's levels
         two_log_mag = np.full(levels, -np.inf)
@@ -312,17 +307,14 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
         if shared:
             offsets = cx[0] * (m * m) + cp[0] * m
         r0, r1 = bounds[g0], bounds[g1]
-        order = np.arange(r0, r1)
-        if order.size * width > _CHUNK_ELEMENTS:  # more than one chunk: widest band first
-            order = r0 + np.argsort(-count[r0:r1], kind="stable")
+        order = r0 + np.argsort(-count[r0:r1], kind="stable")
         # one chunk buffer for the whole group: a fresh records x W matrix per
         # chunk can cost more in page faults than the arithmetic on it
         work = np.empty(min(order.size * width, max(_CHUNK_ELEMENTS, width)))
         start = 0
         while start < order.size:
-            # the first chunk holds the group's widest band
-            band_width = int(count[order[start]]) if start else width
-            rows = order[start : start + max(1, _CHUNK_ELEMENTS // band_width)]
+            band_width = int(count[order[start]])
+            rows = np.sort(order[start : start + max(1, _CHUNK_ELEMENTS // band_width)])
             start += rows.size
             bands = band_start[rows]
             log_p = work[: rows.size * band_width].reshape(-1, band_width)
@@ -353,14 +345,19 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
             if not norm_dev <= NORM_TOL:
                 bad = rows[~np.isfinite(chunk_density)]
                 if bad.size:
-                    record = f"measurement update of record {y[bad.min()]} lost all amplitude mass"
-                    failures.append((bad.min(), record))
+                    record = f"measurement update of record {y[bad[0]]} lost all amplitude mass"
+                    failures.append((bad[0], record))
                 else:
-                    failures.append((rows.min(), f"post state misses unit norm by {norm_dev}"))
+                    failures.append((rows[0], f"post state misses unit norm by {norm_dev}"))
                 continue
-            values.append(reduce(probs, rows, first[rows], band_count))
-            log_density.append(chunk_density)
-            value_rows.append(rows)
+            chunk_values = reduce(probs, rows, first[rows], band_count)
+            log_density[rows] = chunk_density
+            if rows.size == y.size:  # one chunk, e.g. a single record at large N: no copy
+                values = chunk_values
+                continue
+            if values is None:
+                values = np.empty((y.size, *chunk_values.shape[1:]), chunk_values.dtype)
+            values[rows] = chunk_values
 
     # an overflowing residual or a non-finite record is caught by the density check
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -375,12 +372,7 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
             condition_group(*group)
     if failures:
         raise PosteriorError(min(failures)[1])
-    if len(values) == 1:  # one chunk, e.g. a single record at large N: no copy
-        return values[0], log_density[0]
-    order = np.concatenate(value_rows)
-    return _in_record_order(np.concatenate(values), order), _in_record_order(
-        np.concatenate(log_density), order
-    )
+    return values, log_density
 
 
 def _log_magnitudes(state: SpinEnsembleState) -> np.ndarray:
@@ -485,7 +477,7 @@ def sample_outcomes(
     """Vectorized i.i.d. records: m with probability P(m), then Y ~ N(center_m, 1/2)."""
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     p = np.abs(state.amplitudes) ** 2
     p = p / p.sum()
     centers = _centers(setting, m_ladder(state.atom_count))

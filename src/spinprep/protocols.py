@@ -207,7 +207,14 @@ def repetitive_dss_rows(n_atoms, chi_p, n_rounds, outcomes=0.0):
     """
     root_n = _root_rounds(n_rounds)
     _require_positive("chi_p", chi_p)  # the value passed, before sqrt(n) scales it
-    xi, _ = dss_rows(n_atoms, np.asarray(chi_p, dtype=float) * root_n, root_n * outcomes)
+    chi_p, outcomes = np.asarray(chi_p, dtype=float), np.asarray(outcomes, dtype=float)
+    sizes = (np.size(n_atoms), chi_p.size, np.size(root_n), outcomes.size)
+    if len(set(sizes) - {1}) > 1:
+        raise ValueError(
+            "atom counts, strengths, round counts and records do not broadcast: "
+            f"sizes {sizes[0]}, {sizes[1]}, {sizes[2]} and {sizes[3]}"
+        )
+    xi, _ = dss_rows(n_atoms, chi_p * root_n, root_n * outcomes)
     return xi
 
 

@@ -87,7 +87,7 @@ class CavityParams:
 class PulseGrid:
     """Sampled probe envelope and derived quantities on a uniform time grid.
 
-    ``PulseGrid(times, beta_in, kind)`` is the whole input, validated once,
+    ``PulseGrid(times, beta_in)`` is the whole input, validated once,
     here: ``times`` is a uniform grid in units of 1/kappa with an odd sample
     count, as the composite Simpson rule needs, and its step ``dt`` comes
     from the span; ``beta_in`` is the real input envelope of unit L2 mass.
@@ -101,15 +101,12 @@ class PulseGrid:
 
     times: np.ndarray
     beta_in: np.ndarray
-    kind: str
     beta_lo: np.ndarray | None = field(default=None, init=False)
     beta0: np.ndarray | None = field(default=None, init=False)
     beta1: np.ndarray | None = field(default=None, init=False)
     beta2: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
-        if self.kind not in PULSE_KINDS:
-            raise ValueError(f"unknown pulse kind {self.kind!r}; expected one of {PULSE_KINDS}")
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 3:
             raise ValueError("times must be a 1-d grid with at least 3 samples")
@@ -234,6 +231,8 @@ def build_pulse(
         raise ValueError(f"grid span must be finite and >= {MIN_SPAN_FACTOR * stretch}: {span}")
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"grid step dt must lie in (0, {MAX_DT}], got {dt}")
+    if kind not in PULSE_KINDS:
+        raise ValueError(f"unknown pulse kind {kind!r}; expected one of {PULSE_KINDS}")
 
     times = _time_grid(span, dt)
     if kind == EXPONENTIAL:
@@ -242,7 +241,7 @@ def build_pulse(
         beta = math.sqrt(1.0 / n_t) * np.exp(-np.abs(times) / n_t)
     else:
         beta = _spectral_envelope(times)
-    return PulseGrid(times=times, beta_in=beta, kind=kind)
+    return PulseGrid(times=times, beta_in=beta)
 
 
 def _decay_sums(f: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:

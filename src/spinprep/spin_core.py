@@ -65,11 +65,6 @@ class SpinEnsembleState:
             raise ValueError(f"squared norm {norm2} deviates from 1 by more than {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _locked(amps))
 
-    @property
-    def m_values(self) -> np.ndarray:
-        """Eigenvalue ladder m = -S ... S aligned with ``amplitudes``."""
-        return m_ladder(self.atom_count)
-
     @classmethod
     def from_unnormalized(cls, atom_count: int, amplitudes) -> "SpinEnsembleState":
         """Build a state from raw amplitudes, dividing out the norm."""
@@ -146,7 +141,7 @@ def css_log_window(n_atoms: int, first: int, stop: int) -> np.ndarray:
     by one constant, and the ratios between levels, all the measurement
     update reads, are exact to a few ulps however large N is.  No level
     underflows, however far it sits from m = 0.  A window that holds level
-    N // 2 equals the same slice of :func:`log_css_amplitudes` bit for bit.
+    N // 2 equals the same slice of the whole ladder's window bit for bit.
     """
     n = _check_atom_count(n_atoms)
     if not 0 <= first < stop <= n + 1:
@@ -172,10 +167,10 @@ def css_log_window(n_atoms: int, first: int, stop: int) -> np.ndarray:
 class CssPrior:
     """The coherent spin state's log|a_m| as a prior for the measurement kernel.
 
-    It stands in for the array :func:`log_css_amplitudes` would give:
+    It stands in for :func:`css_log_window` over all N+1 levels:
     :func:`spinprep.measurement.posterior_batch` takes its largest level,
     ``top`` = N // 2, in closed form and computes only the window of levels
-    that its records' bands index, through :func:`css_log_window`.
+    that its records' bands index, through that same function.
     ``atom_count`` is one atom count, or a non-empty 1-d integer array of one
     per record, each record then conditioned on the CSS of its own N.
     Equality is identity, as for :class:`SpinEnsembleState`.
@@ -205,26 +200,15 @@ def _check_atom_counts(n_atoms):
     return int(counts[0]) if counts.size == 1 else _locked(counts.astype(np.intp))
 
 
-def log_css_amplitudes(n_atoms: int) -> np.ndarray:
-    """Log amplitudes of the coherent spin state along +x, index k <-> m = k - S.
-
-    :func:`css_log_window` over all N+1 levels.  This is the prior the
-    measurement kernel conditions (which computes only the window of levels
-    its records can reach, through the same function); it is never
-    exponentiated before the update.
-    """
-    n = _check_atom_count(n_atoms)
-    return css_log_window(n, 0, n + 1)
-
-
 def make_css(n_atoms: int) -> SpinEnsembleState:
     """Coherent spin state along +x, Sx |psi> = S |psi>.
 
     Amplitudes are the square roots of the symmetric binomial distribution,
-    2^{-S} C(2S, S+m)^{1/2}, exponentiated from :func:`log_css_amplitudes`;
-    levels below the float range become exact zeros.
+    2^{-S} C(2S, S+m)^{1/2}, exponentiated from :func:`css_log_window` over
+    all N+1 levels; levels below the float range become exact zeros.
     """
-    return SpinEnsembleState.from_unnormalized(n_atoms, np.exp(log_css_amplitudes(n_atoms)))
+    n = _check_atom_count(n_atoms)
+    return SpinEnsembleState.from_unnormalized(n, np.exp(css_log_window(n, 0, n + 1)))
 
 
 def make_dicke(n_atoms: int, m: float) -> SpinEnsembleState:

@@ -49,6 +49,7 @@ from spinprep import (
     strengths_numeric,
     SpinEnsembleState,
 )
+from spinprep.spin_core import m_ladder
 
 PAPER_CAVITY = CavityParams.from_two_pi_megahertz(0.4, 3000.0, 1.0, 100.0)
 
@@ -228,7 +229,7 @@ def test_criterion_08_povm_completeness():
     for n_atoms, n_states in cases:
         for _ in range(n_states):
             state = random_state(n_atoms, rng)
-            m = state.m_values
+            m = m_ladder(state.atom_count)
             for chi_x in (0.0, 0.2, 2.0):
                 for chi_p in (0.0, 0.2, 2.0):
                     setting = MeasurementSetting(chi_x=chi_x, chi_p=chi_p)
@@ -301,7 +302,7 @@ def test_criterion_11_sampler_statistics():
     draws = sample_outcomes(state, setting, 100_000, 20240)
     # exact mixture moments: var = 1/2 + chi_p^2 <Sz^2> = 2.1, mean 0
     p = np.abs(state.amplitudes) ** 2
-    centers = -0.4 * state.m_values
+    centers = -0.4 * m_ladder(state.atom_count)
     var = float(p @ centers**2) + 0.5
     mu4 = float(p @ (centers**4 + 3.0 * centers**2 + 0.75))
     se_mean = math.sqrt(var / draws.size)

@@ -414,6 +414,11 @@ def test_numeric_failure_exits_2(capsys):
     assert capsys.readouterr().err == (
         "numeric failure: measurement update of record -1e+160 lost all amplitude mass\n"
     )
+    # an 85 PiB time grid exceeds any address space, so numpy refuses it
+    # before allocating anything: an allocation failure is a numeric failure
+    assert main(["feasibility", "--kind", "long_exponential", "--n-t", "1e12"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: Unable to allocate") and err.count("\n") == 1
 
 
 

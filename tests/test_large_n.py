@@ -20,7 +20,6 @@ from spinprep import (
     apply_measurement,
     css_log_window,
     dss_rows,
-    log_css_amplitudes,
     make_css,
     posterior_batch,
     prepare_dss,
@@ -78,7 +77,7 @@ def test_apply_measurement_band_post_state_matches_full_ladder(n_atoms, chi_p, o
 def test_css_windows_holding_the_centre_equal_the_whole_ladder(n_atoms):
     # every band of a CSS-conditioned record holds the prior's top level N // 2,
     # so every window the kernel reads is one of these
-    full = log_css_amplitudes(n_atoms)
+    full = css_log_window(n_atoms, 0, n_atoms + 1)
     center = n_atoms // 2
     for first, stop in {(0, n_atoms + 1), (center, center + 1), (0, center + 1),
                         (center, n_atoms + 1), (max(0, center - 3), min(n_atoms + 1, center + 9))}:
@@ -88,7 +87,7 @@ def test_css_windows_holding_the_centre_equal_the_whole_ladder(n_atoms):
 
 def test_css_windows_off_the_centre_differ_by_the_anchor_rounding_only():
     n_atoms = 10**5
-    full = log_css_amplitudes(n_atoms)
+    full = css_log_window(n_atoms, 0, n_atoms + 1)
     # the lgamma anchor rounds at the scale of log N!, about 1e6 here
     tol = 4 * np.spacing(math.lgamma(n_atoms + 1))
     windows = ((0, 10), (100, 2000), (40_000, 49_999), (50_001, 52_000), (99_000, n_atoms + 1))
@@ -117,7 +116,7 @@ def test_css_prior_conditions_as_its_array(n_atoms):
     for chi_x, chi_p in ((0.0, 0.5), (0.01, 0.0), (0.02, 0.3)):
         band, log_density = posterior_batch(CssPrior(n_atoms), records, chi_x, chi_p, reduce)
         band_ref, log_density_ref = posterior_batch(
-            log_css_amplitudes(n_atoms), records, chi_x, chi_p, reduce
+            css_log_window(n_atoms, 0, n_atoms + 1), records, chi_x, chi_p, reduce
         )
         np.testing.assert_array_equal(band, band_ref)
         np.testing.assert_array_equal(log_density, log_density_ref)
@@ -126,7 +125,7 @@ def test_css_prior_conditions_as_its_array(n_atoms):
 def test_css_log_ratios_match_exact_binomials():
     n_atoms = 10**5
     center = n_atoms // 2
-    log_amps = log_css_amplitudes(n_atoms)
+    log_amps = css_log_window(n_atoms, 0, n_atoms + 1)
     worst = max(
         abs(2.0 * (log_amps[k] - log_amps[center]) - exact_log_binomial_ratio(n_atoms, k, center))
         for k in range(center - 40, center + 41)

@@ -20,6 +20,7 @@ from spinprep import (
     sample_outcome,
     sample_outcomes,
 )
+from spinprep.spin_core import m_ladder
 
 
 def brute_css_post_probs(n_atoms, chi_x, chi_p, outcome):
@@ -45,7 +46,7 @@ def random_state(n_atoms, rng):
 def mixture_moments(state, setting):
     """Exact mean/variance/fourth central moment of the outcome mixture."""
     p = np.abs(state.amplitudes) ** 2
-    m = state.m_values
+    m = m_ladder(state.atom_count)
     centers = -(setting.chi_x * m * m + setting.chi_p * m)
     mean = float(p @ centers)
     c = centers - mean
@@ -216,7 +217,7 @@ def test_pdf_integrates_to_one():
     ]
     for n, setting in cases:
         state = random_state(n, rng)
-        m = state.m_values
+        m = m_ladder(state.atom_count)
         centers = -(setting.chi_x * m * m + setting.chi_p * m)
         grid = np.arange(centers.min() - 15.0, centers.max() + 15.0, 0.2)
         total = np.trapezoid(outcome_pdf(state, setting, grid), grid)
@@ -467,7 +468,7 @@ def test_eta_changes_phases_only():
         np.abs(plain.amplitudes), np.abs(phased.amplitudes), atol=1e-15
     )
     np.testing.assert_allclose(
-        phased.amplitudes, plain.amplitudes * np.exp(1.1j * state.m_values), atol=1e-14
+        phased.amplitudes, plain.amplitudes * np.exp(1.1j * m_ladder(state.atom_count)), atol=1e-14
     )
     assert outcome_pdf(state, MeasurementSetting(chi_p=0.5, eta=1.1), 0.3) == (
         outcome_pdf(state, MeasurementSetting(chi_p=0.5), 0.3)

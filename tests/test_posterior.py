@@ -25,9 +25,9 @@ from spinprep import (
     acceptance_probability,
     apply_measurement,
     compose,
+    css_log_window,
     dicke_squeezing,
     dss_rows,
-    log_css_amplitudes,
     make_css,
     make_dicke,
     outcome_pdf,
@@ -76,7 +76,9 @@ def batches(draw, max_atoms=10_000, window=3.0, max_records=4):
 @given(batches())
 def test_rows_have_unit_norm(case):
     n_atoms, chi_x, chi_p, _, records = case
-    probs, log_density = posterior_batch(log_css_amplitudes(n_atoms), records, chi_x, chi_p)
+    probs, log_density = posterior_batch(
+        css_log_window(n_atoms, 0, n_atoms + 1), records, chi_x, chi_p
+    )
     assert probs.shape == (records.size, n_atoms + 1)
     np.testing.assert_allclose(np.sum(probs, axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(np.isfinite(log_density))
@@ -86,7 +88,7 @@ def test_rows_have_unit_norm(case):
 @given(batches())
 def test_batched_row_equals_one_record_call(case):
     n_atoms, chi_x, chi_p, _, records = case
-    log_prior = log_css_amplitudes(n_atoms)
+    log_prior = css_log_window(n_atoms, 0, n_atoms + 1)
     probs, log_density = posterior_batch(log_prior, records, chi_x, chi_p)
     for row, y in enumerate(records):
         one, one_density = posterior_batch(log_prior, y, chi_x, chi_p)
@@ -98,7 +100,9 @@ def test_batched_row_equals_one_record_call(case):
 @given(batches(max_atoms=40, window=1.0, max_records=3))
 def test_rows_match_linear_domain_product(case):
     n_atoms, chi_x, chi_p, _, records = case
-    probs, log_density = posterior_batch(log_css_amplitudes(n_atoms), records, chi_x, chi_p)
+    probs, log_density = posterior_batch(
+        css_log_window(n_atoms, 0, n_atoms + 1), records, chi_x, chi_p
+    )
     for row, y in enumerate(records):
         ref_probs, ref_density = linear_posterior(n_atoms, chi_x, chi_p, [y])
         np.testing.assert_allclose(probs[row], ref_probs, rtol=0, atol=1e-10)
@@ -111,7 +115,9 @@ def test_density_equals_outcome_pdf(case):
     n_atoms, chi_x, chi_p, eta, records = case
     setting = MeasurementSetting(chi_x=chi_x, chi_p=chi_p, eta=eta)
     state = make_css(n_atoms)
-    _, log_density = posterior_batch(log_css_amplitudes(n_atoms), records, chi_x, chi_p)
+    _, log_density = posterior_batch(
+        css_log_window(n_atoms, 0, n_atoms + 1), records, chi_x, chi_p
+    )
     pdf = outcome_pdf(state, setting, records)
     ref = mixture_pdf(records, state, setting)
     resolved = ref > 1e-250
@@ -193,6 +199,26 @@ def test_figures_same_alone_and_in_batch_across_chunks():
     chis = np.linspace(0.05, 2.0, 200)
     assert_rows_equal_per_record_calls(2000, chis, 0.0)
     assert_rows_equal_per_record_calls(np.repeat([1999, 2000, 2001], 60), chis[::-1][:180], 1.5)
+
+
+def test_kernel_writes_each_chunk_at_its_records():
+    # two atom counts on one level axis, bands of about 20 to 530 levels: the
+    # batch runs in several width-sorted chunks, and each chunk's values must
+    # land at its own records' rows
+    n_atoms = np.repeat([1000, 1200], 1000)
+    chis = np.tile([0.1, 3.0, 0.4, 1.5], 500)
+    widths = []
+
+    def reduce(probs, rows, first, count):
+        widths.append(probs.shape[1])
+        return rows
+
+    rows, _ = posterior_batch(CssPrior(n_atoms), 0.5, chi_p=chis, reduce=reduce)
+    assert len(widths) > 2 and len(set(widths)) > 2
+    np.testing.assert_array_equal(rows, np.arange(n_atoms.size))
+    # a batch of one chunk returns what reduce gave, as it is
+    value = object()
+    assert posterior_batch(CssPrior(1000), 0.5, chi_p=0.4, reduce=lambda *_: value)[0] is value
 
 
 def test_band_never_reads_a_neighbouring_ladder():
@@ -291,7 +317,7 @@ def test_xi_d_matches_decimal_centred_moments(n_atoms, chi_p, fraction):
     # a record far from m = 0 leaves a narrow packet there; uncentred moments
     # lost up to 6e-7 of xi_D to cancellation, centred ones keep it to 1e-13
     y = -chi_p * fraction * n_atoms / 2
-    probs, _ = posterior_batch(log_css_amplitudes(n_atoms), y, chi_p=chi_p)
+    probs, _ = posterior_batch(css_log_window(n_atoms, 0, n_atoms + 1), y, chi_p=chi_p)
     ref = decimal_xi_d(probs[0], n_atoms)
     assert dicke_squeezing(probs, n_atoms)[0] == pytest.approx(ref, rel=1e-13, abs=0)
     assert dss_rows(n_atoms, chi_p, y)[0][0] == pytest.approx(ref, rel=1e-13, abs=0)
@@ -307,7 +333,7 @@ def test_two_records_compose_to_one_at_sqrt2_chi(case):
     assert eff.chi_x == pytest.approx(math.sqrt(2.0) * chi_x)
     assert eff.chi_p == pytest.approx(math.sqrt(2.0) * chi_p)
     probs, log_density = posterior_batch(
-        log_css_amplitudes(n_atoms), eff_outcome, eff.chi_x, eff.chi_p
+        css_log_window(n_atoms, 0, n_atoms + 1), eff_outcome, eff.chi_x, eff.chi_p
     )
     ref_probs, ref_density = linear_posterior(n_atoms, chi_x, chi_p, [y1, y2])
     np.testing.assert_allclose(probs[0], ref_probs, rtol=0, atol=1e-10)

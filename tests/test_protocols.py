@@ -25,6 +25,7 @@ from spinprep import (
     sample_outcome,
     superposition_rows,
 )
+from spinprep.spin_core import m_ladder
 
 CAVITY = CavityParams.from_two_pi_megahertz(0.4, 3000.0, 1.0, 100.0)
 
@@ -32,8 +33,8 @@ CAVITY = CavityParams.from_two_pi_megahertz(0.4, 3000.0, 1.0, 100.0)
 def _positive_side_argmax(state):
     """The m > 0 value with the largest probability."""
     probs = np.abs(state.amplitudes) ** 2
-    positive = state.m_values > 0
-    return state.m_values[positive][np.argmax(probs[positive])]
+    positive = m_ladder(state.atom_count) > 0
+    return m_ladder(state.atom_count)[positive][np.argmax(probs[positive])]
 
 
 def _sequential_sampled(n_atoms, chi_p, n_rounds, seed):
@@ -70,7 +71,7 @@ def test_superposition_two_packet_structure():
     assert res.target_m_c == 5.0
     assert _positive_side_argmax(res.post_state) == 5.0
     probs = np.abs(res.post_state.amplitudes) ** 2
-    m = res.post_state.m_values
+    m = m_ladder(res.post_state.atom_count)
     assert probs[m == 5.0] == pytest.approx(probs[m == -5.0])
     assert res.packet_separation == pytest.approx(10.0)
     assert res.packet_width == pytest.approx(0.5)  # 1 / (2 sqrt(5 * 0.2))
@@ -91,7 +92,7 @@ def test_superposition_reaches_ghz():
         pytest.approx(res.fidelity_vs_target)
     )
     probs = np.abs(res.post_state.amplitudes) ** 2
-    assert probs[res.post_state.m_values == 2.0] == pytest.approx([0.5], abs=0.01)
+    assert probs[m_ladder(res.post_state.atom_count) == 2.0] == pytest.approx([0.5], abs=0.01)
 
 
 def test_superposition_fidelity_monotone_over_grid():
@@ -238,10 +239,27 @@ def test_one_record_protocols_equal_their_rows(n_atoms):
 
 @pytest.mark.parametrize("n_atoms, chi", [([40, 50], 0.1), (40, [0.1, 0.2])])
 def test_row_functions_reject_unbroadcastable_sizes_alike(n_atoms, chi):
-    # the kernel's size check runs before the superposition packet geometry
-    for rows in (superposition_rows, dss_rows):
+    # the kernel's size check runs before the superposition packet geometry,
+    # and the round counts' before sqrt(n) scales the records
+    one_round = lambda n, c, y: repetitive_dss_rows(n, c, 1, y)  # noqa: E731
+    for rows in (superposition_rows, dss_rows, one_round):
         with pytest.raises(ValueError, match="do not broadcast"):
             rows(n_atoms, chi, [-1.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("chi_p, n_rounds, outcomes, sizes", [
+    ([0.1, 0.2, 0.3], [1, 4], 0.0, "1, 3, 2 and 1"),
+    (0.1, [1, 4], [0.0, 1.0, 2.0], "1, 1, 2 and 3"),
+])
+def test_repetitive_rows_name_every_size_that_does_not_broadcast(chi_p, n_rounds, outcomes, sizes):
+    with pytest.raises(ValueError, match=f"do not broadcast: sizes {sizes}$"):
+        repetitive_dss_rows(40, chi_p, n_rounds, outcomes)
+
+
+def test_repetitive_rows_take_list_records_as_arrays():
+    want = repetitive_dss_rows(40, 0.4, 4, np.array([0.0, 1.0]))
+    np.testing.assert_array_equal(repetitive_dss_rows(40, 0.4, 4, [0.0, 1.0]), want)
+    np.testing.assert_array_equal(repetitive_dss_rows(40, [0.4, 0.4], [4, 4], [0.0, 1.0]), want)
 
 
 def test_superposition_rows_zero_width_without_overflow_warning():

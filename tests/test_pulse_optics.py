@@ -89,7 +89,7 @@ def test_grid_validation():
         build_pulse("exponential", span=5.0)  # too short
     with pytest.raises(ValueError):
         build_pulse("exponential", dt=0.02)  # too coarse
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected one of"):
         build_pulse("sawtooth")
     with pytest.raises(ValueError):
         build_pulse("long_exponential", n_t=0.5)
@@ -102,19 +102,18 @@ def test_even_sample_count_is_rejected():
     times = np.linspace(-30.0, 30.0, 12000)
     beta = np.exp(-np.abs(times))
     with pytest.raises(ValueError, match="odd sample count, got 12000"):
-        PulseGrid(times=times, beta_in=beta, kind="exponential")
+        PulseGrid(times=times, beta_in=beta)
 
 
 def test_complex_envelope_is_rejected():
     pulse = build_pulse("exponential")
     with pytest.raises(ValueError, match="beta_in must be real"):
-        PulseGrid(times=pulse.times, beta_in=pulse.beta_in * 1j, kind="exponential")
+        PulseGrid(times=pulse.times, beta_in=pulse.beta_in * 1j)
 
 
 @pytest.mark.parametrize(
     "change, match",
     [
-        pytest.param(lambda t, b: {"kind": "sawtooth"}, "expected one of", id="unknown-kind"),
         pytest.param(lambda t, b: {"times": t[None, :]}, "1-d grid", id="2d-times"),
         pytest.param(
             lambda t, b: {"times": t[:2], "beta_in": b[:2]}, "at least 3", id="2-samples"
@@ -132,7 +131,7 @@ def test_complex_envelope_is_rejected():
     ],
 )
 def test_pulse_grid_rejections(exp_pulse, change, match):
-    fields = {"times": exp_pulse.times, "beta_in": exp_pulse.beta_in, "kind": "exponential"}
+    fields = {"times": exp_pulse.times, "beta_in": exp_pulse.beta_in}
     fields.update(change(exp_pulse.times, exp_pulse.beta_in))
     with pytest.raises(ValueError, match=match):
         PulseGrid(**fields)
@@ -246,7 +245,7 @@ def test_responses_match_direct_sums_for_a_sign_changing_pulse():
     times = np.linspace(-3.0, 12.0, 1501)
     beta = times * np.exp(-np.abs(times))
     beta /= math.sqrt(l2_mass(times, beta))
-    pulse = response_functions(PulseGrid(times=times, beta_in=beta, kind="exponential"))
+    pulse = response_functions(PulseGrid(times=times, beta_in=beta))
     assert beta[0] < -0.1
     want = _response_oracle(pulse, convolve=np.convolve)
     for got, ref in zip((pulse.beta0, pulse.beta1, pulse.beta2), want):

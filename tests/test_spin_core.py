@@ -18,6 +18,7 @@ from spinprep import (
     prepare_superposition,
     response_functions,
 )
+from spinprep.spin_core import m_ladder
 
 
 def random_state(n_atoms, rng):
@@ -161,7 +162,7 @@ def test_observables_match_matrix_oracle():
 def test_dicke_state_probabilities():
     state = make_dicke(4, 1)
     probs = np.abs(state.amplitudes) ** 2
-    assert probs[state.m_values == 1.0] == pytest.approx([1.0])
+    assert probs[m_ladder(state.atom_count) == 1.0] == pytest.approx([1.0])
     assert probs.sum() == pytest.approx(1.0)
 
 
@@ -176,8 +177,8 @@ def test_post_measurement_peak_position():
         make_css(100), MeasurementSetting(chi_x=0.2), -0.2 * 25.0
     )
     probs = np.abs(post.amplitudes) ** 2
-    positive = post.m_values > 0
-    assert post.m_values[positive][np.argmax(probs[positive])] == 5.0
+    positive = m_ladder(post.atom_count) > 0
+    assert m_ladder(post.atom_count)[positive][np.argmax(probs[positive])] == 5.0
 
 
 # ---------------------------------------------------------------- fidelity
