@@ -54,12 +54,7 @@ class SweepSpec:
             start, stop, count = self.grid["start"], self.grid["stop"], self.grid["count"]
             if count < 2:
                 raise UsageError(f"grid count must be >= 2, got {count}")
-            if not (math.isfinite(start) and math.isfinite(stop)):
-                raise UsageError("grid bounds must be finite")
-            scale = self.grid.get("scale", "linear")
-            if scale not in ("linear", "log"):
-                raise UsageError(f"grid scale must be linear or log, got {scale!r}")
-            if scale == "log" and (start <= 0 or stop <= 0):
+            if self.grid.get("scale", "linear") == "log" and (start <= 0 or stop <= 0):
                 raise UsageError("log grids need positive bounds")
 
     def points(self) -> np.ndarray:
@@ -189,15 +184,13 @@ def cmd_fig2(sub: str, n_atoms: int, chi_x: float | None, seed: int) -> SweepRes
         columns = ["m"] + [f"p_xl_{name}" for name, _ in _FIG2_RATIOS]
         dists = _superposition_pm(n_atoms, chi, [-chi * s * r for _, r in _FIG2_RATIOS])
         return SweepResult(spec, columns, list(zip(m_ladder(n_atoms).tolist(), *dists)))
-    if sub == "c":
-        grid = {"start": 0.02, "stop": 0.5, "count": 25, "scale": "linear"}
-        spec = SweepSpec("fig2", "c", "chi_x", grid, {"N": n_atoms}, seed)
-        columns = ["chi_x"] + [f"f_xl_{name}" for name, _ in _FIG2_RATIOS]
-        chis = spec.points()
-        ratio, chi = _curves([r for _, r in _FIG2_RATIOS], chis)
-        fids = superposition_rows(n_atoms, chi, -chi * s * ratio)[0]
-        return SweepResult(spec, columns, _zip_columns(chis, fids.reshape(len(_FIG2_RATIOS), -1)))
-    raise UsageError(f"unknown fig2 subvariant {sub!r}")
+    grid = {"start": 0.02, "stop": 0.5, "count": 25, "scale": "linear"}
+    spec = SweepSpec("fig2", "c", "chi_x", grid, {"N": n_atoms}, seed)
+    columns = ["chi_x"] + [f"f_xl_{name}" for name, _ in _FIG2_RATIOS]
+    chis = spec.points()
+    ratio, chi = _curves([r for _, r in _FIG2_RATIOS], chis)
+    fids = superposition_rows(n_atoms, chi, -chi * s * ratio)[0]
+    return SweepResult(spec, columns, _zip_columns(chis, fids.reshape(len(_FIG2_RATIOS), -1)))
 
 
 def cmd_fig3(sub: str, n_atoms: int | None, chi_p: float | None, seed: int) -> SweepResult:
@@ -219,15 +212,13 @@ def cmd_fig3(sub: str, n_atoms: int | None, chi_p: float | None, seed: int) -> S
         chis = spec.points()
         xis = dss_rows(*_curves(ns, chis), 0.0)[0]
         return SweepResult(spec, columns, _zip_columns(chis, xis.reshape(len(ns), -1)))
-    if sub == "c":
-        chi = chi_p if chi_p is not None else 2.0
-        ns = [n_atoms] if n_atoms is not None else list(range(10, 121, 2))
-        spec = SweepSpec("fig3", "c", "n_atoms", None, {"chi_p": chi, "N": ns}, seed)
-        columns = ["n_atoms", "xi_d", "xi_d_ideal", "xi_d_times_n_plus_2"]
-        xis = dss_rows(np.array(ns), chi, 0.0)[0].tolist()
-        rows = [(n, xi, 1.0 / (n + 2), xi * (n + 2)) for n, xi in zip(ns, xis)]
-        return SweepResult(spec, columns, rows)
-    raise UsageError(f"unknown fig3 subvariant {sub!r}")
+    chi = chi_p if chi_p is not None else 2.0
+    ns = [n_atoms] if n_atoms is not None else list(range(10, 121, 2))
+    spec = SweepSpec("fig3", "c", "n_atoms", None, {"chi_p": chi, "N": ns}, seed)
+    columns = ["n_atoms", "xi_d", "xi_d_ideal", "xi_d_times_n_plus_2"]
+    xis = dss_rows(np.array(ns), chi, 0.0)[0].tolist()
+    rows = [(n, xi, 1.0 / (n + 2), xi * (n + 2)) for n, xi in zip(ns, xis)]
+    return SweepResult(spec, columns, rows)
 
 
 def cmd_fig4(
@@ -256,21 +247,19 @@ def cmd_fig4(
         record_rounds, chi = _curves(rounds, chis)
         xis = repetitive_dss_rows(n, chi, record_rounds)
         return SweepResult(spec, columns, _zip_columns(chis, xis.reshape(len(rounds), -1)))
-    if sub == "c":
-        chis = [chi_p] if chi_p is not None else [0.2, 0.4]
-        max_rounds = n_rounds if n_rounds is not None else 40
-        spec = SweepSpec("fig4", "c", "n_rounds", None, {"N": n, "chi_p": chis}, seed)
-        columns = (
-            ["n_rounds"]
-            + [f"xi_d_chi_{_slug(c)}" for c in chis]
-            + [f"n_opt_chi_{_slug(c)}" for c in chis]
-        )
-        markers = [(2.0 / c) ** 2 for c in chis]
-        rounds = np.arange(1, max_rounds + 1)
-        xis = repetitive_dss_rows(n, *_curves(chis, rounds)).reshape(len(chis), -1)
-        rows = [(*row, *markers) for row in _zip_columns(rounds, xis)]
-        return SweepResult(spec, columns, rows)
-    raise UsageError(f"unknown fig4 subvariant {sub!r}")
+    chis = [chi_p] if chi_p is not None else [0.2, 0.4]
+    max_rounds = n_rounds if n_rounds is not None else 40
+    spec = SweepSpec("fig4", "c", "n_rounds", None, {"N": n, "chi_p": chis}, seed)
+    columns = (
+        ["n_rounds"]
+        + [f"xi_d_chi_{_slug(c)}" for c in chis]
+        + [f"n_opt_chi_{_slug(c)}" for c in chis]
+    )
+    markers = [(2.0 / c) ** 2 for c in chis]
+    rounds = np.arange(1, max_rounds + 1)
+    xis = repetitive_dss_rows(n, *_curves(chis, rounds)).reshape(len(chis), -1)
+    rows = [(*row, *markers) for row in _zip_columns(rounds, xis)]
+    return SweepResult(spec, columns, rows)
 
 
 # --------------------------------------------------------------------------
@@ -290,11 +279,8 @@ def cmd_sample(
     css = make_css(n_atoms)
     if protocol == "dss":
         setting = MeasurementSetting(chi_p=chi_p)
-    elif protocol == "superposition":
-        setting = MeasurementSetting(chi_x=chi_x)
     else:
-        raise UsageError(f"unknown sample protocol {protocol!r}")
-
+        setting = MeasurementSetting(chi_x=chi_x)
     outcomes = sample_outcomes(css, setting, n_shots, seed)
     fixed = {"N": n_atoms, "chi_x": chi_x, "chi_p": chi_p, "eta": eta, "n_shots": n_shots}
     spec = SweepSpec("sample", protocol, "shot", None, fixed, seed)
@@ -337,10 +323,6 @@ def _sweep_values(protocol: str, params: dict) -> list[np.ndarray]:
 
 def cmd_sweep(spec: SweepSpec) -> SweepResult:
     protocol = spec.subvariant
-    if protocol not in SWEEP_PROTOCOLS:
-        raise UsageError(
-            f"unknown sweep protocol {protocol!r}; expected one of {sorted(SWEEP_PROTOCOLS)}"
-        )
     if spec.param not in SWEEP_PROTOCOLS[protocol]["params"]:
         raise UsageError(
             f"parameter {spec.param!r} is not sweepable for {protocol}; "
@@ -496,28 +478,20 @@ def _config_file() -> dict:
     return loaded
 
 
-def _configured(command: str) -> dict:
-    """Flag values of ``command`` set by SPINPREP_<DEST> or else the config file.
+def _configured(command: str) -> list[str]:
+    """``--flag=value`` tokens for the flags of ``command`` set by SPINPREP_<DEST> or the file.
 
-    Keyed by dest; a flag set by neither is left out.  Each value goes through
-    the flag's type and choices as if typed on the command line.
+    The variable's value replaces the file's; a flag set by neither is left
+    out.  The ``=`` form keeps a value such as ``-1e-3`` from reading as a flag.
     """
     cfg = _config_file()
-    values = {}
+    tokens = []
     for name, kw in COMMANDS[command][1]:
         dest = kw.get("dest", name.lstrip("-").replace("-", "_"))
         variable = f"SPINPREP_{dest.upper()}"
-        if not name.startswith("-") or (variable not in os.environ and dest not in cfg):
-            continue
-        raw = os.environ.get(variable, cfg.get(dest))
-        try:
-            value = kw.get("type", str)(str(raw))
-        except ValueError as exc:
-            raise UsageError(f"configured {dest}={raw!r}: {exc}") from exc
-        if "choices" in kw and value not in kw["choices"]:
-            raise UsageError(f"configured {dest}={value!r} not in {sorted(kw['choices'])}")
-        values[dest] = value
-    return values
+        if name.startswith("-") and (variable in os.environ or dest in cfg):
+            tokens.append(f"{name}={os.environ.get(variable, cfg.get(dest))}")
+    return tokens
 
 
 @functools.cache
@@ -543,18 +517,17 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
     Precedence of flag values: file named by SPINPREP_CONFIG < SPINPREP_<DEST> < flags.
     The file and the variables are read again on every call, and their values
-    pre-fill the namespace that the command's parser fills from the flags:
-    argparse sets a default only where the namespace has no value yet.  (A
-    subparser would not do: it parses into a fresh namespace and copies its
-    defaults over the pre-filled values.)
+    reach the parser as flags placed before the typed ones, where the last
+    occurrence of a flag wins; so a configured value is checked and reported
+    like a typed one, and may supply a required flag.
     Without a subcommand in ``argv[0]`` (``--help``, none or an unknown one)
     the top-level parser lists all of them, or reports the error.
     """
     command = argv[0] if argv else None
     if command not in COMMANDS:
         return _listing_parser().parse_args(argv)
-    namespace = argparse.Namespace(command=command, **_configured(command))
-    return _command_parser(command).parse_args(argv[1:], namespace)
+    tokens = [*_configured(command), *argv[1:]]
+    return _command_parser(command).parse_args(tokens, argparse.Namespace(command=command))
 
 
 def main(argv=None) -> int:

@@ -668,6 +668,44 @@ def test_config_rejects_bad_values(tmp_path, monkeypatch):
     assert main(["sample", "dss", "--chi-p", "0.4"]) == 1
 
 
+@pytest.mark.parametrize("variable, value, message", [
+    ("SPINPREP_FORMAT", "xml",
+     "error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json')\n"),
+    ("SPINPREP_N_SHOTS", "abc", "error: argument --n-shots: invalid int value: 'abc'\n"),
+    ("SPINPREP_CHI_P", "nan", "error: argument --chi-p: invalid finite value: 'nan'\n"),
+], ids=["choice", "int", "finite"])
+def test_bad_configured_value_names_its_flag(variable, value, message, monkeypatch, capsys):
+    monkeypatch.setenv(variable, value)
+    assert main(["sample", "dss", "--chi-p", "0.4"]) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_required_flags_from_config_file(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"param": "outcome", "start": -1e-3, "stop": 1.0, "count": 3}))
+    monkeypatch.setenv("SPINPREP_CONFIG", str(cfg))
+    res, _ = run(tmp_path, "sweep", "dss")
+    assert res["spec"]["param"] == "outcome"
+    assert res["spec"]["grid"] == {"start": -1e-3, "stop": 1.0, "count": 3, "scale": "linear"}
+    assert column(res, "value").tolist() == np.linspace(-1e-3, 1.0, 3).tolist()
+
+
+def test_config_file_unreadable_or_not_an_object(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SPINPREP_CONFIG", str(tmp_path / "missing.json"))
+    assert main(["fig2", "a", "--N", "4"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot read config file {tmp_path / 'missing.json'}: "
+    )
+    cfg = tmp_path / "cfg.json"
+    monkeypatch.setenv("SPINPREP_CONFIG", str(cfg))
+    cfg.write_text("{not json")
+    assert main(["fig2", "a", "--N", "4"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {cfg}: ")
+    cfg.write_text(json.dumps([{"N": 4}]))
+    assert main(["fig2", "a", "--N", "4"]) == 1
+    assert capsys.readouterr().err == f"error: config file {cfg} must hold a JSON object\n"
+
+
 def test_help_lists_commands_and_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
