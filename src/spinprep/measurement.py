@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .spin_core import (
     NORM_TOL,
@@ -69,8 +68,11 @@ class MeasurementSetting:
     eta: float = 0.0
 
     def __post_init__(self):
+        for name in ("chi_x", "chi_p", "eta"):
+            if np.ndim(getattr(self, name)):
+                raise ValueError(f"{name} must be one number, got {getattr(self, name)!r}")
         _per_record(0.0, self.chi_x, self.chi_p)
-        if not np.isfinite(np.asarray(self.eta, dtype=float)).all():
+        if not np.isfinite(np.asarray(self.eta, dtype=float)):
             raise ValueError(f"eta must be finite, got {self.eta}")
 
 
@@ -122,7 +124,7 @@ def _level_windows(levels: np.ndarray, width: int) -> np.ndarray:
 
 
 def _band_limits(n_levels, top, y, cx, cp) -> np.ndarray:
-    """Index of the lowest and the highest level each record's row can keep, as two rows.
+    """Index of the lowest and highest level each record's row can keep, and of its reference.
 
     Level m survives the floor only if 2 log|a_m| - (Y + c_m)^2, with
     c_m = chi_x m^2 + chi_p m, lies within -_LOG_PROB_FLOOR of the row's
@@ -140,6 +142,10 @@ def _band_limits(n_levels, top, y, cx, cp) -> np.ndarray:
     kernel's row checks see it, and a record whose row overflows, in any
     band.
 
+    The third row is each record's reference level: the level nearest the
+    record's center, the root of Y + c_m = 0 of smaller |m|, or the vertex
+    -chi_p / (2 chi_x) of c_m where there is no root, clipped to the band.
+
     ``n_levels`` and ``top``, the prior's level count and largest level, are
     shared by every record or hold one entry per record.
     """
@@ -155,7 +161,15 @@ def _band_limits(n_levels, top, y, cx, cp) -> np.ndarray:
     np.fmax(ends[0], upper[1], out=ends[0], where=ends[1] <= ends[0])
     ends[1] = upper[0]
     ends = np.floor(ends + (_END_MARGINS + s))
-    return np.fmin(np.fmax(ends, 0.0), 2.0 * s).astype(np.intp)
+    first, last = np.fmin(np.fmax(ends, 0.0), 2.0 * s)
+    # the root -2Y / (cp + sqrt(cp^2 - 4 cx Y)), its square root taken without
+    # overflow and nan where there is no root; 0/0 (Y = 0) is the root 0
+    r = 2.0 * np.sqrt(cx) * np.sqrt(np.abs(y))
+    root = np.where(y <= 0.0, np.hypot(cp, r), np.sqrt(cp - r) * np.sqrt(cp + r))
+    center = np.where(np.isnan(root), -half_cp / cx, -y / (half_cp + 0.5 * root))
+    center = np.nan_to_num(center)
+    reference = np.fmin(np.fmax(np.rint(center + s), first), last)
+    return np.array([first, last, reference]).astype(np.intp)
 
 
 def _ladders(atoms, n_records: int) -> tuple[list, list]:
@@ -219,9 +233,14 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     :func:`_band_limits`, which needs only the prior's largest level: the
     array's argmax, or N // 2 for the CSS).  Every level outside it is one
     the floor would set to 0.  On the band, the row
-    2 log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 is shifted by its maximum,
-    exponentiated once (levels more than e^-700 below the peak set to 0) and
-    normalized by its sum over the band, which depends on the record alone.
+    2 log|a_m| - (Y_r + c_m)^2, c_m = chi_x m^2 + chi_p m, is formed relative
+    to the record's reference level j, the level nearest its center (see
+    :func:`_band_limits`), as 2 log|a_m| - (c_m - c_j)(c_m + c_j + 2 Y_r);
+    the row's constant -(Y_r + c_j)^2, about 10^6 for a record 10^3 from
+    every center, joins its shift instead of rounding the levels' differences.
+    The row is shifted by its maximum, exponentiated once (levels more than
+    e^-700 below the peak set to 0) and normalized by its sum over the band,
+    which depends on the record alone.
 
     The band limits come first, and the prior is read only on the window of
     levels its bands index.  A ladder is a run of consecutive records with
@@ -250,9 +269,9 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     is) with the log record densities log ||M(Y_r) psi||^2.
 
     Raises :class:`PosteriorError` if a record leaves no finite, nonzero mass
-    (naming the batch's first such record) or a post state misses unit norm
-    by more than ``NORM_TOL``, and ``ValueError`` for invalid strengths or a
-    complex prior.
+    or no finite density (naming the batch's first such record) or a post
+    state misses unit norm by more than ``NORM_TOL``, and ``ValueError`` for
+    invalid strengths or a complex prior.
     """
     if isinstance(log_prior, CssPrior):
         atoms, top = log_prior.atom_count, log_prior.top
@@ -310,25 +329,33 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
         order = r0 + np.argsort(-count[r0:r1], kind="stable")
         # one chunk buffer for the whole group: a fresh records x W matrix per
         # chunk can cost more in page faults than the arithmetic on it
-        work = np.empty(min(order.size * width, max(_CHUNK_ELEMENTS, width)))
+        work = np.empty((2, min(order.size * width, max(_CHUNK_ELEMENTS, width))))
         start = 0
         while start < order.size:
             band_width = int(count[order[start]])
             rows = np.sort(order[start : start + max(1, _CHUNK_ELEMENTS // band_width)])
             start += rows.size
             bands = band_start[rows]
-            log_p = work[: rows.size * band_width].reshape(-1, band_width)
+            references = bands + reference[rows] - first[rows]
+            log_p, sums = work[:, : rows.size * band_width].reshape(2, -1, band_width)
             if shared:
-                np.add(_level_windows(offsets, band_width)[bands], y[rows][:, None], log_p)
+                c_ref = offsets[references]
+                np.subtract(_level_windows(offsets, band_width)[bands], c_ref[:, None], log_p)
             else:
                 band_m = _level_windows(m, band_width)[bands]
                 np.multiply(band_m, band_m, log_p)
                 log_p *= cx[rows][:, None]
                 band_m *= cp[rows][:, None]
                 log_p += band_m
-                log_p += y[rows][:, None]
-            # 2 log|a_m w_m| up to the row constant -(1/2) log pi, in place
-            np.square(log_p, log_p)
+                m_ref = m[references]
+                c_ref = cx[rows] * (m_ref * m_ref) + cp[rows] * m_ref
+                log_p -= c_ref[:, None]
+            # (Y + c_m)^2 = (Y + c_j)^2 + (c_m - c_j)(c_m - c_j + 2 (Y + c_j)), j the
+            # reference level: the first term, shared by the row, goes to its shift
+            residual = y[rows] + c_ref
+            np.add(log_p, 2.0 * residual[:, None], sums)  # c_m + c_j + 2Y
+            log_p *= sums
+            # 2 log|a_m w_m| up to the row constant -(Y + c_j)^2 - (1/2) log pi, in place
             np.subtract(_level_windows(two_log_mag, band_width)[bands], log_p, log_p)
             shift = log_p.max(axis=1)
             log_p -= shift[:, None]
@@ -339,10 +366,11 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
             band_count = count[rows]
             mass = span_sums(probs, span_bounds(band_width, band_count))
             probs /= mass[:, None]
-            chunk_density = np.log(mass) + (shift - 0.5 * _LOG_PI)
-            # a record without finite, nonzero mass fails the norm check too
+            chunk_density = np.log(mass) + (shift - residual * residual - 0.5 * _LOG_PI)
+            # a record without finite, nonzero mass fails the norm check too; a
+            # row constant that overflows leaves a finite row but no density
             norm_dev = float(np.abs(probs.sum(axis=1) - 1.0).max())
-            if not norm_dev <= NORM_TOL:
+            if not (norm_dev <= NORM_TOL and np.isfinite(chunk_density).all()):
                 bad = rows[~np.isfinite(chunk_density)]
                 if bad.size:
                     record = f"measurement update of record {y[bad[0]]} lost all amplitude mass"
@@ -361,7 +389,7 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
 
     # an overflowing residual or a non-finite record is caught by the density check
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first, last = _band_limits(atoms + 1, top, y, cx, cp)
+        first, last, reference = _band_limits(atoms + 1, top, y, cx, cp)
         count = last - first + 1
         starts = bounds[:-1]
         lo = np.minimum.reduceat(first, starts).tolist()
@@ -541,6 +569,8 @@ def acceptance_probability(
     written so that windows far in a tail keep full relative precision.  An
     infinite half-width gives exactly sum_m P(m).
     """
+    from scipy.special import erfc  # deferred: most of the package's import time
+
     if not half_width > 0:
         raise ValueError(f"half_width must be positive, got {half_width}")
     if not math.isfinite(target):

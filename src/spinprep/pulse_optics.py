@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import k1
 
 from .spin_core import _locked
 
@@ -185,9 +184,9 @@ def l2_mass(times: np.ndarray, values: np.ndarray) -> float:
 
 
 def _time_grid(span: float, dt: float) -> np.ndarray:
-    n_steps = int(round(2.0 * span / dt))
-    if n_steps % 2:  # keep t = 0 on the grid and the sample count odd for Simpson
-        n_steps += 1
+    # a multiple of 4 steps: an odd sample count for Simpson, and t = 0, the
+    # kink of e^{-|t|}, on a panel's edge rather than inside one
+    n_steps = 4 * math.ceil(round(2.0 * span / dt) / 4)
     return np.linspace(-span, span, n_steps + 1)
 
 
@@ -199,6 +198,8 @@ def _spectral_envelope(times: np.ndarray) -> np.ndarray:
     10.32.11) gives int_0^inf (1 + w^2)^{-3/2} cos(w t) dw = |t| K_1(|t|),
     whose limit at t = 0 is 1.
     """
+    from scipy.special import k1  # deferred: most of the package's import time
+
     t = np.abs(times)
     shape = np.ones_like(t)
     nonzero = t > 0.0

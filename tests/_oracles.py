@@ -64,22 +64,27 @@ def mixture_pdf(x, state, setting):
     return np.exp(-diff * diff) @ p / math.sqrt(math.pi)
 
 
-def log_domain_rows(amplitudes, records, chi_x, chi_p):
+def log_domain_rows(amplitudes, records, chi_x, chi_p, references):
     """Posterior of each record over all N+1 levels, in the log domain.
 
-    Row r is 2 log|a_m| - (Y_r + chi_x m^2 + chi_p m)^2 at every level,
-    relative to its maximum and with no floor.  The residual is rounded as
-    Y + (chi_x m^2 + chi_p m), so that a level near the floor's edge of a
-    far record is judged as an evaluation of the same sum judges it.
-    Returns those relative log weights and the rows exponentiated and
-    normalized.
+    Row r is 2 log|a_m| - (Y_r + c_m)^2, c_m = chi_x m^2 + chi_p m, at every
+    level, relative to its maximum and with no floor.  It is formed relative
+    to the level j of index ``references[r]``, as
+    2 log|a_m| - (c_m - c_j)(c_m - c_j + 2 (Y_r + c_j)), each c rounded as
+    chi_x m^2 + chi_p m, so that a level near the floor's edge of a far
+    record, or one of two nearly tied levels, is judged as an evaluation of
+    the same sum judges it.  Returns those relative log weights and the rows
+    exponentiated and normalized.
     """
     n_atoms = len(amplitudes) - 1
     m = np.arange(n_atoms + 1) - n_atoms / 2
     with np.errstate(divide="ignore"):
         two_log_mag = 2.0 * np.log(np.abs(amplitudes))
-    residual = np.asarray(records, dtype=float)[:, None] + (chi_x * (m * m) + chi_p * m)
-    log_w = two_log_mag - residual * residual
+    centers = chi_x * (m * m) + chi_p * m
+    c_ref = centers[np.asarray(references)][:, None]
+    residual = np.asarray(records, dtype=float)[:, None] + c_ref
+    offset = centers - c_ref
+    log_w = two_log_mag - offset * (offset + 2.0 * residual)
     log_w -= log_w.max(axis=1, keepdims=True)
     probs = np.exp(log_w)
     return log_w, probs / probs.sum(axis=1, keepdims=True)

@@ -602,6 +602,13 @@ def test_feasibility_exit_codes(capsys):
     assert main(["feasibility", "--np", "1e9"]) == 2  # photon budget violated
 
 
+def test_feasibility_any_stretch_builds_its_pulse(capsys):
+    # 6000.6 steps: rounded to 6001 and up to 6002, t = 0 fell inside a Simpson
+    # panel and the pulse's L2 mass check failed, reported as a usage error
+    assert main(["feasibility", "--kind", "long_exponential", "--n-t", "1.0001"]) == 0
+    assert "ok                      : True" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- config
 
 

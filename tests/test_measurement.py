@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,13 @@ def test_kernel_rejects_a_complex_prior():
         posterior_batch(log_prior, 0.3, chi_p=0.5)
 
 
+@pytest.mark.parametrize("shape", [(0,), (1,), (2, 2)])
+def test_kernel_rejects_a_prior_that_is_not_a_ladder(shape):
+    # N + 1 >= 2 levels in one dimension
+    with pytest.raises(ValueError, match=re.escape(f"N+1 >= 2 levels, got shape {shape}")):
+        posterior_batch(np.zeros(shape), 0.3, chi_p=0.5)
+
+
 def test_kernel_peak_at_record_matched_level():
     # record -5 with chi_x = 0.2 leaves zero exponent exactly at m^2 = 25, so a
     # flat prior's posterior peaks there
@@ -95,6 +103,14 @@ def test_setting_validation():
         MeasurementSetting(chi_p=math.nan)
     with pytest.raises(ValueError, match="eta .* got inf"):
         MeasurementSetting(eta=math.inf)
+
+
+@pytest.mark.parametrize("field", ["chi_x", "chi_p", "eta"])
+def test_setting_takes_one_number_per_field(field):
+    # an array would validate and then condition at its first entry only
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be one number, got [0.1, 0.2]")):
+        MeasurementSetting(**{field: [0.1, 0.2]})
+    assert getattr(MeasurementSetting(**{field: np.float64(0.2)}), field) == 0.2
 
 
 # ---------------------------------------------------------------- state update

@@ -34,6 +34,7 @@ from spinprep import (
     posterior_batch,
     superposition_rows,
 )
+from spinprep.measurement import _band_limits
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -98,6 +99,8 @@ def test_batched_row_equals_one_record_call(case):
 
 @PROPERTY
 @given(batches(max_atoms=40, window=1.0, max_records=3))
+# a record about 10^3 from every center, with two nearly tied levels
+@example((35, 7.0, 1e-12, 0.0, np.array([2061.0])))
 def test_rows_match_linear_domain_product(case):
     n_atoms, chi_x, chi_p, _, records = case
     probs, log_density = posterior_batch(
@@ -297,10 +300,15 @@ def priors(draw, n_atoms):
 @given(st.data())
 def test_band_keeps_every_level_the_floor_keeps(data):
     # the kernel evaluates each record only on its band; a full-width row of
-    # the same formula must find no level within e^-690 of the peak outside it
+    # the same formula, relative to the kernel's reference level, must find
+    # no level within e^-690 of the peak outside it
     n_atoms, chi_x, chi_p, eta, records = data.draw(batches(max_atoms=2000))
     state = data.draw(priors(n_atoms))
-    log_w, ref = log_domain_rows(state.amplitudes, records, chi_x, chi_p)
+    top = int(np.abs(state.amplitudes).argmax())
+    with np.errstate(all="ignore"):
+        strengths = np.array([chi_x]), np.array([chi_p])
+        references = _band_limits(n_atoms + 1, top, records, *strengths)[2]
+    log_w, ref = log_domain_rows(state.amplitudes, records, chi_x, chi_p, references)
     setting = MeasurementSetting(chi_x=chi_x, chi_p=chi_p, eta=eta)
     for row, y in enumerate(records):
         post, _ = apply_measurement(state, setting, y)
@@ -325,6 +333,8 @@ def test_xi_d_matches_decimal_centred_moments(n_atoms, chi_p, fraction):
 
 @PROPERTY
 @given(batches(max_atoms=40, window=1.0, max_records=2))
+@example((38, 4.0, 4.0, 0.0, np.array([1449.0])))
+@example((34, 5.0, 5.0, 0.0, np.array([1449.0])))
 def test_two_records_compose_to_one_at_sqrt2_chi(case):
     n_atoms, chi_x, chi_p, eta, records = case
     y1, y2 = records[0], records[-1]

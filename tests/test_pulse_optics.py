@@ -97,6 +97,21 @@ def test_grid_validation():
         build_pulse("long_exponential", n_t=10.0, span=20.0)  # pulse escapes grid
 
 
+@pytest.mark.parametrize("kind, n_t, span, dt", [
+    ("long_exponential", 1.0001, None, 0.01),  # 6000.6 steps round to 6001
+    ("exponential", 1.0, 30.005, 0.01),  # 6001
+    ("exponential", 1.0, 30.0, 0.0099),  # 6060.6
+    ("long_exponential", 2.5, None, 0.0071),  # 21126.8
+])
+def test_grid_keeps_t0_on_a_panel_edge(kind, n_t, span, dt):
+    # the kink of e^{-|t|} at t = 0 inside a Simpson panel misses the unit L2
+    # mass by up to 7e-5, which PulseGrid rejects: every grid it builds passes
+    pulse = build_pulse(kind, n_t=n_t, span=span, dt=dt)
+    steps = pulse.times.size - 1
+    assert steps % 4 == 0 and abs(pulse.times[steps // 2]) < 1e-12
+    assert l2_mass(pulse.times, pulse.beta_in) == pytest.approx(1.0, abs=1e-7)
+
+
 def test_even_sample_count_is_rejected():
     # the composite Simpson rule needs an odd count
     times = np.linspace(-30.0, 30.0, 12000)
@@ -163,15 +178,17 @@ def test_stages_attach_to_a_copy(exp_pulse):
 
 
 def test_import_loads_no_heavy_scipy_submodule():
-    # scipy.signal and what it pulls in triple the import time of the package
+    # scipy.signal and what it pulls in triple the import time of the package,
+    # and scipy.special, which only the flat-top pulse and acceptance_probability
+    # call, is most of what is left
     src = os.path.dirname(os.path.dirname(spinprep.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, spinprep; print(' '.join(sorted(sys.modules)))"
+    code = "import sys, spinprep.cli; print(' '.join(sorted(sys.modules)))"
     loaded = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
-    assert "spinprep" in loaded
-    for name in ("scipy.signal", "scipy.integrate", "scipy.stats"):
+    assert "spinprep.cli" in loaded
+    for name in ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.special"):
         assert name not in loaded
 
 
