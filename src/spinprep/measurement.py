@@ -42,9 +42,10 @@ _LOG_PI = math.log(math.pi)
 # records x band elements per kernel chunk: about 0.5 MB per float matrix,
 # so peak memory is independent of the number of records
 _CHUNK_ELEMENTS = 1 << 16
-# the rows of _band_limits: its two residual signs, and the margins of its ends
-_RESIDUAL_SIGNS = np.array([[-1.0], [1.0]])
-_END_MARGINS = np.array([[-1.0], [2.0]])
+# the rows of _band_limits: the residuals Y + c_m = R, -R and 0 it solves for, in
+# units of R, and the margins of its ends (1/2 rounds the third to the nearest level)
+_RESIDUAL_SIGNS = np.array([[-1.0], [1.0], [0.0]])
+_END_MARGINS = np.array([[-1.0], [2.0], [0.5]])
 # exp is several times slower on arguments whose result underflows; a level
 # more than e^-700 below its row's largest probability is set to 0 instead
 _LOG_PROB_FLOOR = -700.0
@@ -138,13 +139,14 @@ def _band_limits(n_levels, top, y, cx, cp) -> np.ndarray:
     Y + c_m < -R reaches below the lower one (chi_x = 0: the window of a
     linear residual).  The single interval that results is widened by a
     level on each side against rounding and cut to the ladder.  A
-    non-finite record gives nan ends and a band over every level; the
+    non-finite record gives nan ends, which the cut makes level 0; the
     kernel's row checks see it, and a record whose row overflows, in any
     band.
 
     The third row is each record's reference level: the level nearest the
     record's center, the root of Y + c_m = 0 of smaller |m|, or the vertex
-    -chi_p / (2 chi_x) of c_m where there is no root, clipped to the band.
+    -chi_p / (2 chi_x) of c_m where there is no root, cut to the band.  (At
+    chi_x = chi_p = 0 every level is a center, and the band's lowest serves.)
 
     ``n_levels`` and ``top``, the prior's level count and largest level, are
     shared by every record or hold one entry per record.
@@ -152,24 +154,24 @@ def _band_limits(n_levels, top, y, cx, cp) -> np.ndarray:
     s = 0.5 * (n_levels - 1)
     m = top - s
     reach = np.hypot((cx * m + cp) * m + y, math.sqrt(-_LOG_PROB_FLOOR))
-    c = y + _RESIDUAL_SIGNS * reach  # Y + c_m = R, then Y + c_m = -R
+    c = y + _RESIDUAL_SIGNS * reach  # Y + c_m = R, Y + c_m = -R, then Y + c_m = 0
     # roots q / cx <= c / q of cx m^2 + cp m + c = 0, q = -(cp/2 + sqrt(cp^2/4 - cx c)):
-    # free of cancellation for cx, cp >= 0; q / cx is -inf at cx = 0
+    # free of cancellation for cx, cp >= 0, and of overflow: with v = sqrt(cx |c|) the
+    # square root is hypot(cp/2, v) for c <= 0 and sqrt(cp/2 - v) sqrt(cp/2 + v) above,
+    # nan where there is no root; q / cx is -inf at cx = 0
     half_cp = 0.5 * cp
-    q = np.negative(half_cp + np.sqrt(half_cp * half_cp - cx * c))
+    v = np.sqrt(cx) * np.sqrt(np.abs(c))
+    q = np.where(c <= 0.0, np.hypot(half_cp, v), np.sqrt(half_cp - v) * np.sqrt(half_cp + v))
+    q = np.negative(half_cp + q, out=q)
     ends, upper = q / cx, c / q
     np.fmax(ends[0], upper[1], out=ends[0], where=ends[1] <= ends[0])
     ends[1] = upper[0]
+    # the root of Y + c_m = 0 of smaller |m|, or the vertex of c_m where there is none
+    ends[2] = np.where(np.isnan(upper[2]), -half_cp / cx, upper[2])
     ends = np.floor(ends + (_END_MARGINS + s))
-    first, last = np.fmin(np.fmax(ends, 0.0), 2.0 * s)
-    # the root -2Y / (cp + sqrt(cp^2 - 4 cx Y)), its square root taken without
-    # overflow and nan where there is no root; 0/0 (Y = 0) is the root 0
-    r = 2.0 * np.sqrt(cx) * np.sqrt(np.abs(y))
-    root = np.where(y <= 0.0, np.hypot(cp, r), np.sqrt(cp - r) * np.sqrt(cp + r))
-    center = np.where(np.isnan(root), -half_cp / cx, -y / (half_cp + 0.5 * root))
-    center = np.nan_to_num(center)
-    reference = np.fmin(np.fmax(np.rint(center + s), first), last)
-    return np.array([first, last, reference]).astype(np.intp)
+    ends = np.fmin(np.fmax(ends, 0.0), 2.0 * s)
+    np.fmin(np.fmax(ends[2], ends[0]), ends[1], out=ends[2])
+    return ends.astype(np.intp)
 
 
 def _ladders(atoms, n_records: int) -> tuple[list, list]:
@@ -329,32 +331,34 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
         order = r0 + np.argsort(-count[r0:r1], kind="stable")
         # one chunk buffer for the whole group: a fresh records x W matrix per
         # chunk can cost more in page faults than the arithmetic on it
-        work = np.empty((2, min(order.size * width, max(_CHUNK_ELEMENTS, width))))
+        work = np.empty(min(order.size * width, max(_CHUNK_ELEMENTS, width)))
         start = 0
         while start < order.size:
             band_width = int(count[order[start]])
             rows = np.sort(order[start : start + max(1, _CHUNK_ELEMENTS // band_width)])
             start += rows.size
             bands = band_start[rows]
-            references = bands + reference[rows] - first[rows]
-            log_p, sums = work[:, : rows.size * band_width].reshape(2, -1, band_width)
+            references = bands + to_reference[rows]
+            log_p = work[: rows.size * band_width].reshape(-1, band_width)
             if shared:
                 c_ref = offsets[references]
-                np.subtract(_level_windows(offsets, band_width)[bands], c_ref[:, None], log_p)
+                scratch = _level_windows(offsets, band_width)[bands]  # a copy, reused below
+                np.subtract(scratch, c_ref[:, None], log_p)
             else:
-                band_m = _level_windows(m, band_width)[bands]
-                np.multiply(band_m, band_m, log_p)
+                scratch = _level_windows(m, band_width)[bands]
+                np.multiply(scratch, scratch, log_p)
                 log_p *= cx[rows][:, None]
-                band_m *= cp[rows][:, None]
-                log_p += band_m
+                scratch *= cp[rows][:, None]
+                log_p += scratch
                 m_ref = m[references]
                 c_ref = cx[rows] * (m_ref * m_ref) + cp[rows] * m_ref
                 log_p -= c_ref[:, None]
             # (Y + c_m)^2 = (Y + c_j)^2 + (c_m - c_j)(c_m - c_j + 2 (Y + c_j)), j the
             # reference level: the first term, shared by the row, goes to its shift
             residual = y[rows] + c_ref
-            np.add(log_p, 2.0 * residual[:, None], sums)  # c_m + c_j + 2Y
-            log_p *= sums
+            np.add(log_p, 2.0 * residual[:, None], scratch)  # c_m + c_j + 2Y
+            log_p *= scratch
+            del scratch  # freed before the next copy: two at once cost page faults
             # 2 log|a_m w_m| up to the row constant -(Y + c_j)^2 - (1/2) log pi, in place
             np.subtract(_level_windows(two_log_mag, band_width)[bands], log_p, log_p)
             shift = log_p.max(axis=1)
@@ -390,7 +394,7 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     # an overflowing residual or a non-finite record is caught by the density check
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         first, last, reference = _band_limits(atoms + 1, top, y, cx, cp)
-        count = last - first + 1
+        count, to_reference = last - first + 1, reference - first
         starts = bounds[:-1]
         lo = np.minimum.reduceat(first, starts).tolist()
         hi = np.maximum.reduceat(first, starts).tolist()
