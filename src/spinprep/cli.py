@@ -7,7 +7,9 @@ its own header.  No plotting happens here; the emitted tables are meant to
 be consumed by external tools.
 
 Exit codes: 0 success (and a passing feasibility check), 1 usage error,
-2 numeric failure or a failing feasibility check.
+2 numeric failure or a failing feasibility check, 141 (128 + SIGPIPE, as a
+shell reports a tool stopped by a closed pipe) when the reader of stdout
+closes it before the output is written.
 """
 
 from __future__ import annotations
@@ -482,7 +484,8 @@ def _configured(command: str) -> list[str]:
     """``--flag=value`` tokens for the flags of ``command`` set by SPINPREP_<DEST> or the file.
 
     The variable's value replaces the file's; a flag set by neither is left
-    out.  The ``=`` form keeps a value such as ``-1e-3`` from reading as a flag.
+    out, and a file's ``null`` is a usage error, never the text ``None``.  The
+    ``=`` form keeps a value such as ``-1e-3`` from reading as a flag.
     """
     cfg = _config_file()
     tokens = []
@@ -490,7 +493,10 @@ def _configured(command: str) -> list[str]:
         dest = kw.get("dest", name.lstrip("-").replace("-", "_"))
         variable = f"SPINPREP_{dest.upper()}"
         if name.startswith("-") and (variable in os.environ or dest in cfg):
-            tokens.append(f"{name}={os.environ.get(variable, cfg.get(dest))}")
+            value = os.environ.get(variable, cfg.get(dest))
+            if value is None:
+                raise UsageError(f"config key {dest!r} is null; give a value or leave it out")
+            tokens.append(f"{name}={value}")
     return tokens
 
 
@@ -537,7 +543,9 @@ def main(argv=None) -> int:
             code, text = cmd_feasibility(
                 a.g, a.delta, a.kappa, a.np, a.n_t, a.kind, a.threshold, a.out
             )
-            print(text)
+            # flushed here, so that a closed pipe raises inside this try and
+            # not in the interpreter's exit flush
+            print(text, flush=True)
             return code
         if a.command == "fig2":
             result = cmd_fig2(a.subvariant, a.N, a.chi_x, a.seed)
@@ -553,7 +561,15 @@ def main(argv=None) -> int:
                      "outcome": a.outcome, "eta": a.eta, "n": a.n_rounds}
             result = cmd_sweep(SweepSpec("sweep", a.protocol, a.param, grid, fixed, a.seed))
         _emit(result, a.out, a.format)
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull, so
+        # the exit flush cannot raise again (the SIGPIPE recipe of Python's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -208,7 +208,15 @@ def _spectral_envelope(times: np.ndarray) -> np.ndarray:
 
 
 def _stretch(kind: str, n_t: float) -> float:
-    """The factor by which ``n_t`` stretches a pulse: only the long exponential's."""
+    """Check a pulse's kind and ``n_t``; return the factor by which ``n_t`` stretches it.
+
+    Only the long exponential pulse is stretched.  This is the one check of
+    both values, for :func:`build_pulse` and :func:`feasibility` alike.
+    """
+    if not (np.isfinite(n_t) and n_t >= 1.0):
+        raise ValueError(f"n_t must be >= 1, got {n_t}")
+    if kind not in PULSE_KINDS:
+        raise ValueError(f"unknown pulse kind {kind!r}; expected one of {PULSE_KINDS}")
     return n_t if kind == LONG_EXPONENTIAL else 1.0
 
 
@@ -224,16 +232,12 @@ def build_pulse(
     the grid serves any cavity.  ``n_t`` stretches the long exponential
     pulse; ``span``/``dt`` override the grid defaults.
     """
-    if not (np.isfinite(n_t) and n_t >= 1.0):
-        raise ValueError(f"n_t must be >= 1, got {n_t}")
     stretch = _stretch(kind, n_t)
     span = DEFAULT_SPAN_FACTOR * stretch if span is None else span
     if not (np.isfinite(span) and span >= MIN_SPAN_FACTOR * stretch):
         raise ValueError(f"grid span must be finite and >= {MIN_SPAN_FACTOR * stretch}: {span}")
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"grid step dt must lie in (0, {MAX_DT}], got {dt}")
-    if kind not in PULSE_KINDS:
-        raise ValueError(f"unknown pulse kind {kind!r}; expected one of {PULSE_KINDS}")
 
     times = _time_grid(span, dt)
     if kind == EXPONENTIAL:
@@ -295,6 +299,19 @@ def response_functions(pulse: PulseGrid) -> PulseGrid:
 def peak_intracavity(pulse: PulseGrid) -> float:
     """max_t |beta0(t)|^2; multiply by N_p for the peak photon number."""
     return float(np.max(np.abs(_stage(pulse, "beta0")) ** 2))
+
+
+def _exponential_peak(stretch: float) -> float:
+    """max_t |beta0(t)|^2 of the unit-mass pulse stretch^{-1/2} e^{-|t|/stretch}, exactly.
+
+    With a = 1/stretch the response peaks at 2a ((1 + a)/2)^{2a/(1 - a)}, whose
+    exponent is a log1p(-h)/h with h = (1 - a)/2.  h is floored at the
+    smallest subnormal, where log1p(-h) = -h exactly, so stretch = 1 gives the
+    limit 2/e with no branch.
+    """
+    a = 1.0 / stretch
+    half_gap = max((1.0 - a) / 2.0, math.ulp(0.0))
+    return 2.0 * a * math.exp(a * math.log1p(-half_gap) / half_gap)
 
 
 def set_local_oscillator(pulse: PulseGrid, shape="beta1") -> PulseGrid:
@@ -366,15 +383,21 @@ def feasibility(
 
     The peak intracavity photon number N_p max|beta0|^2 must stay well below
     (Delta/g)^2; ``threshold``, a positive fraction of that bound, sets how
-    much headroom "well below" means.
+    much headroom "well below" means.  The two exponential pulses take
+    max|beta0|^2 from its closed form, in O(1) for any ``n_t``; the flat-top
+    spectral pulse, which has none, from its response on the default grid.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    peak = peak_intracavity(response_functions(build_pulse(kind, n_t=n_t)))
+    stretch = _stretch(kind, n_t)
+    if kind == OPTIMAL_X_SPECTRAL:
+        peak = peak_intracavity(response_functions(build_pulse(kind)))
+    else:
+        peak = _exponential_peak(stretch)
     max_photons = cavity.n_photons * peak
     dispersive = (cavity.delta / cavity.g) ** 2
     chi_x_bound = math.sqrt(42.0) * cavity.g**3 / (cavity.kappa**2 * abs(cavity.delta))
-    chi_p_bound = cavity.g * math.sqrt(20.0 * _stretch(kind, n_t) * math.e) / cavity.kappa
+    chi_p_bound = cavity.g * math.sqrt(20.0 * stretch * math.e) / cavity.kappa
     return FeasibilityReport(
         max_intracavity_photons=max_photons,
         dispersive_bound=dispersive,

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spinprep
 from _oracles import chi_square_gof, flat_top_peak, mixture_pdf, stdlib_json_text
 from spinprep import (
     MeasurementSetting,
@@ -414,9 +417,10 @@ def test_numeric_failure_exits_2(capsys):
     assert capsys.readouterr().err == (
         "numeric failure: measurement update of record -1e+160 lost all amplitude mass\n"
     )
-    # an 85 PiB time grid exceeds any address space, so numpy refuses it
-    # before allocating anything: an allocation failure is a numeric failure
-    assert main(["feasibility", "--kind", "long_exponential", "--n-t", "1e12"]) == 2
+    # the CSS of 1e14 atoms is a 728 TiB array, more than any address space,
+    # so numpy refuses it before allocating anything: a numeric failure
+    assert main(["sample", "dss", "--N", "100000000000000", "--chi-p", "0.1",
+                 "--n-shots", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: Unable to allocate") and err.count("\n") == 1
 
@@ -602,11 +606,56 @@ def test_feasibility_exit_codes(capsys):
     assert main(["feasibility", "--np", "1e9"]) == 2  # photon budget violated
 
 
-def test_feasibility_any_stretch_builds_its_pulse(capsys):
-    # 6000.6 steps: rounded to 6001 and up to 6002, t = 0 fell inside a Simpson
-    # panel and the pulse's L2 mass check failed, reported as a usage error
-    assert main(["feasibility", "--kind", "long_exponential", "--n-t", "1.0001"]) == 0
-    assert "ok                      : True" in capsys.readouterr().out
+def test_feasibility_huge_stretch_is_o1(capsys):
+    # the exponential peaks are closed forms: no grid, whatever the stretch
+    assert main(["feasibility", "--kind", "long_exponential", "--n-t", "1e12"]) == 0
+    assert "max intracavity photons : 2e-10\n" in capsys.readouterr().out
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises, as a closed pipe does."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv", [["feasibility"], ["fig3", "c", "--N", "10"]])
+def test_closed_stdout_exits_141_quietly(argv, tmp_path, monkeypatch, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(fd))
+        assert main(argv) == 141
+        # the descriptor now discards what is still buffered
+        assert os.fstat(fd).st_rdev == os.stat(os.devnull).st_rdev
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasibility"],  # these two fit the stdout buffer: written by a flush in main
+    ["fig3", "c", "--N", "10"],
+    ["sample", "dss", "--N", "1000", "--chi-p", "0.1", "--n-shots", "20000"],  # 1.6 MB
+], ids=["report", "small-table", "large-table"])
+def test_closed_pipe_in_a_shell_pipeline(argv):
+    # `spinprep ... | true`: the reader is gone before anything is written.
+    # stdout to a pipe is block-buffered unless PYTHONUNBUFFERED says otherwise
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(spinprep.__file__))
+    cmd = [sys.executable, "-m", "spinprep.cli", *argv]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 # ---------------------------------------------------------------- config
@@ -711,6 +760,24 @@ def test_config_file_unreadable_or_not_an_object(tmp_path, monkeypatch, capsys):
     cfg.write_text(json.dumps([{"N": 4}]))
     assert main(["fig2", "a", "--N", "4"]) == 1
     assert capsys.readouterr().err == f"error: config file {cfg} must hold a JSON object\n"
+
+
+def test_config_null_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # a JSON null is no value: never the text "None", as a path or a number
+    cfg = tmp_path / "cfg.json"
+    monkeypatch.setenv("SPINPREP_CONFIG", str(cfg))
+    monkeypatch.chdir(tmp_path)
+    cfg.write_text(json.dumps({"out": None, "N": 4}))
+    assert main(["fig2", "a"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: config key 'out' is null; give a value or leave it out\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+    cfg.write_text(json.dumps({"N": None}))
+    assert main(["fig2", "a"]) == 1
+    assert capsys.readouterr().err == (
+        "error: config key 'N' is null; give a value or leave it out\n"
+    )
 
 
 def test_help_lists_commands_and_flags(capsys):

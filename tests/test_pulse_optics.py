@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,9 +421,60 @@ def test_feasibility_long_pulse_bound():
 
 
 def test_feasibility_long_pulse_peak_matches_closed_form():
+    # feasibility takes the closed form; the response on the grid checks it
+    grid_peak = peak_intracavity(response_functions(build_pulse("long_exponential", n_t=20.0)))
     report = feasibility(CAVITY, kind="long_exponential", n_t=20.0)
     peak = report.max_intracavity_photons / CAVITY.n_photons
-    assert peak == pytest.approx(stretched_peak(20.0), rel=1e-4)
+    assert peak == pytest.approx(grid_peak, rel=1e-4)
+
+
+UNIT_PROBE = CavityParams(CAVITY.g, CAVITY.delta, CAVITY.kappa, 1.0)
+
+
+def closed_form_peak(n_t, kind="long_exponential"):
+    """max|beta0|^2 as feasibility reports it: one probe photon."""
+    return feasibility(UNIT_PROBE, kind, n_t=n_t).max_intracavity_photons
+
+
+def test_closed_form_peak_is_two_over_e_at_unit_stretch():
+    assert closed_form_peak(1.0) == 2.0 / math.e
+    assert closed_form_peak(1.0, "exponential") == 2.0 / math.e
+    assert closed_form_peak(100.0, "exponential") == 2.0 / math.e  # never stretched
+
+
+@pytest.mark.parametrize("n_t", [1.0, 10.0, 100.0])
+def test_closed_form_peak_matches_oracle(n_t):
+    assert closed_form_peak(n_t) == pytest.approx(stretched_peak(n_t), rel=1e-15, abs=0.0)
+
+
+def test_closed_form_peak_continuous_and_decreasing():
+    # no branch near n_t = 1: the peak moves by less than the stretch does
+    for gap in (1e-12, 1e-6):
+        assert 0.0 < 2.0 / math.e - closed_form_peak(1.0 + gap) <= gap
+    peaks = [closed_form_peak(n_t) for n_t in np.geomspace(1.0, 1e12, 400)]
+    assert all(later < earlier for earlier, later in zip(peaks, peaks[1:]))
+    far = closed_form_peak(1e12)
+    assert math.isfinite(far) and far > 0.0
+    assert far == pytest.approx(2.0 / 1e12, rel=1e-9)  # the peak tends to 2/n_t
+
+
+def test_feasibility_memory_does_not_grow_with_stretch():
+    # a grid at n_t = 3000 would hold 3.6e7 points (288 MB per array)
+    tracemalloc.start()
+    try:
+        feasibility(CAVITY, "long_exponential", n_t=3000.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_any_stretch_builds_its_pulse():
+    # 12001.2 steps at n_t = 1.0001: rounded to 12001 and up to 12002, t = 0
+    # fell inside a Simpson panel and the pulse's L2 mass check failed
+    pulse = response_functions(build_pulse("long_exponential", n_t=1.0001))
+    assert l2_mass(pulse.times, pulse.beta_in) == pytest.approx(1.0, abs=1e-7)
+    assert peak_intracavity(pulse) == pytest.approx(stretched_peak(1.0001), rel=1e-4)
 
 
 def test_feasibility_chi_p_bound_uses_the_pulse_stretch():
