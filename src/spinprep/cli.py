@@ -172,86 +172,84 @@ def _superposition_pm(n_atoms: int, chi_x, outcomes) -> list[list[float]]:
     return probs.tolist()
 
 
-def cmd_fig2(sub: str, n_atoms: int, chi_x: float | None, seed: int) -> SweepResult:
-    s = n_atoms / 2.0
-    if sub == "a":
-        chis = [chi_x] if chi_x is not None else list(_FIG2_CHIS)
-        spec = SweepSpec("fig2", "a", "m", None, {"N": n_atoms, "chi_x": chis}, seed)
+def cmd_fig2(a: argparse.Namespace) -> SweepResult:
+    s = a.N / 2.0
+    if a.subvariant == "a":
+        chis = [a.chi_x] if a.chi_x is not None else list(_FIG2_CHIS)
+        spec = SweepSpec("fig2", "a", "m", None, {"N": a.N, "chi_x": chis}, a.seed)
         columns = ["m"] + [f"p_chi_{_slug(c)}" for c in chis]
-        dists = _superposition_pm(n_atoms, chis, [-c * s / 2.0 for c in chis])
-        return SweepResult(spec, columns, list(zip(m_ladder(n_atoms).tolist(), *dists)))
-    if sub == "b":
-        chi = chi_x if chi_x is not None else 0.2
-        spec = SweepSpec("fig2", "b", "m", None, {"N": n_atoms, "chi_x": chi}, seed)
+        dists = _superposition_pm(a.N, chis, [-c * s / 2.0 for c in chis])
+        return SweepResult(spec, columns, list(zip(m_ladder(a.N).tolist(), *dists)))
+    if a.subvariant == "b":
+        chi = a.chi_x if a.chi_x is not None else 0.2
+        spec = SweepSpec("fig2", "b", "m", None, {"N": a.N, "chi_x": chi}, a.seed)
         columns = ["m"] + [f"p_xl_{name}" for name, _ in _FIG2_RATIOS]
-        dists = _superposition_pm(n_atoms, chi, [-chi * s * r for _, r in _FIG2_RATIOS])
-        return SweepResult(spec, columns, list(zip(m_ladder(n_atoms).tolist(), *dists)))
+        dists = _superposition_pm(a.N, chi, [-chi * s * r for _, r in _FIG2_RATIOS])
+        return SweepResult(spec, columns, list(zip(m_ladder(a.N).tolist(), *dists)))
     grid = {"start": 0.02, "stop": 0.5, "count": 25, "scale": "linear"}
-    spec = SweepSpec("fig2", "c", "chi_x", grid, {"N": n_atoms}, seed)
+    spec = SweepSpec("fig2", "c", "chi_x", grid, {"N": a.N}, a.seed)
     columns = ["chi_x"] + [f"f_xl_{name}" for name, _ in _FIG2_RATIOS]
     chis = spec.points()
     ratio, chi = _curves([r for _, r in _FIG2_RATIOS], chis)
-    fids = superposition_rows(n_atoms, chi, -chi * s * ratio)[0]
+    fids = superposition_rows(a.N, chi, -chi * s * ratio)[0]
     return SweepResult(spec, columns, _zip_columns(chis, fids.reshape(len(_FIG2_RATIOS), -1)))
 
 
-def cmd_fig3(sub: str, n_atoms: int | None, chi_p: float | None, seed: int) -> SweepResult:
-    if sub == "a":
-        n = n_atoms if n_atoms is not None else 40
-        chis = [chi_p] if chi_p is not None else [0.2, 0.4]
+def cmd_fig3(a: argparse.Namespace) -> SweepResult:
+    if a.subvariant == "a":
+        n = a.N if a.N is not None else 40
+        chis = [a.chi_p] if a.chi_p is not None else [0.2, 0.4]
         grid = {"start": -1.0, "stop": 1.0, "count": 41, "scale": "linear"}
-        spec = SweepSpec("fig3", "a", "outcome_fraction", grid, {"N": n, "chi_p": chis}, seed)
+        spec = SweepSpec("fig3", "a", "outcome_fraction", grid, {"N": n, "chi_p": chis}, a.seed)
         columns = ["outcome_fraction"] + [f"xi_d_chi_{_slug(c)}" for c in chis]
         fracs = spec.points()
         chi, frac = _curves(chis, fracs)
         xis = dss_rows(n, chi, frac * chi * n / 2.0)[0]
         return SweepResult(spec, columns, _zip_columns(fracs, xis.reshape(len(chis), -1)))
-    if sub == "b":
-        ns = [n_atoms] if n_atoms is not None else [40, 80, 120]
+    if a.subvariant == "b":
+        ns = [a.N] if a.N is not None else [40, 80, 120]
         grid = {"start": 0.05, "stop": 2.0, "count": 40, "scale": "linear"}
-        spec = SweepSpec("fig3", "b", "chi_p", grid, {"N": ns}, seed)
+        spec = SweepSpec("fig3", "b", "chi_p", grid, {"N": ns}, a.seed)
         columns = ["chi_p"] + [f"xi_d_n{n}" for n in ns]
         chis = spec.points()
         xis = dss_rows(*_curves(ns, chis), 0.0)[0]
         return SweepResult(spec, columns, _zip_columns(chis, xis.reshape(len(ns), -1)))
-    chi = chi_p if chi_p is not None else 2.0
-    ns = [n_atoms] if n_atoms is not None else list(range(10, 121, 2))
-    spec = SweepSpec("fig3", "c", "n_atoms", None, {"chi_p": chi, "N": ns}, seed)
+    chi = a.chi_p if a.chi_p is not None else 2.0
+    ns = [a.N] if a.N is not None else list(range(10, 121, 2))
+    spec = SweepSpec("fig3", "c", "n_atoms", None, {"chi_p": chi, "N": ns}, a.seed)
     columns = ["n_atoms", "xi_d", "xi_d_ideal", "xi_d_times_n_plus_2"]
     xis = dss_rows(np.array(ns), chi, 0.0)[0].tolist()
     rows = [(n, xi, 1.0 / (n + 2), xi * (n + 2)) for n, xi in zip(ns, xis)]
     return SweepResult(spec, columns, rows)
 
 
-def cmd_fig4(
-    sub: str, n_atoms: int | None, chi_p: float | None, n_rounds: int | None, seed: int
-) -> SweepResult:
-    if n_rounds is not None and n_rounds < 1:
-        raise UsageError(f"--n must be >= 1, got {n_rounds}")
-    n = n_atoms if n_atoms is not None else 40
-    rounds = [n_rounds] if n_rounds is not None else [1, 5, 25]
-    if sub == "a":
-        chi = chi_p if chi_p is not None else 0.4
+def cmd_fig4(a: argparse.Namespace) -> SweepResult:
+    if a.n_rounds is not None and a.n_rounds < 1:
+        raise UsageError(f"--n must be >= 1, got {a.n_rounds}")
+    n = a.N if a.N is not None else 40
+    rounds = [a.n_rounds] if a.n_rounds is not None else [1, 5, 25]
+    if a.subvariant == "a":
+        chi = a.chi_p if a.chi_p is not None else 0.4
         grid = {"start": -1.0, "stop": 1.0, "count": 41, "scale": "linear"}
         spec = SweepSpec(
-            "fig4", "a", "outcome_fraction", grid, {"N": n, "chi_p": chi, "n": rounds}, seed
+            "fig4", "a", "outcome_fraction", grid, {"N": n, "chi_p": chi, "n": rounds}, a.seed
         )
         columns = ["outcome_fraction"] + [f"xi_d_n{r}" for r in rounds]
         fracs = spec.points()
         record_rounds, frac = _curves(rounds, fracs)
         xis = repetitive_dss_rows(n, chi, record_rounds, frac * chi * n / 2.0)
         return SweepResult(spec, columns, _zip_columns(fracs, xis.reshape(len(rounds), -1)))
-    if sub == "b":
+    if a.subvariant == "b":
         grid = {"start": 0.05, "stop": 2.0, "count": 40, "scale": "linear"}
-        spec = SweepSpec("fig4", "b", "chi_p", grid, {"N": n, "n": rounds}, seed)
+        spec = SweepSpec("fig4", "b", "chi_p", grid, {"N": n, "n": rounds}, a.seed)
         columns = ["chi_p"] + [f"xi_d_n{r}" for r in rounds]
         chis = spec.points()
         record_rounds, chi = _curves(rounds, chis)
         xis = repetitive_dss_rows(n, chi, record_rounds)
         return SweepResult(spec, columns, _zip_columns(chis, xis.reshape(len(rounds), -1)))
-    chis = [chi_p] if chi_p is not None else [0.2, 0.4]
-    max_rounds = n_rounds if n_rounds is not None else 40
-    spec = SweepSpec("fig4", "c", "n_rounds", None, {"N": n, "chi_p": chis}, seed)
+    chis = [a.chi_p] if a.chi_p is not None else [0.2, 0.4]
+    max_rounds = a.n_rounds if a.n_rounds is not None else 40
+    spec = SweepSpec("fig4", "c", "n_rounds", None, {"N": n, "chi_p": chis}, a.seed)
     columns = (
         ["n_rounds"]
         + [f"xi_d_chi_{_slug(c)}" for c in chis]
@@ -269,32 +267,21 @@ def cmd_fig4(
 # --------------------------------------------------------------------------
 
 
-def cmd_sample(
-    protocol: str,
-    n_atoms: int,
-    chi_x: float,
-    chi_p: float,
-    eta: float,
-    n_shots: int,
-    seed: int,
-) -> SweepResult:
-    css = make_css(n_atoms)
-    if protocol == "dss":
-        setting = MeasurementSetting(chi_p=chi_p)
-    else:
-        setting = MeasurementSetting(chi_x=chi_x)
-    outcomes = sample_outcomes(css, setting, n_shots, seed)
-    fixed = {"N": n_atoms, "chi_x": chi_x, "chi_p": chi_p, "eta": eta, "n_shots": n_shots}
-    spec = SweepSpec("sample", protocol, "shot", None, fixed, seed)
-    if protocol == "dss":
+def cmd_sample(a: argparse.Namespace) -> SweepResult:
+    css = make_css(a.N)
+    if a.protocol == "dss":
+        outcomes = sample_outcomes(css, MeasurementSetting(chi_p=a.chi_p), a.n_shots, a.seed)
         columns = ["shot", "outcome", "density", "xi_d"]
-        xi_d, log_density = dss_rows(n_atoms, chi_p, outcomes)
+        xi_d, log_density = dss_rows(a.N, a.chi_p, outcomes)
         values = (xi_d,)
     else:
+        outcomes = sample_outcomes(css, MeasurementSetting(chi_x=a.chi_x), a.n_shots, a.seed)
         columns = ["shot", "outcome", "density", "fidelity", "target_m_c"]
-        fid, m_c, _, _, log_density = superposition_rows(n_atoms, chi_x, outcomes)
+        fid, m_c, _, _, log_density = superposition_rows(a.N, a.chi_x, outcomes)
         values = (fid, m_c)
-    rows = _zip_columns(np.arange(n_shots), (outcomes, np.exp(log_density), *values))
+    fixed = {"N": a.N, "chi_x": a.chi_x, "chi_p": a.chi_p, "eta": a.eta, "n_shots": a.n_shots}
+    spec = SweepSpec("sample", a.protocol, "shot", None, fixed, a.seed)
+    rows = _zip_columns(np.arange(a.n_shots), (outcomes, np.exp(log_density), *values))
     return SweepResult(spec, columns, rows)
 
 
@@ -302,45 +289,43 @@ def cmd_sample(
 # generic sweep
 # --------------------------------------------------------------------------
 
+# per protocol: the sweepable parameters, the columns, and the result columns
+# after ``value`` from the parameters, any of them (N too) one value per record
 SWEEP_PROTOCOLS = {
-    "dss": {"params": ("chi_p", "outcome", "N"), "columns": ["value", "xi_d"]},
+    "dss": {"params": ("chi_p", "outcome", "N"), "columns": ["value", "xi_d"],
+            "rows": lambda p: dss_rows(p["N"], p["chi_p"], p["outcome"])[:1]},
     "superposition": {
         "params": ("chi_x", "outcome", "N"),
         "columns": ["value", "fidelity", "target_m_c", "separation", "width"],
+        "rows": lambda p: superposition_rows(p["N"], p["chi_x"], p["outcome"])[:4],
     },
-    "repetitive_dss": {"params": ("n", "chi_p"), "columns": ["value", "xi_d"]},
+    "repetitive_dss": {"params": ("n", "chi_p"), "columns": ["value", "xi_d"],
+                       "rows": lambda p: [repetitive_dss_rows(p["N"], p["chi_p"], p["n"])]},
 }
 
 
-def _sweep_values(protocol: str, params: dict) -> list[np.ndarray]:
-    """Result columns after ``value``; any parameter, N too, may hold one value per record."""
-    n_atoms = params["N"]
-    if protocol == "dss":
-        xi_d, _ = dss_rows(n_atoms, params["chi_p"], params["outcome"])
-        return [xi_d]
-    if protocol == "superposition":
-        return list(superposition_rows(n_atoms, params["chi_x"], params["outcome"])[:4])
-    return [repetitive_dss_rows(n_atoms, params["chi_p"], params["n"])]
-
-
-def cmd_sweep(spec: SweepSpec) -> SweepResult:
-    protocol = spec.subvariant
-    if spec.param not in SWEEP_PROTOCOLS[protocol]["params"]:
+def cmd_sweep(a: argparse.Namespace) -> SweepResult:
+    grid = {"start": a.start, "stop": a.stop, "count": a.count, "scale": a.scale}
+    fixed = {"N": a.N, "chi_x": a.chi_x, "chi_p": a.chi_p,
+             "outcome": a.outcome, "eta": a.eta, "n": a.n_rounds}
+    spec = SweepSpec("sweep", a.protocol, a.param, grid, fixed, a.seed)
+    protocol = SWEEP_PROTOCOLS[a.protocol]
+    if a.param not in protocol["params"]:
         raise UsageError(
-            f"parameter {spec.param!r} is not sweepable for {protocol}; "
-            f"choose from {SWEEP_PROTOCOLS[protocol]['params']}"
+            f"parameter {a.param!r} is not sweepable for {a.protocol}; "
+            f"choose from {protocol['params']}"
         )
     points = spec.points()
-    if spec.param in ("N", "n"):
+    if a.param in ("N", "n"):
         # atom and round counts: a grid point may miss its integer only by rounding
         snapped = np.rint(points)
         off = np.abs(points - snapped) > 1e-9 * np.abs(snapped)
         if off.any():
-            raise UsageError(f"--param {spec.param} takes integers, got {points[off][0]:.17g}")
+            raise UsageError(f"--param {a.param} takes integers, got {points[off][0]:.17g}")
         points = snapped
-    swept = points.astype(int) if spec.param == "N" else points
-    columns = _sweep_values(protocol, {**spec.fixed, spec.param: swept})
-    return SweepResult(spec, SWEEP_PROTOCOLS[protocol]["columns"], _zip_columns(points, columns))
+    swept = points.astype(int) if a.param == "N" else points
+    values = protocol["rows"]({**fixed, a.param: swept})
+    return SweepResult(spec, protocol["columns"], _zip_columns(points, values))
 
 
 # --------------------------------------------------------------------------
@@ -348,38 +333,37 @@ def cmd_sweep(spec: SweepSpec) -> SweepResult:
 # --------------------------------------------------------------------------
 
 
-def cmd_feasibility(g: float, delta: float, kappa: float, n_photons: float, n_t: float,
-                    kind: str, threshold: float, out: str | None) -> tuple[int, str]:
+def cmd_feasibility(a: argparse.Namespace) -> tuple[int, str]:
     # checked here, in the units typed: CavityParams sees rad/s and would
     # report --kappa -1 as -6283185.3
-    if g <= 0 or kappa <= 0:
+    if a.g <= 0 or a.kappa <= 0:
         raise UsageError("--g and --kappa must be positive")
-    if delta == 0:
+    if a.delta == 0:
         raise UsageError("--delta must be nonzero")
-    cavity = CavityParams.from_two_pi_megahertz(g, delta, kappa, n_photons)
-    report = feasibility(cavity, kind=kind, n_t=n_t, threshold=threshold)
+    cavity = CavityParams.from_two_pi_megahertz(a.g, a.delta, a.kappa, a.np)
+    report = feasibility(cavity, kind=a.kind, n_t=a.n_t, threshold=a.threshold)
     lines = [
-        f"kind                    : {kind} (n_t = {n_t:g})",
+        f"kind                    : {a.kind} (n_t = {a.n_t:g})",
         f"max intracavity photons : {report.max_intracavity_photons:.6g}",
         f"dispersive bound        : {report.dispersive_bound:.6g}",
         f"chi_x bound             : {report.chi_x_bound:.6g}",
         f"chi_p bound             : {report.chi_p_bound:.6g}",
         f"ok                      : {report.ok}",
     ]
-    if out:
+    if a.out:
         payload = {
             "params": {
-                "g_2pi_mhz": g,
-                "delta_2pi_mhz": delta,
-                "kappa_2pi_mhz": kappa,
-                "n_photons": n_photons,
-                "kind": kind,
-                "n_t": n_t,
+                "g_2pi_mhz": a.g,
+                "delta_2pi_mhz": a.delta,
+                "kappa_2pi_mhz": a.kappa,
+                "n_photons": a.np,
+                "kind": a.kind,
+                "n_t": a.n_t,
             },
             "report": asdict(report),
             "version": __version__,
         }
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(a.out, "w", encoding="utf-8", newline="") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
     return (0 if report.ok else 2), "\n".join(lines)
@@ -539,27 +523,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         a = _parse(sys.argv[1:] if argv is None else list(argv))
+        # looked up on every call: a wrapper set on cli.cmd_<command> is the one called
+        result = globals()[f"cmd_{a.command}"](a)
         if a.command == "feasibility":
-            code, text = cmd_feasibility(
-                a.g, a.delta, a.kappa, a.np, a.n_t, a.kind, a.threshold, a.out
-            )
+            code, text = result
             # flushed here, so that a closed pipe raises inside this try and
             # not in the interpreter's exit flush
             print(text, flush=True)
             return code
-        if a.command == "fig2":
-            result = cmd_fig2(a.subvariant, a.N, a.chi_x, a.seed)
-        elif a.command == "fig3":
-            result = cmd_fig3(a.subvariant, a.N, a.chi_p, a.seed)
-        elif a.command == "fig4":
-            result = cmd_fig4(a.subvariant, a.N, a.chi_p, a.n_rounds, a.seed)
-        elif a.command == "sample":
-            result = cmd_sample(a.protocol, a.N, a.chi_x, a.chi_p, a.eta, a.n_shots, a.seed)
-        else:
-            grid = {"start": a.start, "stop": a.stop, "count": a.count, "scale": a.scale}
-            fixed = {"N": a.N, "chi_x": a.chi_x, "chi_p": a.chi_p,
-                     "outcome": a.outcome, "eta": a.eta, "n": a.n_rounds}
-            result = cmd_sweep(SweepSpec("sweep", a.protocol, a.param, grid, fixed, a.seed))
         _emit(result, a.out, a.format)
         sys.stdout.flush()
         return 0
