@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__
 from .measurement import MeasurementSetting, posterior_batch, sample_outcomes
-from .pulse_optics import PULSE_KINDS, CavityParams, feasibility
-from .protocols import dss_rows, repetitive_dss_rows, superposition_rows
+from .pulse_optics import LONG_EXPONENTIAL, PULSE_KINDS, CavityParams, feasibility
+from .protocols import _require_positive, dss_rows, repetitive_dss_rows, superposition_rows
 from .spin_core import CssPrior, m_ladder, make_css
 
 
@@ -168,6 +168,7 @@ _FIG2_RATIOS = (("third", 1.0 / 3.0), ("half", 0.5), ("full", 1.0))
 
 def _superposition_pm(n_atoms: int, chi_x, outcomes) -> list[list[float]]:
     """P(m) of the CSS conditioned on each amplitude-quadrature record."""
+    _require_positive("chi_x", chi_x)
     probs, _ = posterior_batch(CssPrior(n_atoms), outcomes, chi_x=chi_x)
     return probs.tolist()
 
@@ -249,7 +250,8 @@ def cmd_fig4(a: argparse.Namespace) -> SweepResult:
         return SweepResult(spec, columns, _zip_columns(chis, xis.reshape(len(rounds), -1)))
     chis = [a.chi_p] if a.chi_p is not None else [0.2, 0.4]
     max_rounds = a.n_rounds if a.n_rounds is not None else 40
-    spec = SweepSpec("fig4", "c", "n_rounds", None, {"N": n, "chi_p": chis}, a.seed)
+    fixed = {"N": n, "chi_p": chis, "n": max_rounds}
+    spec = SweepSpec("fig4", "c", "n_rounds", None, fixed, a.seed)
     columns = (
         ["n_rounds"]
         + [f"xi_d_chi_{_slug(c)}" for c in chis]
@@ -342,8 +344,10 @@ def cmd_feasibility(a: argparse.Namespace) -> tuple[int, str]:
         raise UsageError("--delta must be nonzero")
     cavity = CavityParams.from_two_pi_megahertz(a.g, a.delta, a.kappa, a.np)
     report = feasibility(cavity, kind=a.kind, n_t=a.n_t, threshold=a.threshold)
+    # n_t stretches only the long exponential pulse: echoed for it alone
+    stretch = {"n_t": a.n_t} if a.kind == LONG_EXPONENTIAL else {}
     lines = [
-        f"kind                    : {a.kind} (n_t = {a.n_t:g})",
+        f"kind                    : {a.kind}" + (f" (n_t = {a.n_t:g})" if stretch else ""),
         f"max intracavity photons : {report.max_intracavity_photons:.6g}",
         f"dispersive bound        : {report.dispersive_bound:.6g}",
         f"chi_x bound             : {report.chi_x_bound:.6g}",
@@ -351,18 +355,9 @@ def cmd_feasibility(a: argparse.Namespace) -> tuple[int, str]:
         f"ok                      : {report.ok}",
     ]
     if a.out:
-        payload = {
-            "params": {
-                "g_2pi_mhz": a.g,
-                "delta_2pi_mhz": a.delta,
-                "kappa_2pi_mhz": a.kappa,
-                "n_photons": a.np,
-                "kind": a.kind,
-                "n_t": a.n_t,
-            },
-            "report": asdict(report),
-            "version": __version__,
-        }
+        params = {"g_2pi_mhz": a.g, "delta_2pi_mhz": a.delta, "kappa_2pi_mhz": a.kappa,
+                  "n_photons": a.np, "kind": a.kind, **stretch}
+        payload = {"params": params, "report": asdict(report), "version": __version__}
         with open(a.out, "w", encoding="utf-8", newline="") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
@@ -468,8 +463,10 @@ def _configured(command: str) -> list[str]:
     """``--flag=value`` tokens for the flags of ``command`` set by SPINPREP_<DEST> or the file.
 
     The variable's value replaces the file's; a flag set by neither is left
-    out, and a file's ``null`` is a usage error, never the text ``None``.  The
-    ``=`` form keeps a value such as ``-1e-3`` from reading as a flag.
+    out.  A file's value must be a string or a number: ``null``, ``true``, a
+    list or an object is a usage error, never the text ``None``, ``False`` or
+    ``[4]`` handed on as a path or a number.  The ``=`` form keeps a value
+    such as ``-1e-3`` from reading as a flag.
     """
     cfg = _config_file()
     tokens = []
@@ -478,8 +475,9 @@ def _configured(command: str) -> list[str]:
         variable = f"SPINPREP_{dest.upper()}"
         if name.startswith("-") and (variable in os.environ or dest in cfg):
             value = os.environ.get(variable, cfg.get(dest))
-            if value is None:
-                raise UsageError(f"config key {dest!r} is null; give a value or leave it out")
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise UsageError(f"config key {dest!r} is {json.dumps(value)}; "
+                                 "give a string or a number, or leave it out")
             tokens.append(f"{name}={value}")
     return tokens
 

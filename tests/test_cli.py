@@ -77,6 +77,14 @@ def test_fig_bad_overrides_exit_usage():
     assert main(["fig3", "a", "--chi-p", "-0.4"]) == 1
 
 
+@pytest.mark.parametrize("sub", ["a", "b"])
+@pytest.mark.parametrize("chi_x", ["0", "-1"])
+def test_fig2_strength_rule_is_the_superposition_one(sub, chi_x, capsys):
+    # the rule of every other superposition path: chi_x = 0 conditions nothing
+    assert main(["fig2", sub, "--chi-x", chi_x]) == 1
+    assert capsys.readouterr() == ("", f"error: chi_x must be positive, got {float(chi_x)}\n")
+
+
 @pytest.mark.parametrize("sub", ["a", "b", "c"])
 def test_fig4_rounds_below_one_exit_usage(sub, capsys):
     assert main(["fig4", sub, "--n", "0"]) == 1
@@ -218,6 +226,57 @@ def test_fig_json_round_trip(tmp_path):
     np.testing.assert_array_equal(
         np.array(parsed["rows"]), np.array(read_result(csv_path)["rows"])
     )
+
+
+def _argv_from_spec(spec: dict) -> list[str]:
+    """The flags that rebuild a table from its spec; a list of several values is a default."""
+    argv = [spec["command"], spec["subvariant"]]
+    if spec["command"] == "sweep":
+        grid = spec["grid"]
+        argv += ["--param", spec["param"], f"--start={grid['start']!r}",
+                 f"--stop={grid['stop']!r}", "--count", str(grid["count"]),
+                 "--scale", grid["scale"]]
+    for key, value in spec["fixed"].items():
+        if isinstance(value, list):
+            if len(value) > 1:
+                continue
+            (value,) = value
+        argv.append(f"--{key.replace('_', '-')}={value!r}")
+    return argv + ["--seed", str(spec["seed"])]
+
+
+@pytest.mark.parametrize("argv", [
+    *([fig, sub] for fig in ("fig2", "fig3", "fig4") for sub in "abc"),
+    ["fig2", "a", "--N", "20", "--chi-x", "0.3", "--seed", "4"],
+    ["fig2", "b", "--N", "30", "--chi-x", "0.1"],
+    ["fig2", "c", "--N", "12"],
+    ["fig3", "a", "--N", "30", "--chi-p", "0.7"],
+    ["fig3", "b", "--N", "10"],
+    ["fig3", "c", "--N", "20", "--chi-p", "1.5"],
+    ["fig4", "a", "--N", "30", "--chi-p", "0.3", "--n", "3"],
+    ["fig4", "b", "--N", "20", "--n", "2"],
+    ["fig4", "c", "--n", "20"],
+    ["fig4", "c", "--chi-p", "0.7", "--n", "7"],
+    ["sample", "dss", "--N", "30", "--chi-p", "0.4", "--eta", "0.1", "--n-shots", "40",
+     "--seed", "3"],
+    ["sample", "superposition", "--N", "21", "--chi-x", "0.1", "--eta", "0.07",
+     "--n-shots", "40", "--seed", "5"],
+    ["sweep", "dss", "--param", "chi_p", "--start", "0.1", "--stop", "2", "--count", "7",
+     "--N", "30", "--outcome", "-1.5"],
+    ["sweep", "superposition", "--param", "outcome", "--start", "-2", "--stop", "0",
+     "--count", "5", "--chi-x", "0.15"],
+    ["sweep", "repetitive_dss", "--param", "n", "--start", "1", "--stop", "9", "--count", "5",
+     "--chi-p", "0.3"],
+    ["sweep", "dss", "--param", "N", "--start", "3", "--stop", "300", "--count", "3",
+     "--scale", "log", "--chi-p", "0.6"],
+], ids=" ".join)
+def test_table_regenerates_from_its_spec(argv, tmp_path):
+    # the header's claim: the spec line alone reproduces the file byte for byte
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert main(argv + ["--out", str(first)]) == 0
+    rebuilt = _argv_from_spec(read_result(first)["spec"])
+    assert main(rebuilt + ["--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes(), rebuilt
 
 
 def test_emitted_bytes_pinned():
@@ -606,6 +665,21 @@ def test_feasibility_exit_codes(capsys):
     assert main(["feasibility", "--np", "1e9"]) == 2  # photon budget violated
 
 
+@pytest.mark.parametrize("kind", ["exponential", "long_exponential", "optimal_x_spectral"])
+def test_feasibility_echoes_n_t_where_it_stretches(kind, tmp_path, capsys):
+    # n_t stretches only the long exponential pulse; the others take it and ignore it
+    out = tmp_path / "feas.json"
+    assert main(["feasibility", "--kind", kind, "--n-t", "2.5", "--out", str(out)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    params = json.loads(out.read_text())["params"]
+    if kind == "long_exponential":
+        assert first == "kind                    : long_exponential (n_t = 2.5)"
+        assert params["n_t"] == 2.5
+    else:
+        assert first == f"kind                    : {kind}"
+        assert "n_t" not in params
+
+
 def test_feasibility_huge_stretch_is_o1(capsys):
     # the exponential peaks are closed forms: no grid, whatever the stretch
     assert main(["feasibility", "--kind", "long_exponential", "--n-t", "1e12"]) == 0
@@ -770,14 +844,43 @@ def test_config_null_is_a_usage_error(tmp_path, monkeypatch, capsys):
     cfg.write_text(json.dumps({"out": None, "N": 4}))
     assert main(["fig2", "a"]) == 1
     assert capsys.readouterr() == (
-        "", "error: config key 'out' is null; give a value or leave it out\n"
+        "", "error: config key 'out' is null; give a string or a number, or leave it out\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
     cfg.write_text(json.dumps({"N": None}))
     assert main(["fig2", "a"]) == 1
     assert capsys.readouterr().err == (
-        "error: config key 'N' is null; give a value or leave it out\n"
+        "error: config key 'N' is null; give a string or a number, or leave it out\n"
     )
+
+
+@pytest.mark.parametrize("key, value, shown", [
+    ("out", False, "false"),
+    ("seed", True, "true"),
+    ("N", [4], "[4]"),
+    ("N", {"value": 4}, '{"value": 4}'),
+], ids=["false", "true", "list", "object"])
+def test_config_values_are_strings_or_numbers(key, value, shown, tmp_path, monkeypatch, capsys):
+    # never the text False, True or [4] handed on as a path or a number
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value, "N": 4} if key != "N" else {key: value}))
+    monkeypatch.setenv("SPINPREP_CONFIG", str(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(["fig2", "a"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: config key {key!r} is {shown}; give a string or a number, or leave it out\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_config_strings_and_numbers_still_work(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 4, "chi_x": 0.3, "seed": 2, "out": "t.csv"}))
+    monkeypatch.setenv("SPINPREP_CONFIG", str(cfg))
+    monkeypatch.chdir(tmp_path)
+    assert main(["fig2", "a"]) == 0
+    res = read_result(tmp_path / "t.csv")
+    assert res["spec"]["fixed"] == {"N": 4, "chi_x": [0.3]} and res["spec"]["seed"] == 2
 
 
 def test_help_lists_commands_and_flags(capsys):
@@ -830,6 +933,30 @@ def test_unknown_command_lists_every_command(capsys):
     assert "invalid choice: 'fig5'" in err
     for command in COMMANDS:
         assert f"'{command}'" in err
+
+
+_SMALLEST_ARGV = {
+    "fig2": ["a", "--N", "4"], "fig3": ["c", "--N", "4"], "fig4": ["c", "--n", "2"],
+    "feasibility": [], "sample": ["dss", "--chi-p", "0.4", "--n-shots", "2"],
+    "sweep": ["dss", "--param", "N", "--start", "2", "--stop", "4", "--count", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_main_calls_the_handler_set_on_the_module(command, monkeypatch, capsys):
+    # a wrapper set on cli.cmd_<command>, as a tracer sets one, is what main runs
+    import spinprep.cli
+
+    handler = getattr(spinprep.cli, f"cmd_{command}")
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(command)
+        return handler(*args, **kwargs)
+
+    monkeypatch.setattr(spinprep.cli, f"cmd_{command}", wrapper)
+    assert main([command, *_SMALLEST_ARGV[command]]) == 0
+    assert calls == [command]
 
 
 def test_second_call_builds_no_parser(tmp_path, monkeypatch):
