@@ -272,11 +272,13 @@ def cmd_fig4(a: argparse.Namespace) -> SweepResult:
 def cmd_sample(a: argparse.Namespace) -> SweepResult:
     css = make_css(a.N)
     if a.protocol == "dss":
+        _require_positive("chi_p", a.chi_p)  # the row function's rule, before any draw
         outcomes = sample_outcomes(css, MeasurementSetting(chi_p=a.chi_p), a.n_shots, a.seed)
         columns = ["shot", "outcome", "density", "xi_d"]
         xi_d, log_density = dss_rows(a.N, a.chi_p, outcomes)
         values = (xi_d,)
     else:
+        _require_positive("chi_x", a.chi_x)
         outcomes = sample_outcomes(css, MeasurementSetting(chi_x=a.chi_x), a.n_shots, a.seed)
         columns = ["shot", "outcome", "density", "fidelity", "target_m_c"]
         fid, m_c, _, _, log_density = superposition_rows(a.N, a.chi_x, outcomes)
@@ -325,7 +327,8 @@ def cmd_sweep(a: argparse.Namespace) -> SweepResult:
         if off.any():
             raise UsageError(f"--param {a.param} takes integers, got {points[off][0]:.17g}")
         points = snapped
-    swept = points.astype(int) if a.param == "N" else points
+    # atom counts as Python ints, so that one past int64 reaches the atom-count check uncast
+    swept = [int(n) for n in points] if a.param == "N" else points
     values = protocol["rows"]({**fixed, a.param: swept})
     return SweepResult(spec, protocol["columns"], _zip_columns(points, values))
 

@@ -32,7 +32,6 @@ from .spin_core import (
     NORM_TOL,
     CssPrior,
     SpinEnsembleState,
-    css_log_window,
     m_ladder,
     span_bounds,
     span_sums,
@@ -53,6 +52,28 @@ _LOG_PROB_FLOOR = -700.0
 
 class PosteriorError(ArithmeticError):
     """A measurement update left no finite, normalizable amplitude mass."""
+
+
+class _ArrayPrior:
+    """A real log|a_m| over N+1 levels, -inf where unoccupied; ``top`` is its argmax."""
+
+    def __init__(self, log_magnitudes):
+        log_mag = np.asarray(log_magnitudes)
+        if np.iscomplexobj(log_mag):
+            raise ValueError(
+                "log_prior must be the real log|a_m|; "
+                "condition a phased state with apply_measurement"
+            )
+        if log_mag.ndim != 1 or log_mag.size < 2:
+            raise ValueError(f"log_prior must hold N+1 >= 2 levels, got shape {log_mag.shape}")
+        self.atom_count, self.top = log_mag.size - 1, int(log_mag.argmax())
+        if log_mag[self.top] == -np.inf:
+            raise PosteriorError("prior has empty support")
+        self._log_mag = log_mag
+
+    def window(self, n_atoms: int, first: int, stop: int) -> np.ndarray:
+        """Levels ``first`` ... ``stop - 1`` of the array; ``n_atoms`` is its ``atom_count``."""
+        return self._log_mag[first:stop]
 
 
 @dataclass(frozen=True)
@@ -220,10 +241,11 @@ def level_rows(bands, first, n_levels: int) -> np.ndarray:
 def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     """Condition one prior on many records at once, in the log domain.
 
-    ``log_prior`` holds the real log|a_m| over the N+1 Dicke levels (-inf on
-    unoccupied levels), e.g. of a state, or is a :class:`CssPrior`, the
-    coherent spin state's log|a_m| computed on demand, for one atom count or
-    for one per record.  The operator is diagonal, so the phases of the
+    ``log_prior`` is read only through ``atom_count``, ``top`` (its largest
+    level) and ``window(n_atoms, first, stop)`` (log|a_m| on those levels),
+    e.g. a :class:`CssPrior` of one atom count or one per record; a real
+    log|a_m| over N+1 levels (-inf where unoccupied) is validated into the
+    private array prior.  The operator is diagonal, so the phases of the
     prior and the e^{i eta m} of the record pass through unchanged and never
     enter here; a phased state is conditioned by :func:`apply_measurement`.
     Record r is taken at strengths ``chi_x[r]`` and ``chi_p[r]``; each of
@@ -232,9 +254,8 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     A record selects a narrow packet of levels, so each record's row is
     evaluated only on its band: the ``count[r]`` consecutive levels from
     ``first[r]`` that hold every level within e^-700 of the row's peak (see
-    :func:`_band_limits`, which needs only the prior's largest level: the
-    array's argmax, or N // 2 for the CSS).  Every level outside it is one
-    the floor would set to 0.  On the band, the row
+    :func:`_band_limits`, which needs only the prior's ``top``).  Every
+    level outside it is one the floor would set to 0.  On the band, the row
     2 log|a_m| - (Y_r + c_m)^2, c_m = chi_x m^2 + chi_p m, is formed relative
     to the record's reference level j, the level nearest its center (see
     :func:`_band_limits`), as 2 log|a_m| - (c_m - c_j)(c_m + c_j + 2 Y_r);
@@ -250,13 +271,12 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     a group while their windows, each running from its lowest band start to
     W levels past its highest, W the group's widest band, fit in about 2^16
     levels; a larger ladder forms a group alone.  Each group lays its
-    ladders' windows end to end on one level axis, read once: an array
-    prior is sliced, and a :class:`CssPrior` is computed there by
-    :func:`css_log_window`, so a batch of narrow bands costs O(window), not
-    O(N), and no band reads a neighbour's levels.  A group's records are
-    taken widest band first, so that narrow bands are not padded to the
-    widest, in chunks of about 2^16 elements, each chunk of records x W
-    levels with W its own widest band and its rows in record order.
+    ladders' windows end to end on one level axis, each read once through
+    ``window``, so a batch of narrow bands on a :class:`CssPrior` costs
+    O(window), not O(N), and no band reads a neighbour's levels.  A group's
+    records are taken widest band first, so that narrow bands are not padded
+    to the widest, in chunks of about 2^16 elements, each chunk of records x
+    W levels with W its own widest band and its rows in record order.
     ``reduce(probs, rows, first, count)`` maps each chunk's records x W
     probabilities, records ``rows`` (an ascending index array) of the
     batch, whose entry [r, i] is level ``first[r] + i`` of the record's
@@ -275,22 +295,9 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     state misses unit norm by more than ``NORM_TOL``, and ``ValueError`` for
     invalid strengths or a complex prior.
     """
-    if isinstance(log_prior, CssPrior):
-        atoms, top = log_prior.atom_count, log_prior.top
-        read_window = css_log_window
-    else:
-        log_prior = np.asarray(log_prior)
-        if np.iscomplexobj(log_prior):
-            raise ValueError(
-                "log_prior must be the real log|a_m|; "
-                "condition a phased state with apply_measurement"
-            )
-        if log_prior.ndim != 1 or log_prior.size < 2:
-            raise ValueError(f"log_prior must hold N+1 >= 2 levels, got shape {log_prior.shape}")
-        atoms, top = log_prior.size - 1, int(log_prior.argmax())
-        if log_prior[top] == -np.inf:
-            raise PosteriorError("prior has empty support")
-        read_window = lambda n_atoms, first, stop: log_prior[first:stop]  # noqa: E731
+    if not hasattr(log_prior, "window"):  # an array of log|a_m|
+        log_prior = _ArrayPrior(log_prior)
+    atoms, top = log_prior.atom_count, log_prior.top
     n_counts = atoms.size if isinstance(atoms, np.ndarray) else 1  # 1, or one per record
     y, cx, cp = _per_record(outcomes, chi_x, chi_p, n_counts)
     ladder_n, bounds = _ladders(atoms, y.size)
@@ -319,7 +326,7 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
         for i in range(g0, g1):
             n_atoms, low, end = ladder_n[i], lo[i], hi[i] + width
             stop = min(end, n_atoms + 1)  # a band may run past the top level
-            log_window = read_window(n_atoms, low, stop)
+            log_window = log_prior.window(n_atoms, low, stop)
             np.add(log_window, log_window, out=two_log_mag[base : base + stop - low])
             m_ladder(n_atoms, low, end, out=m[base : base + end - low])
             rows = slice(bounds[i], bounds[i + 1])
@@ -407,13 +414,13 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     return values, log_density
 
 
-def _log_magnitudes(state: SpinEnsembleState) -> np.ndarray:
-    """log|a_m| of the state, the real prior :func:`posterior_batch` conditions.
+def _state_prior(state: SpinEnsembleState) -> _ArrayPrior:
+    """log|a_m| of the state as the real prior :func:`posterior_batch` conditions.
 
     Unoccupied levels give -inf, which the kernel leaves at probability 0.
     """
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(state.amplitudes))
+        return _ArrayPrior(np.log(np.abs(state.amplitudes)))
 
 
 def _densities_only(probs, rows, first, count):
@@ -445,7 +452,7 @@ def _condition_one(prior, setting: MeasurementSetting, outcome, figure=None):
         return post, None if figure is None else float(figure(probs, rows, first, count)[0])
 
     (post, value), log_density = posterior_batch(
-        prior if css else _log_magnitudes(prior), outcome, setting.chi_x, setting.chi_p,
+        prior if css else _state_prior(prior), outcome, setting.chi_x, setting.chi_p,
         post_and_figure,
     )
     return post, value, log_density[0]
@@ -482,7 +489,7 @@ def outcome_pdf(state: SpinEnsembleState, setting: MeasurementSetting, outcome):
     """
     y = np.asarray(outcome, dtype=float)
     _, log_density = posterior_batch(
-        _log_magnitudes(state), y.ravel(), setting.chi_x, setting.chi_p, _densities_only
+        _state_prior(state), y.ravel(), setting.chi_x, setting.chi_p, _densities_only
     )
     density = np.exp(log_density)
     return float(density[0]) if y.ndim == 0 else density.reshape(y.shape)

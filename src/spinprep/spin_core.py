@@ -20,6 +20,8 @@ NORM_TOL = 1e-12
 
 _LATTICE_TOL = 1e-9
 _LN2 = math.log(2.0)
+# the largest atom count: above 2^53 the level indices k and m = k - N/2 are not exact floats
+_MAX_ATOMS = 1 << 53
 
 
 def m_ladder(n_atoms: int, first: int = 0, stop: int | None = None, out=None) -> np.ndarray:
@@ -125,6 +127,8 @@ def _lattice_index(n_atoms: int, m: float) -> int:
 def _check_atom_count(n_atoms) -> int:
     if not isinstance(n_atoms, (int, np.integer)) or isinstance(n_atoms, bool) or n_atoms < 1:
         raise ValueError(f"atom count must be a positive integer, got {n_atoms!r}")
+    if n_atoms > _MAX_ATOMS:
+        raise ValueError(f"atom count must be at most 2**53 = {_MAX_ATOMS}, got {int(n_atoms)}")
     return int(n_atoms)
 
 
@@ -167,10 +171,9 @@ def css_log_window(n_atoms: int, first: int, stop: int) -> np.ndarray:
 class CssPrior:
     """The coherent spin state's log|a_m| as a prior for the measurement kernel.
 
-    It stands in for :func:`css_log_window` over all N+1 levels:
-    :func:`spinprep.measurement.posterior_batch` takes its largest level,
-    ``top`` = N // 2, in closed form and computes only the window of levels
-    that its records' bands index, through that same function.
+    It stands in for :func:`css_log_window` over all N+1 levels: ``top`` =
+    N // 2 is taken in closed form, and :meth:`window` computes only the
+    levels that :func:`spinprep.measurement.posterior_batch` reads.
     ``atom_count`` is one atom count, or a non-empty 1-d integer array of one
     per record, each record then conditioned on the CSS of its own N.
     Equality is identity, as for :class:`SpinEnsembleState`.
@@ -186,6 +189,10 @@ class CssPrior:
         """Index of the largest level, the first of the two middle ones for odd N."""
         return self.atom_count // 2
 
+    def window(self, n_atoms: int, first: int, stop: int) -> np.ndarray:
+        """log|a_m| on levels ``first`` ... ``stop - 1`` of the CSS of ``n_atoms`` atoms."""
+        return css_log_window(n_atoms, first, stop)
+
 
 def _check_atom_counts(n_atoms):
     """One atom count as an int, or a 1-d array of several as a locked integer array."""
@@ -194,9 +201,9 @@ def _check_atom_counts(n_atoms):
     counts = np.asarray(n_atoms)
     if counts.ndim != 1 or counts.size == 0:
         raise ValueError(f"atom counts must be a non-empty 1-d array, got shape {counts.shape}")
-    bad = counts < 1 if counts.dtype.kind in "iu" else np.ones(counts.size, dtype=bool)
-    if bad.any():
-        raise ValueError(f"atom count must be a positive integer, got {counts[bad][0].item()!r}")
+    if counts.dtype.kind not in "iu" or not (counts.min() >= 1 and counts.max() <= _MAX_ATOMS):
+        for n in counts.tolist():  # the first count the scalar check rejects names the error
+            _check_atom_count(n)
     return int(counts[0]) if counts.size == 1 else _locked(counts.astype(np.intp))
 
 

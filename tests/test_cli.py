@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -427,6 +428,15 @@ def test_sample_usage_errors(capsys):
         assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("protocol, flag", [("dss", "chi_p"), ("superposition", "chi_x")])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_sample_strength_rule_is_the_rows_one(protocol, flag, value, capsys):
+    # one rule for 0 and for a negative strength, the one of sweep, fig4 and
+    # the row functions, checked before any record is drawn
+    assert main(["sample", protocol, "--" + flag.replace("_", "-"), value]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} must be positive, got {float(value)}\n")
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -596,6 +606,24 @@ def test_each_table_is_one_kernel_call(argv, monkeypatch, capsys):
 def test_swept_value_errors_name_the_first_bad_value(argv, message, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["fig3", "b", "--N", "99999999999999999999"], "99999999999999999999"),
+    (["sweep", "dss", "--param", "N", "--start", "1e19", "--stop", "2e19", "--count", "3"],
+     "10000000000000000000"),
+    (["sweep", "dss", "--param", "chi_p", "--start", "1", "--stop", "2", "--count", "3",
+      "--N", "99999999999999999999"], "99999999999999999999"),
+])
+def test_atom_count_past_the_ladder_is_a_usage_error(argv, value, capsys):
+    # past 2^53 level indices are not exact floats: one error line naming the
+    # count, never a traceback, a cast warning or a number from a wrapped count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: atom count must be at most 2**53 = 9007199254740992, got {value}\n"
+    )
 
 
 def test_sweep_usage_errors():

@@ -34,7 +34,8 @@ from spinprep import (
     posterior_batch,
     superposition_rows,
 )
-from spinprep.measurement import _band_limits
+from spinprep.measurement import _ArrayPrior, _band_limits
+from spinprep.protocols import _xi_rows
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -243,6 +244,54 @@ def test_band_never_reads_a_neighbouring_ladder():
         assert log_density[row] == alone_density[0]
 
 
+class WindowLog:
+    """A prior read through another one, that records every window asked of it."""
+
+    def __init__(self, prior):
+        self.prior, self.windows = prior, []
+        self.atom_count, self.top = prior.atom_count, prior.top
+
+    def window(self, n_atoms, first, stop):
+        self.windows.append((n_atoms, first, stop))
+        return self.prior.window(n_atoms, first, stop)
+
+
+def sparse_log_prior(n_atoms, seed):
+    rng = np.random.default_rng(seed)
+    log_mag = rng.normal(size=n_atoms + 1)
+    log_mag[rng.random(n_atoms + 1) < 0.6] = -np.inf
+    log_mag[n_atoms // 3] = 0.0  # some level is occupied
+    return log_mag
+
+
+@pytest.mark.parametrize("prior, records, chi_p", [
+    (CssPrior(1000), np.linspace(-400.0, 400.0, 9), np.array([0.06, 0.4, 2.0])[:, None]),
+    # fig3 c: one record per atom count, 56 ladders on shared level axes
+    (CssPrior(np.arange(10, 121, 2)), np.zeros(56), 2.0),
+    (_ArrayPrior(sparse_log_prior(300, 7)), np.linspace(-200.0, 200.0, 9), 1.5),
+], ids=["css", "css_56_counts", "array"])
+def test_kernel_reads_a_prior_only_through_its_window(prior, records, chi_p):
+    # every window the kernel asks for lies on its ladder and holds each
+    # record's band, and a prior that only forwards window calls changes nothing
+    records, chi_p = np.broadcast_arrays(records, chi_p)
+    records, chi_p = records.ravel(), chi_p.ravel()
+    logged = WindowLog(prior)
+    bands, _ = posterior_batch(logged, records, chi_p=chi_p,
+                               reduce=lambda probs, rows, first, count: np.c_[first, count])
+    atoms = np.broadcast_to(prior.atom_count, records.shape)
+    assert logged.windows
+    for n, first, stop in logged.windows:
+        assert n in atoms and 0 <= first < stop <= n + 1
+    for n, (first, count) in zip(atoms, bands):
+        assert any(w_n == n and w_first <= first and first + count <= w_stop
+                   for w_n, w_first, w_stop in logged.windows)
+    for reduce in (None, _xi_rows(prior.atom_count)):
+        got = posterior_batch(WindowLog(prior), records, chi_p=chi_p, reduce=reduce)
+        want = posterior_batch(prior, records, chi_p=chi_p, reduce=reduce)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_batch_over_atom_counts_peaks_as_one_call():
     # at chi_p 1e-6 each band holds all 10^5 + 1 levels, so each ladder forms a
     # group alone; a group's arrays are freed before the next group reads its
@@ -260,6 +309,13 @@ def test_batch_over_atom_counts_peaks_as_one_call():
     assert batch <= 1.1 * one
 
 
+def test_largest_atom_count_is_two_to_the_53():
+    assert CssPrior(2**53).atom_count == 2**53
+    assert CssPrior(np.array([40, 2**53])).atom_count.tolist() == [40, 2**53]
+    with pytest.raises(ValueError, match="got 4611686018427387904"):
+        dss_rows(2**62, 2.0, [0.0])  # was a log density of +8703 from wrapped level indices
+
+
 def test_one_atom_count_in_an_array_is_shared_by_every_record():
     records = np.array([-3.0, 0.0, 0.5])
     assert CssPrior(np.array([40])).atom_count == 40
@@ -275,6 +331,9 @@ def test_one_atom_count_in_an_array_is_shared_by_every_record():
     ([4.0, 6.0], "got 4.0"),
     ([[4, 6]], "1-d array"),
     ([], "1-d array"),
+    ([40, 2**53 + 1], "at most 2\\*\\*53 = 9007199254740992, got 9007199254740993"),
+    ([40, 10**20], "got 100000000000000000000"),
+    (np.array([40, 2**62], dtype=np.uint64), "got 4611686018427387904"),
 ])
 def test_css_prior_rejects_bad_atom_counts(n_atoms, message):
     with pytest.raises(ValueError, match=message):

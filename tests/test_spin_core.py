@@ -50,7 +50,7 @@ def test_css_sz2_matches_binomial_oracle():
     assert observables(make_css(n)).mean_sz2 == pytest.approx(oracle, rel=1e-13)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5, "4"])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, "4", 2**53 + 1, np.uint64(2**63)])
 def test_css_invalid_atom_count(bad):
     with pytest.raises(ValueError):
         make_css(bad)
