@@ -28,7 +28,7 @@ from . import __version__
 from .measurement import MeasurementSetting, posterior_batch, sample_outcomes
 from .pulse_optics import LONG_EXPONENTIAL, PULSE_KINDS, CavityParams, feasibility
 from .protocols import _require_positive, dss_rows, repetitive_dss_rows, superposition_rows
-from .spin_core import CssPrior, m_ladder, make_css
+from .spin_core import CssPrior, m_ladder
 
 
 class UsageError(Exception):
@@ -270,7 +270,7 @@ def cmd_fig4(a: argparse.Namespace) -> SweepResult:
 
 
 def cmd_sample(a: argparse.Namespace) -> SweepResult:
-    css = make_css(a.N)
+    css = CssPrior(a.N)
     if a.protocol == "dss":
         _require_positive("chi_p", a.chi_p)  # the row function's rule, before any draw
         outcomes = sample_outcomes(css, MeasurementSetting(chi_p=a.chi_p), a.n_shots, a.seed)
@@ -380,10 +380,17 @@ def finite(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """Flag type for ``--seed``: numpy's generators take a whole number >= 0."""
+    if not text.strip().isdecimal():  # digits alone: no sign, point or exponent
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 0, got {text!r}")
+    return int(text)
+
+
 _IO_FLAGS = (
     ("--out", {"help": "output path (default: stdout)"}),
     ("--format", {"choices": ("csv", "json"), "default": "csv"}),
-    ("--seed", {"type": int, "default": 0}),
+    ("--seed", {"type": _seed, "default": 0}),
 )
 _SUBVARIANT = ("subvariant", {"choices": ("a", "b", "c")})
 
@@ -542,7 +549,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # OSError after its subclass BrokenPipeError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError, MemoryError) as exc:

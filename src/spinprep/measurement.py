@@ -32,6 +32,7 @@ from .spin_core import (
     NORM_TOL,
     CssPrior,
     SpinEnsembleState,
+    _check_atom_count,
     m_ladder,
     span_bounds,
     span_sums,
@@ -511,17 +512,21 @@ def sample_outcome(
 
 
 def sample_outcomes(
-    state: SpinEnsembleState, setting: MeasurementSetting, n_shots: int, seed
+    state: SpinEnsembleState | CssPrior, setting: MeasurementSetting, n_shots: int, seed
 ) -> np.ndarray:
-    """Vectorized i.i.d. records: m with probability P(m), then Y ~ N(center_m, 1/2)."""
+    """Vectorized i.i.d. records: m with probability P(m), then Y ~ N(center_m, 1/2).
+
+    P(m) is a state's, or Binomial(N, 1/2) for a :class:`CssPrior` of one atom count.
+    """
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     rng = np.random.default_rng(seed)
-    p = np.abs(state.amplitudes) ** 2
-    p = p / p.sum()
-    centers = _centers(setting, m_ladder(state.atom_count))
-    idx = rng.choice(p.size, size=n_shots, p=p)
-    return rng.normal(centers[idx], math.sqrt(0.5))
+    if isinstance(state, CssPrior):
+        m = rng.binomial(_check_atom_count(state.atom_count), 0.5, n_shots) - state.atom_count / 2
+    else:
+        p = np.abs(state.amplitudes) ** 2
+        m = m_ladder(state.atom_count)[rng.choice(p.size, size=n_shots, p=p / p.sum())]
+    return rng.normal(_centers(setting, m), math.sqrt(0.5))
 
 
 def compose(settings_and_outcomes) -> tuple[MeasurementSetting, float, float]:

@@ -24,7 +24,7 @@ from .measurement import (
     sample_outcomes,
 )
 from .pulse_optics import LONG_EXPONENTIAL, CavityParams, FeasibilityReport, feasibility
-from .spin_core import CssPrior, SpinEnsembleState, dicke_squeezing, make_css
+from .spin_core import CssPrior, SpinEnsembleState, dicke_squeezing
 
 OUTCOME_POLICIES = ("all_zero", "sampled")
 
@@ -314,7 +314,7 @@ def repetitive_dss(
         if seed is None:
             raise ValueError("sampled outcome policy requires a seed")
         setting = MeasurementSetting(chi_p=root_n * chi_p)
-        outcome = float(sample_outcomes(make_css(n_atoms), setting, 1, seed)[0]) / root_n
+        outcome = float(sample_outcomes(CssPrior(n_atoms), setting, 1, seed)[0]) / root_n
     else:
         raise ValueError(
             f"unknown outcome policy {outcome_policy!r}; expected one of {OUTCOME_POLICIES}"

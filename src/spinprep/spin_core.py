@@ -20,6 +20,7 @@ NORM_TOL = 1e-12
 
 _LATTICE_TOL = 1e-9
 _LN2 = math.log(2.0)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # the largest atom count: above 2^53 the level indices k and m = k - N/2 are not exact floats
 _MAX_ATOMS = 1 << 53
 
@@ -136,16 +137,17 @@ def css_log_window(n_atoms: int, first: int, stop: int) -> np.ndarray:
     """log|a_m| of the coherent spin state along +x on levels ``first`` ... ``stop - 1``.
 
     log a_m = (1/2) log C(N, k) - (N/2) log 2 at index k = m + S.  One
-    ``math.lgamma`` anchor gives the value at the window's level nearest
-    m = 0 (index N // 2, the state's largest level, or the window's end
-    closest to it); every other level adds half the cumulative sum of
+    anchor, :func:`_log_binomial_half`, gives the value at the window's
+    level nearest m = 0 (index N // 2, the state's largest level, or the
+    window's end closest to it) to a few ulps of itself at any N; every
+    other level adds half the cumulative sum of
     log C(N, i) / C(N, i - 1) = log((N - i + 1) / i), taken outward from
     the anchor as ``log1p((N + 1 - 2i) / i)``.  So the cost is O(window),
-    the anchor's rounding (at the scale of log N!) shifts the whole window
-    by one constant, and the ratios between levels, all the measurement
-    update reads, are exact to a few ulps however large N is.  No level
-    underflows, however far it sits from m = 0.  A window that holds level
-    N // 2 equals the same slice of the whole ladder's window bit for bit.
+    the ratios between levels, all the measurement update reads, are exact
+    to a few ulps however large N is, and so are the levels themselves,
+    which the record densities read.  No level underflows, however far it
+    sits from m = 0.  A window that holds level N // 2 equals the same
+    slice of the whole ladder's window bit for bit.
     """
     n = _check_atom_count(n_atoms)
     if not 0 <= first < stop <= n + 1:
@@ -161,10 +163,41 @@ def css_log_window(n_atoms: int, first: int, stop: int) -> np.ndarray:
     # below the anchor the steps i = anchor, anchor - 1, ..., k + 1 are taken off
     np.cumsum(-steps[:at][::-1], out=log_ratio[:at][::-1])
     log_ratio *= 0.5
-    log_ratio += 0.5 * (
-        math.lgamma(n + 1) - math.lgamma(anchor + 1) - math.lgamma(n - anchor + 1) - n * _LN2
-    )
+    log_ratio += 0.5 * _log_binomial_half(n, anchor)
     return log_ratio
+
+
+def _stirling_remainder(x: int) -> float:
+    """log Gamma(x) - ((x - 1/2) log x - x + (1/2) log 2 pi) for a whole number x >= 1."""
+    if x < 16:  # where the series below has not converged; lgamma is exact enough here
+        return math.lgamma(x) - ((x - 0.5) * math.log(x) - x + _HALF_LOG_2PI)
+    y = 1.0 / (x * x)  # Stirling's series, first omitted term below 2e-14 from x = 16
+    return (1.0 / 12.0 - y * (1.0 / 360.0 - y * (1.0 / 1260.0 - y / 1680.0))) / x
+
+
+def _log_binomial_half(n: int, k: int) -> float:
+    """log(C(N, k) 2^-N), the probability of level k of the CSS, to a few ulps of its value.
+
+    Stirling's form of the three factorials: with d = (2k - N)/(N + 2) and
+    the remainders r of :func:`_stirling_remainder`,
+
+        1 - (N + 1) log1p(1/(N + 1)) + log 2 - (1/2) log(2 pi (N + 1))
+        - (2k - N) atanh(d) - ((N + 1)/2) log(1 - d^2)
+        + r(N + 1) - r(k + 1) - r(N - k + 1).
+
+    No term is of size N log N, as each ``lgamma(N + 1)`` is, so the value
+    holds its relative precision at any N up to 2^53.  The integers 2k - N,
+    N + 1 and N + 2 are exact Python ints, and log(1 - d^2) is taken from
+    d^2 near the middle and from 1 - d and 1 + d near the ends.
+    """
+    skew = 2 * k - n
+    d = skew / (n + 2)
+    log_1md2 = math.log1p(-d * d) if abs(d) < 0.5 else math.log1p(d) + math.log1p(-d)
+    return (
+        1.0 - (n + 1) * math.log1p(1 / (n + 1)) + _LN2 - _HALF_LOG_2PI - 0.5 * math.log(n + 1)
+        - skew * math.atanh(d) - 0.5 * (n + 1) * log_1md2
+        + _stirling_remainder(n + 1) - _stirling_remainder(k + 1) - _stirling_remainder(n - k + 1)
+    )
 
 
 @dataclass(frozen=True, eq=False)

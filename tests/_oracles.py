@@ -169,6 +169,52 @@ def exact_dss_xi_d(n_atoms, chi_p, record, reach=40):
         return float(n_atoms * (var + Decimal("0.25")) / (s * (s + 1) - var - mu * mu))
 
 
+def exact_log_css_level(n_atoms, k):
+    """log(C(N, k) / 2^N), the CSS probability of level k, from exact integers in 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float((Decimal(math.comb(n_atoms, k)) / Decimal(2) ** n_atoms).ln())
+
+
+def exact_css_log_density(n_atoms, chi_p, record, reach=40):
+    """Log density of a phase-quadrature record on the CSS, in 40-digit decimal.
+
+    sum_k C(N, k) 2^-N pi^{-1/2} exp[-(Y + chi_p m)^2] with m = k - N/2, over
+    the ``reach`` levels on each side of the one whose center -chi_p m lies
+    nearest the record: for chi_p of order 1 the rest weigh less than e^-300.
+    The first level's binomial is an exact integer, and each next one takes
+    the exact factor (N - k)/(k + 1).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        nearest = min(max(round(n_atoms / 2 - record / chi_p), 0), n_atoms)
+        first = max(0, nearest - reach)
+        level = Decimal(math.comb(n_atoms, first)) / Decimal(2) ** n_atoms
+        total = Decimal(0)
+        for k in range(first, min(n_atoms, nearest + reach) + 1):
+            residual = Decimal(record) + Decimal(chi_p) * (Decimal(k) - Decimal(n_atoms) / 2)
+            total += level * (-residual * residual).exp()
+            level = level * (n_atoms - k) / (k + 1)
+        return float(total.ln() - Decimal(math.pi).ln() / 2)
+
+
+def lattice_gaussian_log_density(n_atoms, chi_p, record, reach=40):
+    """Log density of a phase-quadrature record on the CSS of many atoms, in closed form.
+
+    For large N the CSS level law is the lattice Gaussian
+    sqrt(2/(pi N)) e^{-2 m^2/N}, m = k - N/2, up to relative corrections of
+    order 1/N and m^4/N^3 (below 1e-8 for N >= 2^30 and |m| within 3 sqrt(N)/2), so
+    the density is log sum_m sqrt(2/(pi N)) e^{-2 m^2/N - (Y + chi_p m)^2} - (1/2) log pi,
+    summed over the ``reach`` lattice levels on each side of the center -Y/chi_p.
+    """
+    nearest = round(n_atoms / 2 - record / chi_p) - n_atoms / 2
+    exponents = [-2.0 * m * m / n_atoms - (record + chi_p * m) ** 2
+                 for m in (nearest + j for j in range(-reach, reach + 1))]
+    top = max(exponents)
+    log_sum = top + math.log(math.fsum(math.exp(e - top) for e in exponents))
+    return log_sum + 0.5 * math.log(2.0 / (math.pi * n_atoms)) - 0.5 * math.log(math.pi)
+
+
 def mixture_cdf(x, state, setting):
     """Exact CDF of the outcome: mixture of variance-1/2 Gaussians."""
     p = np.abs(state.amplitudes) ** 2

@@ -486,12 +486,48 @@ def test_numeric_failure_exits_2(capsys):
     assert capsys.readouterr().err == (
         "numeric failure: measurement update of record -1e+160 lost all amplitude mass\n"
     )
-    # the CSS of 1e14 atoms is a 728 TiB array, more than any address space,
-    # so numpy refuses it before allocating anything: a numeric failure
-    assert main(["sample", "dss", "--N", "100000000000000", "--chi-p", "0.1",
-                 "--n-shots", "1"]) == 2
+    # fig2 a scatters each record's band over all N+1 levels: at 1e14 atoms a
+    # 728 TiB row, more than any address space, so numpy refuses it before
+    # allocating anything: a numeric failure
+    assert main(["fig2", "a", "--N", "100000000000000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: Unable to allocate") and err.count("\n") == 1
+
+
+def test_sample_at_any_atom_count(tmp_path):
+    # sampling draws the CSS level from its binomial law and conditions each
+    # record on its band, so 1e14 atoms cost what the record's band costs; the
+    # density is the Gaussian of variance 1/2 + chi_p^2 N / 4 that the mixture
+    # tends to, up to relative terms of order 1/N and m^4/N^3
+    n_atoms, chi_p = 10**14, 0.1
+    res, _ = run(tmp_path, "sample", "dss", "--N", str(n_atoms), "--chi-p", str(chi_p),
+                 "--n-shots", "1")
+    (_, y, density, _), = res["rows"]
+    var = 0.5 + chi_p**2 * n_atoms / 4.0
+    gaussian = math.exp(-y * y / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    assert density == pytest.approx(gaussian, rel=1e-7)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2", "a", "--out", "{dir}"],
+    ["fig2", "a", "--out", "{dir}/missing/x.csv"],
+    ["feasibility", "--out", "{dir}"],
+], ids=["directory", "missing-directory", "feasibility-directory"])
+def test_unwritable_out_is_one_line(argv, tmp_path, capsys):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and argv[-1] in err
+
+
+def test_seed_out_of_range_names_its_flag(monkeypatch, capsys):
+    message = "error: argument --seed: must be a whole number >= 0, got '-1'\n"
+    assert main(["sample", "dss", "--chi-p", "0.4", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == message
+    monkeypatch.setenv("SPINPREP_SEED", "-1")
+    assert main(["fig3", "a"]) == 1
+    assert capsys.readouterr().err == message
 
 
 

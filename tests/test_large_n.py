@@ -11,7 +11,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _oracles import exact_dss_xi_d, exact_log_binomial_ratio, full_ladder_amplitudes
+from _oracles import (
+    exact_css_log_density,
+    exact_dss_xi_d,
+    exact_log_binomial_ratio,
+    exact_log_css_level,
+    full_ladder_amplitudes,
+    lattice_gaussian_log_density,
+)
 
 from spinprep import (
     CssPrior,
@@ -88,7 +95,8 @@ def test_css_windows_holding_the_centre_equal_the_whole_ladder(n_atoms):
 def test_css_windows_off_the_centre_differ_by_the_anchor_rounding_only():
     n_atoms = 10**5
     full = css_log_window(n_atoms, 0, n_atoms + 1)
-    # the lgamma anchor rounds at the scale of log N!, about 1e6 here
+    # the whole ladder reaches these levels through running sums of up to 5e4
+    # steps, which round at the scale of |log a_m|, up to N log 2 / 2 here
     tol = 4 * np.spacing(math.lgamma(n_atoms + 1))
     windows = ((0, 10), (100, 2000), (40_000, 49_999), (50_001, 52_000), (99_000, n_atoms + 1))
     for first, stop in windows:
@@ -131,6 +139,47 @@ def test_css_log_ratios_match_exact_binomials():
         for k in range(center - 40, center + 41)
     )
     assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("n_atoms", [40, 41, 1000, 9999, 10**4])
+def test_css_levels_match_exact_binomials(n_atoms):
+    # log(C(N, k) / 2^N) to a few ulps of itself, off the centre and at the ends too
+    levels = {0, 1, n_atoms // 4, n_atoms // 2 - 7, n_atoms // 2, n_atoms - 1, n_atoms}
+    for k in sorted(levels):
+        log_p = 2.0 * css_log_window(n_atoms, k, k + 1)[0]
+        exact = exact_log_css_level(n_atoms, k)
+        assert abs(log_p - exact) <= 1e-14 * max(1.0, abs(exact)), k
+
+
+@pytest.mark.parametrize("chi_p", [0.5, 2.0])
+@pytest.mark.parametrize("n_atoms", [40, 41, 1000, 9999, 10**4])
+def test_css_record_density_matches_exact_binomials(n_atoms, chi_p):
+    # records at 0 and +-3 sigma of the mixture, whose variance is 1/2 + chi_p^2 N / 4
+    sigma = math.sqrt(0.5 + chi_p * chi_p * n_atoms / 4.0)
+    records = [0.0, 3.0 * sigma, -3.0 * sigma]
+    _, log_density = dss_rows(n_atoms, chi_p, records)
+    for record, value in zip(records, log_density):
+        assert abs(value - exact_css_log_density(n_atoms, chi_p, record)) <= 1e-14, record
+
+
+@pytest.mark.parametrize("n_atoms", [2**30, 2**40, 2**50, 2**53])
+def test_css_densities_match_the_lattice_gaussian_at_huge_n(n_atoms):
+    # the levels at 0 and +-3 sigma of the CSS level law, where records at 0 and
+    # +-3 sigma of the mixture point
+    for sigmas in (0, 3, -3):
+        k = n_atoms // 2 + round(sigmas * math.sqrt(n_atoms) / 2)
+        m = k - n_atoms / 2
+        log_p = 2.0 * css_log_window(n_atoms, k, k + 1)[0]
+        gaussian = 0.5 * math.log(2.0 / (math.pi * n_atoms)) - 2.0 * m * m / n_atoms
+        assert abs(log_p - gaussian) <= 1e-8, k
+    # record densities: a record's band is bounded from the top level N // 2, so
+    # a record at +-3 sigma spans about 3 sqrt(N) levels, 10^5 at N = 2^30 but
+    # 3e8 at 2^53; above 2^30 the record at 0 alone
+    sigma = math.sqrt(0.5 + n_atoms)
+    records = [0.0, 3.0 * sigma, -3.0 * sigma] if n_atoms <= 2**30 else [0.0]
+    _, log_density = dss_rows(n_atoms, 2.0, records)
+    for record, value in zip(records, log_density):
+        assert abs(value - lattice_gaussian_log_density(n_atoms, 2.0, record)) <= 1e-8, record
 
 
 @pytest.mark.parametrize("outcome", [0.0, 0.7])

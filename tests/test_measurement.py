@@ -7,7 +7,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
+from _oracles import chi_square_gof
+
 from spinprep import (
+    CssPrior,
     MeasurementSetting,
     PosteriorError,
     SpinEnsembleState,
@@ -16,6 +19,7 @@ from spinprep import (
     compose,
     make_css,
     make_dicke,
+    make_superposition_target,
     outcome_pdf,
     posterior_batch,
     sample_outcome,
@@ -343,6 +347,49 @@ def test_sample_css_variance_matches_mixture_oracle():
 def test_sample_outcomes_validation():
     with pytest.raises(ValueError):
         sample_outcomes(make_css(4), MeasurementSetting(), 0, 1)
+    with pytest.raises(ValueError, match="atom count"):
+        sample_outcomes(CssPrior(np.array([40, 41])), MeasurementSetting(chi_p=0.4), 10, 1)
+
+
+def test_state_draws_are_pinned():
+    # a state's levels come from its N+1 probabilities, in the same stream as
+    # before the CSS prior could be sampled
+    draws = sample_outcomes(make_css(40), MeasurementSetting(chi_p=0.4), 4, 3)
+    assert draws.tolist() == [
+        1.2799286160494134, 0.6475497839746446, -2.6283458898227865, -0.5640009570089256
+    ]
+    state = make_superposition_target(21, 2.5, 0.3)
+    draws = sample_outcomes(state, MeasurementSetting(chi_x=0.1, chi_p=0.2, eta=0.3), 4, 11)
+    assert draws.tolist() == [
+        -0.33569626189020907, -0.49791693918453017, -0.7221426291401553, -0.16464354503257606
+    ]
+    outcome = sample_outcome(make_dicke(10, 1), MeasurementSetting(chi_x=0.7), 5)
+    assert outcome == (-1.6364632265340666, 0.23472789775956404)
+
+
+@pytest.mark.parametrize("n_atoms", [40, 41])
+@pytest.mark.parametrize(
+    "setting", [MeasurementSetting(chi_p=0.4), MeasurementSetting(chi_x=0.1, chi_p=0.2)]
+)
+def test_css_prior_draws_follow_the_mixture(n_atoms, setting):
+    # the CSS level is Binomial(N, 1/2) - N/2: the records follow the same
+    # mixture as draws from the dense coherent state
+    draws = sample_outcomes(CssPrior(n_atoms), setting, 20000, 17)
+    stat, critical = chi_square_gof(draws, make_css(n_atoms), setting)
+    assert stat < critical
+
+
+def test_css_prior_draw_moments_at_ten_million_atoms():
+    n_atoms, chi_p, n_shots = 10**7, 2.0, 20000
+    draws = sample_outcomes(CssPrior(n_atoms), MeasurementSetting(chi_p=chi_p), n_shots, 23)
+    # Var Y = 1/2 + chi_p^2 Var m with Var m = N/4, and the fourth central
+    # moment of the centers from the binomial's, (N/4) (1 + 3 (N - 2)/4)
+    var_m = n_atoms / 4.0
+    var = 0.5 + chi_p**2 * var_m
+    mu4 = chi_p**4 * var_m * (1.0 + 3.0 * (n_atoms - 2) / 4.0)
+    mu4 += 3.0 * chi_p**2 * var_m + 0.75
+    assert abs(draws.mean()) < 5.0 * math.sqrt(var / n_shots)
+    assert abs(draws.var() - var) < 5.0 * math.sqrt((mu4 - var * var) / n_shots)
 
 
 # ---------------------------------------------------------------- composition
