@@ -303,8 +303,11 @@ SWEEP_PROTOCOLS = {
         "columns": ["value", "fidelity", "target_m_c", "separation", "width"],
         "rows": lambda p: superposition_rows(p["N"], p["chi_x"], p["outcome"])[:4],
     },
-    "repetitive_dss": {"params": ("n", "chi_p"), "columns": ["value", "xi_d"],
-                       "rows": lambda p: [repetitive_dss_rows(p["N"], p["chi_p"], p["n"])]},
+    "repetitive_dss": {
+        "params": ("n", "chi_p"),
+        "columns": ["value", "xi_d"],
+        "rows": lambda p: [repetitive_dss_rows(p["N"], p["chi_p"], p["n"], p["outcome"])],
+    },
 }
 
 

@@ -45,6 +45,10 @@ MAX_DT = 0.01
 
 _NORM_TOL = 1e-6
 
+# max_t beta0(t)^2 of the flat-top spectral pulse (see feasibility): (32/(27 pi^2))
+# t^4 (K_2(t) + K_1(t))^2 at t = 0.6231526117193044, the root of (1 - t) K_1(t) = t K_0(t)
+_FLAT_TOP_PEAK = 0.6422856225898251
+
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -383,21 +387,20 @@ def feasibility(
 
     The peak intracavity photon number N_p max|beta0|^2 must stay well below
     (Delta/g)^2; ``threshold``, a positive fraction of that bound, sets how
-    much headroom "well below" means.  The two exponential pulses take
-    max|beta0|^2 from its closed form, in O(1) for any ``n_t``; the flat-top
-    spectral pulse, which has none, from its response on the default grid.
+    much headroom "well below" means.  Every kind's max|beta0|^2 is a closed
+    form, O(1) for any ``n_t``: Basset's integral (DLMF 10.32.11) and its
+    t-derivative give the flat-top response (2/sqrt(pi)) sqrt(8/(3 pi)) (t^2/3)
+    (K_2(|t|) + sgn(t) K_1(|t|)), whose peak is ``_FLAT_TOP_PEAK``.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise ValueError(f"threshold must be positive and finite, got {threshold}")
     stretch = _stretch(kind, n_t)
-    if kind == OPTIMAL_X_SPECTRAL:
-        peak = peak_intracavity(response_functions(build_pulse(kind)))
-    else:
-        peak = _exponential_peak(stretch)
+    peak = _FLAT_TOP_PEAK if kind == OPTIMAL_X_SPECTRAL else _exponential_peak(stretch)
     max_photons = cavity.n_photons * peak
     dispersive = (cavity.delta / cavity.g) ** 2
     chi_x_bound = math.sqrt(42.0) * cavity.g**3 / (cavity.kappa**2 * abs(cavity.delta))
-    chi_p_bound = cavity.g * math.sqrt(20.0 * stretch * math.e) / cavity.kappa
+    # sqrt(n_t) apart, so that no n_t up to the largest float overflows the product
+    chi_p_bound = cavity.g * math.sqrt(20.0 * math.e) * math.sqrt(stretch) / cavity.kappa
     return FeasibilityReport(
         max_intracavity_photons=max_photons,
         dispersive_bound=dispersive,

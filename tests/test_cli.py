@@ -28,6 +28,7 @@ from spinprep import (
     prepare_dss,
     prepare_superposition,
     repetitive_dss,
+    repetitive_dss_rows,
 )
 from spinprep.cli import (
     COMMANDS,
@@ -268,6 +269,8 @@ def _argv_from_spec(spec: dict) -> list[str]:
      "--count", "5", "--chi-x", "0.15"],
     ["sweep", "repetitive_dss", "--param", "n", "--start", "1", "--stop", "9", "--count", "5",
      "--chi-p", "0.3"],
+    ["sweep", "repetitive_dss", "--param", "chi_p", "--start", "0.1", "--stop", "0.9",
+     "--count", "4", "--n", "3", "--outcome", "-2.5"],
     ["sweep", "dss", "--param", "N", "--start", "3", "--stop", "300", "--count", "3",
      "--scale", "log", "--chi-p", "0.6"],
 ], ids=" ".join)
@@ -461,6 +464,18 @@ def test_sweep_batch_equals_per_point_calls(tmp_path):
                  "--n", "7", name="rep.csv")
     direct = [repetitive_dss(60, chi, 7).xi_d for chi in column(res, "value")]
     np.testing.assert_allclose(column(res, "xi_d"), direct, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("param, points", [("chi_p", [0.1, 0.2]), ("n", [1, 4, 7])])
+def test_repetitive_dss_sweep_reads_its_outcome(param, points, tmp_path):
+    # every round records --outcome, as in repetitive_dss_rows
+    fixed = {"chi_p": 0.4, "n": 4, param: np.array(points)}
+    res, _ = run(tmp_path, "sweep", "repetitive_dss", "--param", param,
+                 "--start", str(points[0]), "--stop", str(points[-1]),
+                 "--count", str(len(points)), "--n", "4", "--outcome", "3.0")
+    direct = repetitive_dss_rows(40, fixed["chi_p"], fixed["n"], 3.0)
+    assert column(res, "xi_d").tolist() == direct.tolist()
+    assert res["spec"]["fixed"]["outcome"] == 3.0
 
 
 def test_sweep_far_tail_records(tmp_path):
@@ -708,11 +723,15 @@ def test_feasibility_long_pulse_bound(capsys):
     assert bound == pytest.approx(3.0 * math.sqrt(10.0), rel=0.05)
 
 
-def test_feasibility_flat_top_peak(capsys):
-    assert main(["feasibility", "--kind", "optimal_x_spectral", "--np", "250"]) == 0
+def test_feasibility_flat_top_peak(tmp_path, capsys):
+    # the text prints 6 digits; the --out report carries the value itself
+    out = tmp_path / "feas.json"
+    argv = ["feasibility", "--kind", "optimal_x_spectral", "--np", "250", "--out", str(out)]
+    assert main(argv) == 0
     text = capsys.readouterr().out
-    photons = float(text.split("max intracavity photons")[1].split(":")[1].split()[0])
-    assert photons == pytest.approx(250.0 * flat_top_peak(), rel=1e-4)
+    photons = json.loads(out.read_text())["report"]["max_intracavity_photons"]
+    assert photons == pytest.approx(250.0 * flat_top_peak(), rel=1e-9)
+    assert f"max intracavity photons : {photons:.6g}\n" in text
 
 
 def test_feasibility_exit_codes(capsys):

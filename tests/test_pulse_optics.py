@@ -1,4 +1,6 @@
 import dataclasses
+import decimal
+import json
 import math
 import os
 import subprocess
@@ -8,22 +10,26 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.optimize import brentq
 from scipy.signal import fftconvolve
+from scipy.special import k0, k1, kn
 
 import spinprep
-from _oracles import stretched_peak
+from _oracles import flat_top_peak, stretched_peak
 from spinprep import (
     CavityParams,
     PulseGrid,
     accumulated_phase,
     build_pulse,
     feasibility,
+    long_pulse_plan,
     peak_intracavity,
     response_functions,
     set_local_oscillator,
     strengths_numeric,
 )
-from spinprep.pulse_optics import l2_mass
+from spinprep import pulse_optics
+from spinprep.pulse_optics import PULSE_KINDS, _FLAT_TOP_PEAK, l2_mass
 
 CAVITY = CavityParams.from_two_pi_megahertz(0.4, 3000.0, 1.0, 100.0)
 
@@ -178,19 +184,45 @@ def test_stages_attach_to_a_copy(exp_pulse):
     assert dataclasses.replace(lo).beta_lo is None
 
 
+# every subcommand at its defaults, with the arguments it requires
+CLI_RUNS = [
+    *([fig, sub] for fig in ("fig2", "fig3", "fig4") for sub in "abc"),
+    ["sample", "dss", "--chi-p", "0.4"],
+    ["sample", "superposition", "--chi-x", "0.1"],
+    ["sweep", "dss", "--param", "chi_p", "--start", "0.1", "--stop", "2", "--count", "3"],
+    ["sweep", "superposition", "--param", "outcome", "--start", "-2", "--stop", "0",
+     "--count", "3"],
+    ["sweep", "repetitive_dss", "--param", "n", "--start", "1", "--stop", "5", "--count", "3"],
+    *(["feasibility", "--kind", kind] for kind in PULSE_KINDS),
+]
+
+
 def test_import_loads_no_heavy_scipy_submodule():
     # scipy.signal and what it pulls in triple the import time of the package,
-    # and scipy.special, which only the flat-top pulse and acceptance_probability
-    # call, is most of what is left
+    # and scipy.special, which only a flat-top build_pulse and
+    # acceptance_probability call, is most of what is left: neither the import
+    # nor any subcommand loads scipy.  One interpreter runs every command in
+    # turn, so the first command that loads a module is the one named
     src = os.path.dirname(os.path.dirname(spinprep.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, spinprep.cli; print(' '.join(sorted(sys.modules)))"
-    loaded = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "spinprep.cli" in loaded
-    for name in ("scipy.signal", "scipy.integrate", "scipy.stats", "scipy.special"):
-        assert name not in loaded
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from spinprep.cli import main\n"
+        "def scipy_modules(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(json.dumps(['import spinprep.cli', 0, scipy_modules()]))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(json.dumps([' '.join(argv), code, scipy_modules()]))\n"
+    )
+    lines = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(CLI_RUNS)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    runs = [json.loads(line) for line in lines]
+    assert len(runs) == 1 + len(CLI_RUNS)
+    for command, exit_code, loaded in runs:
+        assert exit_code == 0 and not loaded, f"{command}: exit {exit_code}, loaded {loaded[:3]}"
 
 
 # ---------------------------------------------------------------- responses
@@ -456,6 +488,50 @@ def test_closed_form_peak_continuous_and_decreasing():
     far = closed_form_peak(1e12)
     assert math.isfinite(far) and far > 0.0
     assert far == pytest.approx(2.0 / 1e12, rel=1e-9)  # the peak tends to 2/n_t
+
+
+def test_flat_top_peak_is_its_bessel_root():
+    # d/dt [t^2 (K_2(t) + K_1(t))] = 0 at the root of (1 - t) K_1(t) = t K_0(t)
+    t = brentq(lambda t: (1.0 - t) * k1(t) - t * k0(t), 0.3, 1.0, xtol=1e-300, rtol=1e-15)
+    peak = 32.0 / (27.0 * math.pi**2) * t**4 * (kn(2, t) + k1(t)) ** 2
+    assert abs(peak - _FLAT_TOP_PEAK) <= 4 * math.ulp(_FLAT_TOP_PEAK)
+
+
+def test_flat_top_peak_matches_the_frequency_domain_oracle():
+    assert _FLAT_TOP_PEAK == pytest.approx(flat_top_peak(), rel=1e-9, abs=0.0)
+    assert closed_form_peak(1.0, "optimal_x_spectral") == _FLAT_TOP_PEAK
+
+
+def test_feasibility_builds_no_grid(monkeypatch):
+    def grid_stage(*args, **kwargs):
+        raise AssertionError("feasibility evaluated a pulse grid")
+
+    for name in ("build_pulse", "response_functions", "peak_intracavity"):
+        monkeypatch.setattr(pulse_optics, name, grid_stage)
+    for kind in PULSE_KINDS:
+        for n_t in (1.0, 10.0, 1e12):
+            assert feasibility(CAVITY, kind, n_t=n_t).ok
+    assert long_pulse_plan(CAVITY, 10.0, 4).feasibility.ok
+
+
+def exact_chi_p_bound(cavity, n_t):
+    """g sqrt(20 e n_t) / kappa in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        root = (20 * decimal.Decimal(1).exp() * decimal.Decimal(n_t)).sqrt()
+        return decimal.Decimal(cavity.g) * root / decimal.Decimal(cavity.kappa)
+
+
+@pytest.mark.parametrize("n_t", [1.0, 3.7, 100.0, 1e307, sys.float_info.max])
+def test_chi_p_bound_at_any_stretch(n_t):
+    # sqrt(20 n_t e) overflowed to inf above n_t ~ 3.3e306; the roundings of
+    # the product keep the bound within 4 ulps of exact at any stretch
+    exact = exact_chi_p_bound(CAVITY, n_t)
+    bound = feasibility(CAVITY, "long_exponential", n_t=n_t).chi_p_bound
+    assert abs(decimal.Decimal(bound) - exact) <= 4 * decimal.Decimal(math.ulp(float(exact)))
+    plan = long_pulse_plan(CAVITY, n_t, 4)
+    assert plan.chi_p_bound == bound
+    assert plan.chi_p_effective_at_bound == 2.0 * bound  # sqrt(4 rounds), exactly
 
 
 def test_feasibility_memory_does_not_grow_with_stretch():
