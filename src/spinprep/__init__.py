@@ -3,7 +3,7 @@ cavity homodyne measurement: Dicke-basis states, Gaussian measurement
 back-action, pulse response functions, and the preparation protocols
 built from them."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .spin_core import (
     CssPrior,

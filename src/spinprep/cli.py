@@ -313,8 +313,7 @@ SWEEP_PROTOCOLS = {
 
 def cmd_sweep(a: argparse.Namespace) -> SweepResult:
     grid = {"start": a.start, "stop": a.stop, "count": a.count, "scale": a.scale}
-    fixed = {"N": a.N, "chi_x": a.chi_x, "chi_p": a.chi_p,
-             "outcome": a.outcome, "eta": a.eta, "n": a.n_rounds}
+    fixed = {"N": a.N, "chi_x": a.chi_x, "chi_p": a.chi_p, "outcome": a.outcome, "n": a.n_rounds}
     spec = SweepSpec("sweep", a.protocol, a.param, grid, fixed, a.seed)
     protocol = SWEEP_PROTOCOLS[a.protocol]
     if a.param not in protocol["params"]:
@@ -451,7 +450,6 @@ COMMANDS = {
         ("--chi-x", {"type": finite, "default": 0.2}),
         ("--chi-p", {"type": finite, "default": 0.4}),
         ("--outcome", {"type": finite, "default": 0.0}),
-        ("--eta", {"type": finite, "default": 0.0}),
         ("--n", {"dest": "n_rounds", "type": int, "default": 1}),
         *_IO_FLAGS,
     )),

@@ -42,10 +42,8 @@ _LOG_PI = math.log(math.pi)
 # records x band elements per kernel chunk: about 0.5 MB per float matrix,
 # so peak memory is independent of the number of records
 _CHUNK_ELEMENTS = 1 << 16
-# the rows of _band_limits: the residuals Y + c_m = R, -R and 0 it solves for, in
-# units of R, and the margins of its ends (1/2 rounds the third to the nearest level)
-_RESIDUAL_SIGNS = np.array([[-1.0], [1.0], [0.0]])
-_END_MARGINS = np.array([[-1.0], [2.0], [0.5]])
+# the margins of a band's ends against rounding: a level below, two above the floor
+_END_MARGINS = np.array([[-1.0], [2.0]])
 # exp is several times slower on arguments whose result underflows; a level
 # more than e^-700 below its row's largest probability is set to 0 instead
 _LOG_PROB_FLOOR = -700.0
@@ -56,7 +54,7 @@ class PosteriorError(ArithmeticError):
 
 
 class _ArrayPrior:
-    """A real log|a_m| over N+1 levels, -inf where unoccupied; ``top`` is its argmax."""
+    """A real log|a_m| over N+1 levels, -inf where unoccupied."""
 
     def __init__(self, log_magnitudes):
         log_mag = np.asarray(log_magnitudes)
@@ -67,14 +65,30 @@ class _ArrayPrior:
             )
         if log_mag.ndim != 1 or log_mag.size < 2:
             raise ValueError(f"log_prior must hold N+1 >= 2 levels, got shape {log_mag.shape}")
-        self.atom_count, self.top = log_mag.size - 1, int(log_mag.argmax())
-        if log_mag[self.top] == -np.inf:
+        self.atom_count, self._log_top = log_mag.size - 1, log_mag.max()
+        if self._log_top == -np.inf:
             raise PosteriorError("prior has empty support")
         self._log_mag = log_mag
+        self._support = np.flatnonzero(log_mag > -np.inf)  # the occupied levels, ascending
 
     def window(self, n_atoms: int, first: int, stop: int) -> np.ndarray:
         """Levels ``first`` ... ``stop - 1`` of the array; ``n_atoms`` is its ``atom_count``."""
         return self._log_mag[first:stop]
+
+    def reference(self, points):
+        """The occupied levels next to each of ``points``, and twice their log fall below the top.
+
+        As :meth:`spinprep.spin_core.CssPrior.reference`: the nearest occupied
+        level at or above each point and the nearest below it (either side
+        falls back to the outermost occupied level), found by bisection of
+        the occupied levels, and 2 (log|a_top| - log|a_k|), read from the
+        array, with top the array's largest level.
+        """
+        support = self._support
+        above = np.searchsorted(support, points)
+        sides = np.minimum(np.maximum(np.array((above, above - 1)), 0), support.size - 1)
+        levels = support[sides]
+        return levels, 2.0 * (self._log_top - self._log_mag[levels])
 
 
 @dataclass(frozen=True)
@@ -92,10 +106,15 @@ class MeasurementSetting:
 
     def __post_init__(self):
         for name in ("chi_x", "chi_p", "eta"):
-            if np.ndim(getattr(self, name)):
-                raise ValueError(f"{name} must be one number, got {getattr(self, name)!r}")
-        _per_record(0.0, self.chi_x, self.chi_p)
-        if not np.isfinite(np.asarray(self.eta, dtype=float)):
+            value = getattr(self, name)
+            if not isinstance(value, (float, int)) and np.ndim(value):
+                raise ValueError(f"{name} must be one number, got {value!r}")
+        # the kernel trusts a setting's strengths: this is their one check
+        for name in ("chi_x", "chi_p"):
+            strength = float(getattr(self, name))
+            if not 0.0 <= strength < math.inf:  # also false for nan
+                raise ValueError(f"{name} must be finite and >= 0, got {strength}")
+        if not math.isfinite(float(self.eta)):
             raise ValueError(f"eta must be finite, got {self.eta}")
 
 
@@ -146,54 +165,64 @@ def _level_windows(levels: np.ndarray, width: int) -> np.ndarray:
     return np.ndarray((levels.size - width + 1, width), levels.dtype, levels, 0, (step, step))
 
 
-def _band_limits(n_levels, top, y, cx, cp) -> np.ndarray:
-    """Index of the lowest and highest level each record's row can keep, and of its reference.
+def _band_limits(log_prior, y, cx, cp):
+    """Each record's lowest and highest level its row can keep, its reference level j, c_j, Y + c_j.
 
     Level m survives the floor only if 2 log|a_m| - (Y + c_m)^2, with
     c_m = chi_x m^2 + chi_p m, lies within -_LOG_PROB_FLOOR of the row's
-    peak.  Any occupied level j bounds that peak from below; with j the
-    prior's largest level ``top``, a surviving level has |Y + c_m| <= R,
+    peak.  Any occupied level j bounds that peak from below, and no level
+    lies above the prior's largest one, top; so with D_j at least
+    2 (log|a_top| - log|a_j|), a surviving level has |Y + c_m| <= R,
 
-        R^2 = (Y + c_j)^2 - _LOG_PROB_FLOOR.
+        R^2 = (Y + c_j)^2 + D_j - _LOG_PROB_FLOOR.
 
-    For any chi_x, chi_p >= 0 that set lies between the roots of
-    Y + c_m = R, and above the upper root of Y + c_m = -R where the hole
-    Y + c_m < -R reaches below the lower one (chi_x = 0: the window of a
-    linear residual).  The single interval that results is widened by a
-    level on each side against rounding and cut to the ladder.  A
-    non-finite record gives nan ends, which the cut makes level 0; the
-    kernel's row checks see it, and a record whose row overflows, in any
-    band.
+    j is the record's reference level: of the occupied levels next to both
+    roots of Y + c_m = 0, or next to the vertex -chi_p / (2 chi_x) of c_m
+    where there is no root, the one of least |Y + c_m|; the prior gives
+    these levels and their D through its ``reference``.  So R follows the
+    record, however far it lies from top.
 
-    The third row is each record's reference level: the level nearest the
-    record's center, the root of Y + c_m = 0 of smaller |m|, or the vertex
-    -chi_p / (2 chi_x) of c_m where there is no root, cut to the band.  (At
-    chi_x = chi_p = 0 every level is a center, and the band's lowest serves.)
-
-    ``n_levels`` and ``top``, the prior's level count and largest level, are
-    shared by every record or hold one entry per record.
+    Y + c_m is convex in m, with slope g = sqrt(chi_p^2 - 4 chi_x Y) at the
+    upper root and -g at the lower one, and at least chi_x d^2 above 0 at
+    d levels outside both.  So every level with |Y + c_m| <= R lies within
+    min(R / g, sqrt(R / chi_x)) levels of the roots, or of the vertex where
+    there is none, or between them: the band is that interval (for
+    chi_x = 0, around the one root), widened by a level on each side
+    against rounding and cut to the ladder; it holds j.  The roots
+    q / chi_x <= Y / q, q = -(chi_p + g) / 2, are free of cancellation,
+    and g of overflow.  A non-finite record gives nan ends, which the cut
+    makes level 0; the kernel's row checks see it, and a record whose row
+    overflows, in any band.  (At chi_x = chi_p = 0 every level has the same
+    residual, and the band is the ladder.)  c_j is rounded as the kernel
+    rounds c_m, so that the row is 0 at j exactly.
     """
-    s = 0.5 * (n_levels - 1)
-    m = top - s
-    reach = np.hypot((cx * m + cp) * m + y, math.sqrt(-_LOG_PROB_FLOOR))
-    c = y + _RESIDUAL_SIGNS * reach  # Y + c_m = R, Y + c_m = -R, then Y + c_m = 0
-    # roots q / cx <= c / q of cx m^2 + cp m + c = 0, q = -(cp/2 + sqrt(cp^2/4 - cx c)):
-    # free of cancellation for cx, cp >= 0, and of overflow: with v = sqrt(cx |c|) the
-    # square root is hypot(cp/2, v) for c <= 0 and sqrt(cp/2 - v) sqrt(cp/2 + v) above,
-    # nan where there is no root; q / cx is -inf at cx = 0
+    s = 0.5 * log_prior.atom_count
     half_cp = 0.5 * cp
-    v = np.sqrt(cx) * np.sqrt(np.abs(c))
-    q = np.where(c <= 0.0, np.hypot(half_cp, v), np.sqrt(half_cp - v) * np.sqrt(half_cp + v))
-    q = np.negative(half_cp + q, out=q)
-    ends, upper = q / cx, c / q
-    np.fmax(ends[0], upper[1], out=ends[0], where=ends[1] <= ends[0])
-    ends[1] = upper[0]
-    # the root of Y + c_m = 0 of smaller |m|, or the vertex of c_m where there is none
-    ends[2] = np.where(np.isnan(upper[2]), -half_cp / cx, upper[2])
-    ends = np.floor(ends + (_END_MARGINS + s))
-    ends = np.fmin(np.fmax(ends, 0.0), 2.0 * s)
-    np.fmin(np.fmax(ends[2], ends[0]), ends[1], out=ends[2])
-    return ends.astype(np.intp)
+    # g / 2, nan where there is no root; with v = sqrt(chi_x |Y|) it is hypot(chi_p / 2, v)
+    # for Y <= 0 and sqrt(chi_p / 2 - v) sqrt(chi_p / 2 + v) above, free of overflow
+    v = np.sqrt(cx) * np.sqrt(np.abs(y))
+    half_slope = np.where(
+        y <= 0.0, np.hypot(half_cp, v), np.sqrt(half_cp - v) * np.sqrt(half_cp + v)
+    )
+    q = -half_cp
+    vertex = q / cx  # fmax and fmin take it where there is no root
+    q = q - half_slope
+    upper = np.fmax(y / q, vertex)
+    lower = np.fmin(q / cx, vertex)
+    lower = np.where(lower > -np.inf, lower, upper)  # chi_x = 0: one root
+    # on the level axis, cut to the ladder (nan to level 0)
+    centers = np.fmin(np.fmax(np.array((lower, upper)) + s, 0.0), s + s)
+    levels, drops = log_prior.reference(centers)  # the candidates for j
+    m = levels - s
+    offsets = cx * (m * m) + cp * m
+    residuals = y + offsets
+    pick = np.abs(residuals).reshape(-1, y.size).argmin(axis=0) * y.size + np.arange(y.size)
+    residual = residuals.ravel()[pick]
+    reach = np.hypot(residual, np.sqrt(drops.ravel()[pick] - _LOG_PROB_FLOOR))
+    reach = np.fmin(reach / (half_slope + half_slope), np.sqrt(reach / cx))
+    ends = np.floor(centers + np.array((-reach, reach))) + _END_MARGINS
+    first, last = np.fmin(np.fmax(ends, 0.0), s + s).astype(np.intp)
+    return first, last, levels.ravel()[pick].astype(np.intp), offsets.ravel()[pick], residual
 
 
 def _ladders(atoms, n_records: int) -> tuple[list, list]:
@@ -242,29 +271,35 @@ def level_rows(bands, first, n_levels: int) -> np.ndarray:
 def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     """Condition one prior on many records at once, in the log domain.
 
-    ``log_prior`` is read only through ``atom_count``, ``top`` (its largest
-    level) and ``window(n_atoms, first, stop)`` (log|a_m| on those levels),
-    e.g. a :class:`CssPrior` of one atom count or one per record; a real
-    log|a_m| over N+1 levels (-inf where unoccupied) is validated into the
-    private array prior.  The operator is diagonal, so the phases of the
-    prior and the e^{i eta m} of the record pass through unchanged and never
-    enter here; a phased state is conditioned by :func:`apply_measurement`.
-    Record r is taken at strengths ``chi_x[r]`` and ``chi_p[r]``; each of
-    these and ``outcomes`` may be a scalar shared by every record.
+    ``log_prior`` is read only through ``atom_count``, ``reference(points)``
+    (the occupied levels next to points of the level axis, and how far each
+    falls below the prior's largest level) and ``window(n_atoms, first,
+    stop)`` (log|a_m| on those levels), e.g. a :class:`CssPrior` of one atom
+    count or one per record; a real log|a_m| over N+1 levels (-inf where
+    unoccupied) is validated into the private array prior.  The operator is
+    diagonal, so the phases of the prior and the e^{i eta m} of the record
+    pass through unchanged and never enter here; a phased state is
+    conditioned by :func:`apply_measurement`.  Record r is taken at
+    strengths ``chi_x[r]`` and ``chi_p[r]``; each of these and ``outcomes``
+    may be a scalar shared by every record.
 
     A record selects a narrow packet of levels, so each record's row is
     evaluated only on its band: the ``count[r]`` consecutive levels from
     ``first[r]`` that hold every level within e^-700 of the row's peak (see
-    :func:`_band_limits`, which needs only the prior's ``top``).  Every
-    level outside it is one the floor would set to 0.  On the band, the row
-    2 log|a_m| - (Y_r + c_m)^2, c_m = chi_x m^2 + chi_p m, is formed relative
-    to the record's reference level j, the level nearest its center (see
-    :func:`_band_limits`), as 2 log|a_m| - (c_m - c_j)(c_m + c_j + 2 Y_r);
-    the row's constant -(Y_r + c_j)^2, about 10^6 for a record 10^3 from
-    every center, joins its shift instead of rounding the levels' differences.
-    The row is shifted by its maximum, exponentiated once (levels more than
-    e^-700 below the peak set to 0) and normalized by its sum over the band,
-    which depends on the record alone.
+    :func:`_band_limits`).  The band is bounded from the record's reference
+    level j, the occupied level of least |Y_r + c_m| among the prior's
+    levels next to the record's centers, so it follows the record, however
+    far it lies from the prior's largest level.  Every level outside it is
+    one the floor would set to 0.  On the band, the row
+    2 log|a_m| - (Y_r + c_m)^2, c_m = chi_x m^2 + chi_p m, is formed
+    relative to j, as 2 log|a_m| - (c_m - c_j)(c_m + c_j + 2 Y_r): j lies
+    on the prior's support, so near the row's peak this product is at most
+    twice the prior's own log range, and the row's constant -(Y_r + c_j)^2,
+    about 10^6 for a record 10^3 from every center, joins its shift instead
+    of rounding the levels' differences.  The row is shifted by its maximum,
+    exponentiated once (levels more than e^-700 below the peak set to 0)
+    and normalized by its sum over the band, which depends on the record
+    alone.
 
     The band limits come first, and the prior is read only on the window of
     levels its bands index.  A ladder is a run of consecutive records with
@@ -275,9 +310,10 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     ladders' windows end to end on one level axis, each read once through
     ``window``, so a batch of narrow bands on a :class:`CssPrior` costs
     O(window), not O(N), and no band reads a neighbour's levels.  A group's
-    records are taken widest band first, so that narrow bands are not padded
-    to the widest, in chunks of about 2^16 elements, each chunk of records x
-    W levels with W its own widest band and its rows in record order.
+    records are taken in chunks of about 2^16 elements, each chunk of
+    records x W levels with W its own widest band and its rows in record
+    order; a group of several chunks is taken widest band first, so that
+    narrow bands are not padded to the widest.
     ``reduce(probs, rows, first, count)`` maps each chunk's records x W
     probabilities, records ``rows`` (an ascending index array) of the
     batch, whose entry [r, i] is level ``first[r] + i`` of the record's
@@ -298,13 +334,18 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     """
     if not hasattr(log_prior, "window"):  # an array of log|a_m|
         log_prior = _ArrayPrior(log_prior)
-    atoms, top = log_prior.atom_count, log_prior.top
-    n_counts = atoms.size if isinstance(atoms, np.ndarray) else 1  # 1, or one per record
-    y, cx, cp = _per_record(outcomes, chi_x, chi_p, n_counts)
-    ladder_n, bounds = _ladders(atoms, y.size)
+    atoms = log_prior.atom_count
+    y, cx, cp = _per_record(outcomes, chi_x, chi_p, np.size(atoms))
     if reduce is None:
-        n_levels = max(ladder_n) + 1
+        n_levels = int(np.max(atoms)) + 1
         reduce = lambda probs, rows, first, count: level_rows(probs, first, n_levels)  # noqa: E731
+    return _condition(log_prior, y, cx, cp, reduce)
+
+
+def _condition(log_prior, y, cx, cp, reduce):
+    """:func:`posterior_batch` on 1-d records and strengths that are already checked."""
+    atoms = log_prior.atom_count
+    ladder_n, bounds = _ladders(atoms, y.size)
     # strengths shared by every record (each sampled shot) give shared level offsets
     shared = cx.size == 1
     values, log_density = None, np.empty(y.size)
@@ -321,14 +362,15 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
         nonlocal values
         # each ladder's window runs W levels past its highest band start,
         # so that no band of the group reads the next ladder's levels
-        two_log_mag = np.full(levels, -np.inf)
-        m = np.empty(two_log_mag.size)
+        two_log_mag = np.empty(levels)
+        m = np.empty(levels)
         base = 0
         for i in range(g0, g1):
             n_atoms, low, end = ladder_n[i], lo[i], hi[i] + width
             stop = min(end, n_atoms + 1)  # a band may run past the top level
             log_window = log_prior.window(n_atoms, low, stop)
             np.add(log_window, log_window, out=two_log_mag[base : base + stop - low])
+            two_log_mag[base + stop - low : base + end - low] = -np.inf
             m_ladder(n_atoms, low, end, out=m[base : base + end - low])
             rows = slice(bounds[i], bounds[i + 1])
             np.add(first[rows], base - low, out=band_start[rows])
@@ -336,35 +378,27 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
         if shared:
             offsets = cx[0] * (m * m) + cp[0] * m
         r0, r1 = bounds[g0], bounds[g1]
-        order = r0 + np.argsort(-count[r0:r1], kind="stable")
         # one chunk buffer for the whole group: a fresh records x W matrix per
         # chunk can cost more in page faults than the arithmetic on it
-        work = np.empty(min(order.size * width, max(_CHUNK_ELEMENTS, width)))
-        start = 0
-        while start < order.size:
-            band_width = int(count[order[start]])
-            rows = np.sort(order[start : start + max(1, _CHUNK_ELEMENTS // band_width)])
-            start += rows.size
+        work = np.empty(min((r1 - r0) * width, max(_CHUNK_ELEMENTS, width)))
+        for rows, band_width in _chunks(count, r0, r1, width):
             bands = band_start[rows]
-            references = bands + to_reference[rows]
             log_p = work[: rows.size * band_width].reshape(-1, band_width)
+            c_j = c_ref[rows]
             if shared:
-                c_ref = offsets[references]
                 scratch = _level_windows(offsets, band_width)[bands]  # a copy, reused below
-                np.subtract(scratch, c_ref[:, None], log_p)
+                np.subtract(scratch, c_j[:, None], log_p)
             else:
                 scratch = _level_windows(m, band_width)[bands]
                 np.multiply(scratch, scratch, log_p)
                 log_p *= cx[rows][:, None]
                 scratch *= cp[rows][:, None]
                 log_p += scratch
-                m_ref = m[references]
-                c_ref = cx[rows] * (m_ref * m_ref) + cp[rows] * m_ref
-                log_p -= c_ref[:, None]
+                log_p -= c_j[:, None]
             # (Y + c_m)^2 = (Y + c_j)^2 + (c_m - c_j)(c_m - c_j + 2 (Y + c_j)), j the
             # reference level: the first term, shared by the row, goes to its shift
-            residual = y[rows] + c_ref
-            np.add(log_p, 2.0 * residual[:, None], scratch)  # c_m + c_j + 2Y
+            residual = r_ref[rows]
+            np.add(log_p, (residual + residual)[:, None], scratch)  # c_m + c_j + 2Y
             log_p *= scratch
             del scratch  # freed before the next copy: two at once cost page faults
             # 2 log|a_m w_m| up to the row constant -(Y + c_j)^2 - (1/2) log pi, in place
@@ -401,8 +435,8 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
 
     # an overflowing residual or a non-finite record is caught by the density check
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first, last, reference = _band_limits(atoms + 1, top, y, cx, cp)
-        count, to_reference = last - first + 1, reference - first
+        first, last, _, c_ref, r_ref = _band_limits(log_prior, y, cx, cp)
+        count = last - first + 1
         starts = bounds[:-1]
         lo = np.minimum.reduceat(first, starts).tolist()
         hi = np.maximum.reduceat(first, starts).tolist()
@@ -413,6 +447,26 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     if failures:
         raise PosteriorError(min(failures)[1])
     return values, log_density
+
+
+def _chunks(count, r0, r1, width):
+    """Records r0 ... r1 - 1 of bands ``count`` wide, at most ``width``, as (rows, W) chunks.
+
+    Each chunk holds about ``_CHUNK_ELEMENTS`` elements, W its widest band,
+    and its rows in record order.  Records that fit one chunk form it as
+    they are; more are taken widest band first, so that narrow bands are
+    not padded to the widest.
+    """
+    if r1 - r0 <= max(1, _CHUNK_ELEMENTS // width):
+        yield np.arange(r0, r1), width
+        return
+    order = r0 + np.argsort(-count[r0:r1], kind="stable")
+    start = 0
+    while start < order.size:
+        band_width = int(count[order[start]])
+        rows = np.sort(order[start : start + max(1, _CHUNK_ELEMENTS // band_width)])
+        start += rows.size
+        yield rows, band_width
 
 
 def _state_prior(state: SpinEnsembleState) -> _ArrayPrior:
@@ -440,7 +494,9 @@ def _condition_one(prior, setting: MeasurementSetting, outcome, figure=None):
     band, 0 on every other level.  ``prior`` is a state, whose phases the
     post state keeps, or the real :class:`CssPrior` of one atom count; both
     are rotated by eta m.  ``figure`` is a kernel ``reduce``, such as a row
-    function, so its value equals that record's row bit for bit.
+    function, so its value equals that record's row bit for bit.  The
+    setting's strengths were checked when it was built, so the kernel takes
+    them as they are.
     """
     css, n_atoms = isinstance(prior, CssPrior), prior.atom_count
 
@@ -452,8 +508,9 @@ def _condition_one(prior, setting: MeasurementSetting, outcome, figure=None):
         post = SpinEnsembleState.from_probabilities(n_atoms, probs[0, : count[0]], phase, band.start)
         return post, None if figure is None else float(figure(probs, rows, first, count)[0])
 
-    (post, value), log_density = posterior_batch(
-        prior if css else _state_prior(prior), outcome, setting.chi_x, setting.chi_p,
+    (post, value), log_density = _condition(
+        prior if css else _state_prior(prior), np.array(outcome, dtype=float, ndmin=1),
+        np.array((setting.chi_x,), dtype=float), np.array((setting.chi_p,), dtype=float),
         post_and_figure,
     )
     return post, value, log_density[0]

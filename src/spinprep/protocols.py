@@ -260,7 +260,8 @@ def prepare_dss(
     [-chi_p S, chi_p S] are allowed but exponentially improbable and are
     flagged with a warning.
     """
-    result = dss_with_repeated_outcome(n_atoms, chi_p, 1, outcome, eta)
+    _require_positive("chi_p", chi_p)
+    result = _dss_rounds(n_atoms, chi_p, 1, 1.0, outcome, eta)
     edge = chi_p * n_atoms / 2.0
     if abs(outcome) > edge:
         warnings.warn(
@@ -279,13 +280,17 @@ def dss_with_repeated_outcome(
     equal one round at (sqrt(n) chi_p, sqrt(n) outcome, n eta).
     """
     _require_positive("chi_p", chi_p)
-    root_n = _root_rounds(n_rounds)
+    return _dss_rounds(n_atoms, chi_p, n_rounds, _root_rounds(n_rounds), outcome, eta)
+
+
+def _dss_rounds(n_atoms, chi_p, n_rounds, root_n, outcome, eta) -> DssResult:
+    """:func:`dss_with_repeated_outcome` for a strength and round count already checked.
+
+    ``root_n`` is sqrt(n_rounds); each caller checks its inputs once, in its own order.
+    """
     setting = MeasurementSetting(chi_p=root_n * chi_p, eta=n_rounds * eta)
     post, xi_d, _ = _condition_one(CssPrior(n_atoms), setting, root_n * outcome, _xi_rows(n_atoms))
-    return DssResult(
-        post_state=post, xi_d=xi_d, outcome=outcome,
-        n_rounds=int(n_rounds),
-    )
+    return DssResult(post_state=post, xi_d=xi_d, outcome=outcome, n_rounds=int(n_rounds))
 
 
 def repetitive_dss(
@@ -319,7 +324,7 @@ def repetitive_dss(
         raise ValueError(
             f"unknown outcome policy {outcome_policy!r}; expected one of {OUTCOME_POLICIES}"
         )
-    return dss_with_repeated_outcome(n_atoms, chi_p, n_rounds, outcome, eta)
+    return _dss_rounds(n_atoms, chi_p, n_rounds, root_n, outcome, eta)
 
 
 def long_pulse_plan(

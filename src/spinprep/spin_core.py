@@ -23,6 +23,11 @@ _LN2 = math.log(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # the largest atom count: above 2^53 the level indices k and m = k - N/2 are not exact floats
 _MAX_ATOMS = 1 << 53
+# levels between the exact anchors of css_log_window's running sums
+_ANCHOR_SPACING = 256
+# the two sides of each point on which a prior's ``reference`` looks: at or
+# above it, then below it
+_SIDES = np.array([[[0.0]], [[1.0]]])
 
 
 def m_ladder(n_atoms: int, first: int = 0, stop: int | None = None, out=None) -> np.ndarray:
@@ -136,35 +141,43 @@ def _check_atom_count(n_atoms) -> int:
 def css_log_window(n_atoms: int, first: int, stop: int) -> np.ndarray:
     """log|a_m| of the coherent spin state along +x on levels ``first`` ... ``stop - 1``.
 
-    log a_m = (1/2) log C(N, k) - (N/2) log 2 at index k = m + S.  One
-    anchor, :func:`_log_binomial_half`, gives the value at the window's
-    level nearest m = 0 (index N // 2, the state's largest level, or the
-    window's end closest to it) to a few ulps of itself at any N; every
-    other level adds half the cumulative sum of
-    log C(N, i) / C(N, i - 1) = log((N - i + 1) / i), taken outward from
-    the anchor as ``log1p((N + 1 - 2i) / i)``.  So the cost is O(window),
-    the ratios between levels, all the measurement update reads, are exact
-    to a few ulps however large N is, and so are the levels themselves,
-    which the record densities read.  No level underflows, however far it
-    sits from m = 0.  A window that holds level N // 2 equals the same
-    slice of the whole ladder's window bit for bit.
+    log a_m = (1/2) log C(N, k) - (N/2) log 2 at index k = m + S, and
+    C(N, k) = C(N, N - k), so each level takes the value of its mirror
+    max(k, N - k) in the upper half, from h = N - N // 2 up.  Anchors sit at
+    h, h + B, h + 2B, ..., B = ``_ANCHOR_SPACING``; :func:`_log_binomial_half`
+    gives each to a few ulps of itself at any N, and every other level adds
+    half the cumulative sum of log C(N, i) / C(N, i - 1) = log((N - i + 1) / i),
+    taken as ``log1p((N + 1 - 2i) / i)``, from the anchor below it.  So a
+    level's value depends on N and the level alone: every window equals the
+    same slice of the whole ladder bit for bit, wherever it lies, and costs
+    O(window + B).  The ratios between levels, all the measurement update
+    reads, are exact to a few ulps of log|a_m| however large N is, and so
+    are the levels themselves, which the record densities read.  No level
+    underflows, however far it sits from m = 0.
     """
     n = _check_atom_count(n_atoms)
     if not 0 <= first < stop <= n + 1:
         raise ValueError(f"window [{first}, {stop}) is not inside levels 0 ... {n}")
-    anchor = min(max(n // 2, first), stop - 1)
-    at = anchor - first
-    i = np.arange(first + 1, stop, dtype=float)
-    # log C(N, i) - log C(N, i - 1) = log((N - i + 1) / i) for each level i past the first
-    steps = np.log1p((n + 1.0 - 2.0 * i) / i)
-    log_ratio = np.empty(stop - first)  # log C(N, k) - log C(N, anchor)
-    log_ratio[at] = 0.0
-    np.cumsum(steps[at:], out=log_ratio[at + 1 :])
-    # below the anchor the steps i = anchor, anchor - 1, ..., k + 1 are taken off
-    np.cumsum(-steps[:at][::-1], out=log_ratio[:at][::-1])
+    half = n - n // 2
+    # the mirrors of the window's levels run from low to high, reached from anchor
+    low, high = max(half, first, n + 1 - stop), max(stop - 1, n - first)
+    anchor = half + (low - half) // _ANCHOR_SPACING * _ANCHOR_SPACING
+    blocks = (high - anchor) // _ANCHOR_SPACING + 1
+    i = np.arange(anchor + 1, high + 1, dtype=float)
+    log_ratio = np.zeros(blocks * _ANCHOR_SPACING)  # log C(N, k) - log C(N, its anchor)
+    # log C(N, i) - log C(N, i - 1) = log((N - i + 1) / i) for each level i past an anchor
+    log_ratio[1 : high - anchor + 1] = np.log1p((n + 1.0 - (i + i)) / i)
+    log_ratio[::_ANCHOR_SPACING] = 0.0
+    log_ratio = log_ratio.reshape(blocks, _ANCHOR_SPACING)
+    np.cumsum(log_ratio, axis=1, out=log_ratio)
     log_ratio *= 0.5
-    log_ratio += 0.5 * _log_binomial_half(n, anchor)
-    return log_ratio
+    anchors = range(anchor, anchor + blocks * _ANCHOR_SPACING, _ANCHOR_SPACING)
+    log_ratio += np.array([[0.5 * _log_binomial_half(n, a)] for a in anchors])
+    upper = log_ratio.ravel()
+    # the levels below h, in ascending order, are their mirrors' in descending order
+    below = min(stop, half)
+    below = upper[n + 1 - below - anchor : n + 1 - anchor - min(first, below)][::-1]
+    return np.concatenate((below, upper[max(first, half) - anchor : max(stop, half) - anchor]))
 
 
 def _stirling_remainder(x: int) -> float:
@@ -204,9 +217,11 @@ def _log_binomial_half(n: int, k: int) -> float:
 class CssPrior:
     """The coherent spin state's log|a_m| as a prior for the measurement kernel.
 
-    It stands in for :func:`css_log_window` over all N+1 levels: ``top`` =
-    N // 2 is taken in closed form, and :meth:`window` computes only the
-    levels that :func:`spinprep.measurement.posterior_batch` reads.
+    It stands in for :func:`css_log_window` over all N+1 levels:
+    :meth:`reference` gives levels near given points and bounds their fall
+    below the largest level, N // 2, in closed form, and :meth:`window`
+    computes only the levels that :func:`spinprep.measurement.posterior_batch`
+    reads.
     ``atom_count`` is one atom count, or a non-empty 1-d integer array of one
     per record, each record then conditioned on the CSS of its own N.
     Equality is identity, as for :class:`SpinEnsembleState`.
@@ -217,14 +232,33 @@ class CssPrior:
     def __post_init__(self):
         object.__setattr__(self, "atom_count", _check_atom_counts(self.atom_count))
 
-    @property
-    def top(self):
-        """Index of the largest level, the first of the two middle ones for odd N."""
-        return self.atom_count // 2
-
     def window(self, n_atoms: int, first: int, stop: int) -> np.ndarray:
         """log|a_m| on levels ``first`` ... ``stop - 1`` of the CSS of ``n_atoms`` atoms."""
         return css_log_window(n_atoms, first, stop)
+
+    def reference(self, points):
+        """The occupied levels next to each of ``points``, and twice their log fall below the top.
+
+        ``points`` are positions k on the level axis, 0 <= k <= N, one per
+        record on the last axis or one shared by every record.  Both
+        returned arrays have shape (2, *points.shape): the nearest occupied
+        level at or above each point, then the nearest below it (either
+        falls back to the other where the ladder ends), as integer indices
+        or as whole floats, and at each an upper bound D on
+        2 (log|a_top| - log|a_k|) = log C(N, top) - log C(N, k), with
+        top = N // 2 the largest level.  Every level of the CSS is occupied,
+        so the levels are ceil(k) and ceil(k) - 1; each of the |m| ratios
+        C(N, i - 1) / C(N, i) between level k and the top, m = k - N/2, is
+        at most (N/2 + |m|) / (N/2 - |m| + 1), so
+
+            D = |m| log((N/2 + |m|) / (N/2 - |m| + 1)),
+
+        0 at the top and at most about twice the fall in the tails.
+        """
+        levels = np.fmax(np.ceil(points) - _SIDES, 0.0)
+        s = 0.5 * self.atom_count
+        far = np.abs(levels - s)
+        return levels, far * np.log1p((far + far - 1.0) / (s + 1.0 - far))
 
 
 def _check_atom_counts(n_atoms):

@@ -90,6 +90,39 @@ def log_domain_rows(amplitudes, records, chi_x, chi_p, references):
     return log_w, probs / probs.sum(axis=1, keepdims=True)
 
 
+def decimal_posterior(amplitudes, chi_x, chi_p, record):
+    """Level probabilities after one record, from the amplitudes in 60-digit decimal.
+
+    p_k is proportional to |a_k|^2 exp[-(Y + c_k)^2], each |a_k|^2 taken
+    exactly from the float amplitudes and each center c_k = chi_x m^2 + chi_p m
+    rounded as a float, as the model's input; the squared residual and the
+    weights are decimal, in an exponent range no weight can leave, relative
+    to the largest.  No level is singled out beforehand: a level whose float
+    log weight lies more than 900 below the largest one is left at 0.
+    """
+    n_atoms = len(amplitudes) - 1
+    m = np.arange(n_atoms + 1) - n_atoms / 2
+    centers = chi_x * (m * m) + chi_p * m
+    occupied = np.flatnonzero(amplitudes)
+    with np.errstate(divide="ignore", over="ignore"):
+        rough = 2.0 * np.log(np.abs(amplitudes[occupied])) - (record + centers[occupied]) ** 2
+    kept = occupied[rough >= rough.max() - 900.0]
+    probs = np.zeros(n_atoms + 1)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ctx.Emin, ctx.Emax = -(10**15), 10**15
+        log_w = []
+        for k in kept:
+            residual = Decimal(float(record)) + Decimal(float(centers[k]))
+            magnitude = Decimal(amplitudes[k].real) ** 2 + Decimal(amplitudes[k].imag) ** 2
+            log_w.append(magnitude.ln() - residual * residual)
+        top = max(log_w)
+        weights = [(w - top).exp() for w in log_w]
+        total = sum(weights)
+        probs[kept] = [float(w / total) for w in weights]
+    return probs
+
+
 def decimal_xi_d(probs, n_atoms):
     """xi_D of level probabilities from 50-digit decimal centred moments.
 

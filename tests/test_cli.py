@@ -448,17 +448,17 @@ def test_sweep_batch_equals_per_point_calls(tmp_path):
     # call at that point, whatever the batch around it
     base = ["--start", "0.05", "--stop", "0.5", "--count", "9", "--N", "60"]
     res, _ = run(tmp_path, "sweep", "superposition", "--param", "chi_x", *base,
-                 "--outcome", "-3.0", "--eta", "0.3", name="sup.csv")
+                 "--outcome", "-3.0", name="sup.csv")
     for chi, fid, m_c, sep, width in res["rows"]:
-        ref = prepare_superposition(60, chi, -3.0, 0.3)
+        ref = prepare_superposition(60, chi, -3.0)
         assert fid == pytest.approx(ref.fidelity_vs_target, abs=1e-12)
         assert (m_c, sep, width) == (
             ref.target_m_c, ref.packet_separation, ref.packet_width
         )
     res, _ = run(tmp_path, "sweep", "dss", "--param", "outcome", "--start", "-9",
                  "--stop", "9", "--count", "13", "--N", "41", "--chi-p", "0.7",
-                 "--eta", "0.2", name="dss.csv")
-    direct = [prepare_dss(41, 0.7, y, 0.2).xi_d for y in column(res, "value")]
+                 name="dss.csv")
+    direct = [prepare_dss(41, 0.7, y).xi_d for y in column(res, "value")]
     np.testing.assert_allclose(column(res, "xi_d"), direct, rtol=0, atol=1e-12)
     res, _ = run(tmp_path, "sweep", "repetitive_dss", "--param", "chi_p", *base,
                  "--n", "7", name="rep.csv")
@@ -548,12 +548,12 @@ def test_seed_out_of_range_names_its_flag(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, flag", [
     (["sweep", "repetitive_dss", "--param", "chi_p", "--start", "0.1", "--stop", "0.5",
-      "--count", "3", "--eta", "nan"], "--eta"),
+      "--count", "3", "--chi-x", "nan"], "--chi-x"),
     (["sample", "dss", "--chi-p", "0.4", "--chi-x", "inf"], "--chi-x"),
     (["sweep", "dss", "--param", "chi_p", "--start", "0.1", "--stop", "0.5", "--count", "3",
       "--outcome", "inf"], "--outcome"),
     (["sweep", "superposition", "--param", "chi_x", "--start", "0.1", "--stop", "0.5",
-      "--count", "3", "--eta", "nan"], "--eta"),
+      "--count", "3", "--chi-p", "nan"], "--chi-p"),
     (["sweep", "dss", "--param", "outcome", "--start=-inf", "--stop", "1", "--count", "3"],
      "--start"),
     (["feasibility", "--threshold", "nan"], "--threshold"),
@@ -677,6 +677,14 @@ def test_atom_count_past_the_ladder_is_a_usage_error(argv, value, capsys):
     )
 
 
+def test_sweep_takes_no_eta(capsys):
+    # no sweep protocol reads the accumulated phase, so sweep has no --eta
+    argv = ["sweep", "superposition", "--param", "chi_x", "--start", "0.05", "--stop", "0.5",
+            "--count", "3", "--eta", "0.3"]
+    assert main(argv) == 1
+    assert "unrecognized arguments: --eta 0.3" in capsys.readouterr().err
+
+
 def test_sweep_usage_errors():
     base = ["sweep", "dss", "--start", "0.1", "--stop", "2.0"]
     assert main(base + ["--param", "bogus", "--count", "5"]) == 1
@@ -690,8 +698,6 @@ def test_sweep_usage_errors():
     ["sample", "superposition", "--N", "21", "--chi-x", "0.1", "--n-shots", "200",
      "--seed", "5"],
     ["sample", "dss", "--N", "40", "--chi-p", "0.3", "--n-shots", "200", "--seed", "3"],
-    ["sweep", "superposition", "--param", "chi_x", "--start", "0.05", "--stop", "0.5",
-     "--count", "9", "--N", "60", "--outcome", "-3"],
 ])
 def test_rows_do_not_depend_on_eta(tmp_path, argv):
     # eta rotates the post state about z and the two-Dicke target carries the

@@ -172,13 +172,13 @@ def test_css_densities_match_the_lattice_gaussian_at_huge_n(n_atoms):
         log_p = 2.0 * css_log_window(n_atoms, k, k + 1)[0]
         gaussian = 0.5 * math.log(2.0 / (math.pi * n_atoms)) - 2.0 * m * m / n_atoms
         assert abs(log_p - gaussian) <= 1e-8, k
-    # record densities: a record's band is bounded from the top level N // 2, so
-    # a record at +-3 sigma spans about 3 sqrt(N) levels, 10^5 at N = 2^30 but
-    # 3e8 at 2^53; above 2^30 the record at 0 alone
+    # record densities: a record's band is bounded from its reference level, so
+    # a record at +-3 sigma spans a few dozen levels at any N.  One call per
+    # record: a batch's window runs from its lowest band to its highest, 3e8
+    # levels apart at 2^53
     sigma = math.sqrt(0.5 + n_atoms)
-    records = [0.0, 3.0 * sigma, -3.0 * sigma] if n_atoms <= 2**30 else [0.0]
-    _, log_density = dss_rows(n_atoms, 2.0, records)
-    for record, value in zip(records, log_density):
+    for record in (0.0, 3.0 * sigma, -3.0 * sigma):
+        (value,) = dss_rows(n_atoms, 2.0, [record])[1]
         assert abs(value - lattice_gaussian_log_density(n_atoms, 2.0, record)) <= 1e-8, record
 
 
@@ -204,6 +204,23 @@ def test_dss_rows_at_ten_million_atoms_never_holds_the_ladder():
     assert peak < 16 * 2**20  # one float array over the ladder alone is 80 MB
     assert np.all((xi_d >= 1.0 / (n_atoms + 2)) & (xi_d <= 1.0))
     assert np.all(np.isfinite(log_density))
+
+
+def test_far_records_at_huge_atom_counts_read_their_band_only():
+    # a record 3 sigma from the centre of the CSS level law: its band, bounded
+    # from the top level, held about 2^20 levels at N = 2^40 (179 MB) and was
+    # killed for memory at 2^53; bounded from its reference level, it holds
+    # a few dozen
+    tracemalloc.start()
+    try:
+        xi_d, log_density = dss_rows(2**40, 2.0, [3 * 2**20])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert 1.0 / (2**40 + 2) <= xi_d[0] <= 1.0 and np.isfinite(log_density[0])
+    xi_d, log_density = dss_rows(2**53, 2.0, [3 * math.sqrt(2**53)])
+    assert np.isfinite(xi_d[0]) and np.isfinite(log_density[0])
 
 
 def test_superposition_rows_read_the_prior_on_their_window_only():

