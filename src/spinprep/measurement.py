@@ -166,7 +166,7 @@ def _level_windows(levels: np.ndarray, width: int) -> np.ndarray:
 
 
 def _band_limits(log_prior, y, cx, cp):
-    """Each record's lowest and highest level its row can keep, its reference level j, c_j, Y + c_j.
+    """Each record's lowest and highest level its row keeps, reference level j, c_j and Y + c_j.
 
     Level m survives the floor only if 2 log|a_m| - (Y + c_m)^2, with
     c_m = chi_x m^2 + chi_p m, lies within -_LOG_PROB_FLOOR of the row's
@@ -217,12 +217,13 @@ def _band_limits(log_prior, y, cx, cp):
     offsets = cx * (m * m) + cp * m
     residuals = y + offsets
     pick = np.abs(residuals).reshape(-1, y.size).argmin(axis=0) * y.size + np.arange(y.size)
-    residual = residuals.ravel()[pick]
+    c_ref, residual = offsets.ravel()[pick], residuals.ravel()[pick]
     reach = np.hypot(residual, np.sqrt(drops.ravel()[pick] - _LOG_PROB_FLOOR))
     reach = np.fmin(reach / (half_slope + half_slope), np.sqrt(reach / cx))
     ends = np.floor(centers + np.array((-reach, reach))) + _END_MARGINS
     first, last = np.fmin(np.fmax(ends, 0.0), s + s).astype(np.intp)
-    return first, last, levels.ravel()[pick].astype(np.intp), offsets.ravel()[pick], residual
+    reference = levels.ravel()[pick].astype(np.intp)
+    return first, last, reference, c_ref, residual
 
 
 def _ladders(atoms, n_records: int) -> tuple[list, list]:

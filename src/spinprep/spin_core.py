@@ -23,8 +23,8 @@ _LN2 = math.log(2.0)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # the largest atom count: above 2^53 the level indices k and m = k - N/2 are not exact floats
 _MAX_ATOMS = 1 << 53
-# levels between the exact anchors of css_log_window's running sums
-_ANCHOR_SPACING = 256
+# levels between the exact anchors of css_log_window's running sums, counted from N // 2
+_ANCHOR_SPACING = 1 << 12
 # the two sides of each point on which a prior's ``reference`` looks: at or
 # above it, then below it
 _SIDES = np.array([[[0.0]], [[1.0]]])
@@ -141,43 +141,69 @@ def _check_atom_count(n_atoms) -> int:
 def css_log_window(n_atoms: int, first: int, stop: int) -> np.ndarray:
     """log|a_m| of the coherent spin state along +x on levels ``first`` ... ``stop - 1``.
 
-    log a_m = (1/2) log C(N, k) - (N/2) log 2 at index k = m + S, and
-    C(N, k) = C(N, N - k), so each level takes the value of its mirror
-    max(k, N - k) in the upper half, from h = N - N // 2 up.  Anchors sit at
-    h, h + B, h + 2B, ..., B = ``_ANCHOR_SPACING``; :func:`_log_binomial_half`
-    gives each to a few ulps of itself at any N, and every other level adds
-    half the cumulative sum of log C(N, i) / C(N, i - 1) = log((N - i + 1) / i),
-    taken as ``log1p((N + 1 - 2i) / i)``, from the anchor below it.  So a
-    level's value depends on N and the level alone: every window equals the
-    same slice of the whole ladder bit for bit, wherever it lies, and costs
-    O(window + B).  The ratios between levels, all the measurement update
-    reads, are exact to a few ulps of log|a_m| however large N is, and so
-    are the levels themselves, which the record densities read.  No level
-    underflows, however far it sits from m = 0.
+    log a_m = (1/2) log C(N, k) - (N/2) log 2 at index k = m + S.  Anchors sit
+    at the largest level c = N // 2 and every B = ``_ANCHOR_SPACING`` levels
+    on both sides of it; :func:`_log_binomial_half` gives each to a few ulps
+    of itself at any N.  Every other level adds half the cumulative sum of
+    log C(N, i) / C(N, i - 1) = log((N - i + 1) / i), taken as
+    ``log1p((N + 1 - 2i) / i)``, outward from the anchor between it and c.
+    So a level's value depends on N and the level alone: every window equals
+    the same slice of the whole ladder bit for bit, wherever it lies, at a
+    cost of O(window + B).  The ratios between levels, all the measurement
+    update reads, are exact to a few ulps of log|a_m| however large N is,
+    and so are the levels themselves, which the record densities read.  No
+    level underflows, however far it sits from m = 0.
     """
     n = _check_atom_count(n_atoms)
     if not 0 <= first < stop <= n + 1:
         raise ValueError(f"window [{first}, {stop}) is not inside levels 0 ... {n}")
-    half = n - n // 2
-    # the mirrors of the window's levels run from low to high, reached from anchor
-    low, high = max(half, first, n + 1 - stop), max(stop - 1, n - first)
-    anchor = half + (low - half) // _ANCHOR_SPACING * _ANCHOR_SPACING
-    blocks = (high - anchor) // _ANCHOR_SPACING + 1
-    i = np.arange(anchor + 1, high + 1, dtype=float)
-    log_ratio = np.zeros(blocks * _ANCHOR_SPACING)  # log C(N, k) - log C(N, its anchor)
-    # log C(N, i) - log C(N, i - 1) = log((N - i + 1) / i) for each level i past an anchor
-    log_ratio[1 : high - anchor + 1] = np.log1p((n + 1.0 - (i + i)) / i)
+    center = n // 2
+    if center - _ANCHOR_SPACING < first and stop <= center + _ANCHOR_SPACING:
+        # every level is reached from the center: one chain up from it and one down
+        low, high = min(first, center), max(stop, center + 1)
+        at = center - low
+        i = np.arange(low + 1, high, dtype=float)
+        steps = np.log1p((n + 1.0 - (i + i)) / i)
+        log_ratio = np.empty(high - low)  # log C(N, k) - log C(N, center)
+        log_ratio[at] = 0.0
+        np.cumsum(steps[at:], out=log_ratio[at + 1 :])
+        np.cumsum(-steps[:at][::-1], out=log_ratio[:at][::-1])
+        log_ratio *= 0.5
+        log_ratio += 0.5 * _log_binomial_half(n, center)
+        return log_ratio[first - low : stop - low]
+    below = _css_side(n, center - min(stop, center) + 1, center + 1 - first, -1)
+    above = _css_side(n, max(first, center) - center, stop - center, 1)
+    return np.concatenate((below[::-1], above))
+
+
+def _css_side(n: int, near: int, far: int, step: int) -> np.ndarray:
+    """:func:`css_log_window` on the levels c + step u, u = ``near`` ... ``far - 1``, c = N // 2."""
+    if near >= far:
+        return np.empty(0)
+    center = n // 2
+    anchor = near // _ANCHOR_SPACING * _ANCHOR_SPACING
+    # log C(N, i) - log C(N, i - 1) = log((N - i + 1) / i) for the level i each step
+    # enters, c + u above the center, and the one it leaves, c + 1 - u, below it
+    lift = int(step < 0)
+    i = np.arange(center + step * (anchor + 1) + lift, center + step * far + lift, step, dtype=float)
+    log_ratio = np.empty(far - anchor)  # log C(N, k) - log C(N, its anchor)
+    np.log1p((n + 1.0 - (i + i)) / i, out=log_ratio[1:])
+    if step < 0:  # the chain runs down the ladder
+        np.negative(log_ratio, out=log_ratio)
     log_ratio[::_ANCHOR_SPACING] = 0.0
-    log_ratio = log_ratio.reshape(blocks, _ANCHOR_SPACING)
-    np.cumsum(log_ratio, axis=1, out=log_ratio)
+    # each block summed from its own anchor: the whole blocks, then the last, partial one
+    whole = (far - anchor) // _ANCHOR_SPACING
+    blocks, last = np.split(log_ratio, [whole * _ANCHOR_SPACING])
+    if whole:
+        blocks = blocks.reshape(whole, _ANCHOR_SPACING)
+        np.cumsum(blocks, axis=1, out=blocks)
+    np.cumsum(last, out=last)
     log_ratio *= 0.5
-    anchors = range(anchor, anchor + blocks * _ANCHOR_SPACING, _ANCHOR_SPACING)
-    log_ratio += np.array([[0.5 * _log_binomial_half(n, a)] for a in anchors])
-    upper = log_ratio.ravel()
-    # the levels below h, in ascending order, are their mirrors' in descending order
-    below = min(stop, half)
-    below = upper[n + 1 - below - anchor : n + 1 - anchor - min(first, below)][::-1]
-    return np.concatenate((below, upper[max(first, half) - anchor : max(stop, half) - anchor]))
+    anchors = [0.5 * _log_binomial_half(n, center + step * a) for a in range(anchor, far, _ANCHOR_SPACING)]
+    if whole:
+        blocks += np.array(anchors[:whole])[:, None]
+    last += anchors[-1] if last.size else 0.0
+    return log_ratio[near - anchor :]
 
 
 def _stirling_remainder(x: int) -> float:
