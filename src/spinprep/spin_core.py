@@ -189,7 +189,7 @@ def _css_side(n: int, near: int, far: int, step: int) -> np.ndarray:
     log_ratio = np.empty(far - anchor)  # log C(N, k) - log C(N, its anchor)
     np.log1p((n + 1.0 - (i + i)) / i, out=log_ratio[1:])
     if step < 0:  # the chain runs down the ladder
-        np.negative(log_ratio, out=log_ratio)
+        np.negative(log_ratio[1:], out=log_ratio[1:])
     log_ratio[::_ANCHOR_SPACING] = 0.0
     # each block summed from its own anchor: the whole blocks, then the last, partial one
     whole = (far - anchor) // _ANCHOR_SPACING
