@@ -147,9 +147,11 @@ def css_log_window(n_atoms: int, first: int, stop: int) -> np.ndarray:
     of itself at any N.  Every other level adds half the cumulative sum of
     log C(N, i) / C(N, i - 1) = log((N - i + 1) / i), taken as
     ``log1p((N + 1 - 2i) / i)``, outward from the anchor between it and c.
-    So a level's value depends on N and the level alone: every window equals
-    the same slice of the whole ladder bit for bit, wherever it lies, at a
-    cost of O(window + B).  The ratios between levels, all the measurement
+    One chain serves the window: it runs up and down the ladder from the
+    anchor of the window's level nearest c (c itself if the window holds
+    it) and restarts at each anchor it passes.  So a level's value depends
+    on N and the level alone: every window equals the same slice of the
+    whole ladder bit for bit, wherever it lies, at a cost of O(window + B).  The ratios between levels, all the measurement
     update reads, are exact to a few ulps of log|a_m| however large N is,
     and so are the levels themselves, which the record densities read.  No
     level underflows, however far it sits from m = 0.
@@ -158,52 +160,46 @@ def css_log_window(n_atoms: int, first: int, stop: int) -> np.ndarray:
     if not 0 <= first < stop <= n + 1:
         raise ValueError(f"window [{first}, {stop}) is not inside levels 0 ... {n}")
     center = n // 2
-    if center - _ANCHOR_SPACING < first and stop <= center + _ANCHOR_SPACING:
-        # every level is reached from the center: one chain up from it and one down
-        low, high = min(first, center), max(stop, center + 1)
-        at = center - low
-        i = np.arange(low + 1, high, dtype=float)
-        steps = np.log1p((n + 1.0 - (i + i)) / i)
-        log_ratio = np.empty(high - low)  # log C(N, k) - log C(N, center)
-        log_ratio[at] = 0.0
-        np.cumsum(steps[at:], out=log_ratio[at + 1 :])
-        np.cumsum(-steps[:at][::-1], out=log_ratio[:at][::-1])
-        log_ratio *= 0.5
-        log_ratio += 0.5 * _log_binomial_half(n, center)
-        return log_ratio[first - low : stop - low]
-    below = _css_side(n, center - min(stop, center) + 1, center + 1 - first, -1)
-    above = _css_side(n, max(first, center) - center, stop - center, 1)
-    return np.concatenate((below[::-1], above))
+    # the anchor of the window's level nearest c: c itself, unless the window lies on one side
+    if first > center:
+        home = center + (first - center) // _ANCHOR_SPACING * _ANCHOR_SPACING
+    elif stop <= center:
+        home = center - (center + 1 - stop) // _ANCHOR_SPACING * _ANCHOR_SPACING
+    else:
+        home = center
+    low, high = min(first, home), max(stop, home + 1)
+    at = home - low
+    # entry k holds the step log C(N, i) / C(N, i - 1) = log((N - i + 1) / i) of
+    # the level i a chain from the home anchor enters on its way to k: i = k above
+    # the anchor and k + 1 below it
+    i = np.arange(low, high, dtype=float)
+    i[:at] += 1.0
+    i[at] = 1.0  # the anchor's own entry, 0 once summed
+    log_ratio = np.log1p((n + 1.0 - (i + i)) / i, out=i)
+    log_ratio *= 0.5  # exact, so it commutes with the sums
+    # half of log C(N, k) - log C(N, its anchor): summed up the ladder, and
+    # subtracted down it, the steps' negated sum bit for bit
+    up, down = log_ratio[at:], log_ratio[at::-1]
+    _sum_blocks(up, np.add)
+    _sum_blocks(down, np.subtract)
+    # both chains start at the home anchor
+    home_block = slice(max(at + 1 - _ANCHOR_SPACING, 0), at + _ANCHOR_SPACING)
+    log_ratio[home_block] += 0.5 * _log_binomial_half(n, home)
+    for chain, step in (up, 1), (down, -1):
+        for a in range(_ANCHOR_SPACING, chain.size, _ANCHOR_SPACING):
+            chain[a : a + _ANCHOR_SPACING] += 0.5 * _log_binomial_half(n, home + step * a)
+    return log_ratio[first - low : stop - low]
 
 
-def _css_side(n: int, near: int, far: int, step: int) -> np.ndarray:
-    """:func:`css_log_window` on the levels c + step u, u = ``near`` ... ``far - 1``, c = N // 2."""
-    if near >= far:
-        return np.empty(0)
-    center = n // 2
-    anchor = near // _ANCHOR_SPACING * _ANCHOR_SPACING
-    # log C(N, i) - log C(N, i - 1) = log((N - i + 1) / i) for the level i each step
-    # enters, c + u above the center, and the one it leaves, c + 1 - u, below it
-    lift = int(step < 0)
-    i = np.arange(center + step * (anchor + 1) + lift, center + step * far + lift, step, dtype=float)
-    log_ratio = np.empty(far - anchor)  # log C(N, k) - log C(N, its anchor)
-    np.log1p((n + 1.0 - (i + i)) / i, out=log_ratio[1:])
-    if step < 0:  # the chain runs down the ladder
-        np.negative(log_ratio[1:], out=log_ratio[1:])
-    log_ratio[::_ANCHOR_SPACING] = 0.0
-    # each block summed from its own anchor: the whole blocks, then the last, partial one
-    whole = (far - anchor) // _ANCHOR_SPACING
-    blocks, last = np.split(log_ratio, [whole * _ANCHOR_SPACING])
+def _sum_blocks(chain: np.ndarray, ufunc):
+    """``ufunc.accumulate`` of ``chain`` from 0 at every ``_ANCHOR_SPACING``-th entry, in place."""
+    chain[::_ANCHOR_SPACING] = 0.0
+    whole = chain.size // _ANCHOR_SPACING * _ANCHOR_SPACING
     if whole:
-        blocks = blocks.reshape(whole, _ANCHOR_SPACING)
-        np.cumsum(blocks, axis=1, out=blocks)
-    np.cumsum(last, out=last)
-    log_ratio *= 0.5
-    anchors = [0.5 * _log_binomial_half(n, center + step * a) for a in range(anchor, far, _ANCHOR_SPACING)]
-    if whole:
-        blocks += np.array(anchors[:whole])[:, None]
-    last += anchors[-1] if last.size else 0.0
-    return log_ratio[near - anchor :]
+        blocks = chain[:whole].reshape(-1, _ANCHOR_SPACING)
+        ufunc.accumulate(blocks, axis=1, out=blocks)
+    if chain.size > whole + 1:  # more than the last anchor alone
+        ufunc.accumulate(chain[whole:], out=chain[whole:])
 
 
 def _stirling_remainder(x: int) -> float:
