@@ -44,6 +44,7 @@ _LOG_PI = math.log(math.pi)
 _CHUNK_ELEMENTS = 1 << 16
 # the margins of a band's ends against rounding: a level below, two above the floor
 _END_MARGINS = np.array([[-1.0], [2.0]])
+_END_SIGNS = np.array([[-1.0], [1.0]])
 # exp is several times slower on arguments whose result underflows; a level
 # more than e^-700 below its row's largest probability is set to 0 instead
 _LOG_PROB_FLOOR = -700.0
@@ -111,9 +112,7 @@ class MeasurementSetting:
                 raise ValueError(f"{name} must be one number, got {value!r}")
         # the kernel trusts a setting's strengths: this is their one check
         for name in ("chi_x", "chi_p"):
-            strength = float(getattr(self, name))
-            if not 0.0 <= strength < math.inf:  # also false for nan
-                raise ValueError(f"{name} must be finite and >= 0, got {strength}")
+            _check_strength(name, float(getattr(self, name)))
         if not math.isfinite(float(self.eta)):
             raise ValueError(f"eta must be finite, got {self.eta}")
 
@@ -121,6 +120,20 @@ class MeasurementSetting:
 def _centers(setting: MeasurementSetting, m: np.ndarray) -> np.ndarray:
     """Gaussian centers -(chi_x m^2 + chi_p m) of the outcome per Dicke level."""
     return -(setting.chi_x * m * m + setting.chi_p * m)
+
+
+def _check_strength(name: str, strength: float):
+    """Raise unless ``strength`` is finite and >= 0: the strength rule, stated once."""
+    if not 0.0 <= strength < math.inf:  # also false for nan
+        raise ValueError(f"{name} must be finite and >= 0, got {strength}")
+
+
+def _records(outcomes) -> np.ndarray:
+    """Records as a non-empty 1-d float array."""
+    y = np.array(outcomes, dtype=float, ndmin=1)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError(f"records must be a scalar or a non-empty 1-d array, got shape {y.shape}")
+    return y
 
 
 def _per_record(outcomes, chi_x, chi_p, ladders=1):
@@ -131,18 +144,15 @@ def _per_record(outcomes, chi_x, chi_p, ladders=1):
     per record.  The records always do, also to ``ladders`` entries, the
     number of atom counts (1, or one per record).
     """
-    y = np.array(outcomes, dtype=float, ndmin=1)
+    y = _records(outcomes)
     cx = np.array(chi_x, dtype=float, ndmin=1)
     cp = np.array(chi_p, dtype=float, ndmin=1)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError(f"records must be a scalar or a non-empty 1-d array, got shape {y.shape}")
     strengths = np.concatenate((cx.ravel(), cp.ravel()))
     # the minimum is nan if any strength is, so this also rejects nan
     if not (strengths.min() >= 0.0 and strengths.max() < math.inf):
         for name, val in (("chi_x", cx), ("chi_p", cp)):
-            bad = ~(np.isfinite(val) & (val >= 0))
-            if bad.any():
-                raise ValueError(f"{name} must be finite and >= 0, got {val[bad][0]}")
+            for strength in val.ravel().tolist():  # the first bad one names the error
+                _check_strength(name, strength)
     if strengths.size != 2 or ladders != 1:  # some input holds one entry per record
         size = max(y.size, cx.size, cp.size, ladders)
         if any(v.ndim != 1 or v.size not in (1, size) for v in (cx, cp)) or not (
@@ -201,17 +211,17 @@ def _band_limits(log_prior, y, cx, cp):
     # g / 2, nan where there is no root; with v = sqrt(chi_x |Y|) it is hypot(chi_p / 2, v)
     # for Y <= 0 and sqrt(chi_p / 2 - v) sqrt(chi_p / 2 + v) above, free of overflow
     v = np.sqrt(cx) * np.sqrt(np.abs(y))
-    half_slope = np.where(
-        y <= 0.0, np.hypot(half_cp, v), np.sqrt(half_cp - v) * np.sqrt(half_cp + v)
-    )
+    half_slope = np.sqrt(half_cp - v) * np.sqrt(half_cp + v)
+    np.copyto(half_slope, np.hypot(half_cp, v), where=y <= 0.0)
     q = -half_cp
     vertex = q / cx  # fmax and fmin take it where there is no root
     q = q - half_slope
     upper = np.fmax(y / q, vertex)
-    lower = np.fmin(q / cx, vertex)
-    lower = np.where(lower > -np.inf, lower, upper)  # chi_x = 0: one root
+    centers = np.array((np.fmin(q / cx, vertex), upper))
+    np.copyto(centers[0], upper, where=centers[0] == -np.inf)  # chi_x = 0: one root
     # on the level axis, cut to the ladder (nan to level 0)
-    centers = np.fmin(np.fmax(np.array((lower, upper)) + s, 0.0), s + s)
+    centers += s
+    np.fmin(np.fmax(centers, 0.0, out=centers), s + s, out=centers)
     levels, drops = log_prior.reference(centers)  # the candidates for j
     m = levels - s
     offsets = cx * (m * m) + cp * m
@@ -220,8 +230,9 @@ def _band_limits(log_prior, y, cx, cp):
     c_ref, residual = offsets.ravel()[pick], residuals.ravel()[pick]
     reach = np.hypot(residual, np.sqrt(drops.ravel()[pick] - _LOG_PROB_FLOOR))
     reach = np.fmin(reach / (half_slope + half_slope), np.sqrt(reach / cx))
-    ends = np.floor(centers + np.array((-reach, reach))) + _END_MARGINS
-    first, last = np.fmin(np.fmax(ends, 0.0), s + s).astype(np.intp)
+    ends = np.floor(centers + reach * _END_SIGNS)
+    ends += _END_MARGINS
+    first, last = np.fmin(np.fmax(ends, 0.0, out=ends), s + s, out=ends).astype(np.intp)
     reference = levels.ravel()[pick].astype(np.intp)
     return first, last, reference, c_ref, residual
 
@@ -383,40 +394,42 @@ def _condition(log_prior, y, cx, cp, reduce):
         # chunk can cost more in page faults than the arithmetic on it
         work = np.empty(min((r1 - r0) * width, max(_CHUNK_ELEMENTS, width)))
         for rows, band_width in _chunks(count, r0, r1, width):
-            bands = band_start[rows]
+            # consecutive records, such as a single one, read their entries as views
+            at = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == rows.size else rows
+            bands = band_start[at]
             log_p = work[: rows.size * band_width].reshape(-1, band_width)
-            c_j = c_ref[rows]
+            c_j = c_ref[at]
             if shared:
                 scratch = _level_windows(offsets, band_width)[bands]  # a copy, reused below
                 np.subtract(scratch, c_j[:, None], log_p)
             else:
                 scratch = _level_windows(m, band_width)[bands]
                 np.multiply(scratch, scratch, log_p)
-                log_p *= cx[rows][:, None]
-                scratch *= cp[rows][:, None]
+                log_p *= cx[at][:, None]
+                scratch *= cp[at][:, None]
                 log_p += scratch
                 log_p -= c_j[:, None]
             # (Y + c_m)^2 = (Y + c_j)^2 + (c_m - c_j)(c_m - c_j + 2 (Y + c_j)), j the
             # reference level: the first term, shared by the row, goes to its shift
-            residual = r_ref[rows]
+            residual = r_ref[at]
             np.add(log_p, (residual + residual)[:, None], scratch)  # c_m + c_j + 2Y
             log_p *= scratch
             del scratch  # freed before the next copy: two at once cost page faults
             # 2 log|a_m w_m| up to the row constant -(Y + c_j)^2 - (1/2) log pi, in place
             np.subtract(_level_windows(two_log_mag, band_width)[bands], log_p, log_p)
-            shift = log_p.max(axis=1)
+            shift = np.maximum.reduce(log_p, axis=1)
             log_p -= shift[:, None]
             lost = log_p < _LOG_PROB_FLOOR
             np.maximum(log_p, _LOG_PROB_FLOOR, out=log_p)
             probs = np.exp(log_p, log_p)
             probs[lost] = 0.0
-            band_count = count[rows]
+            band_count = count[at]
             mass = span_sums(probs, span_bounds(band_width, band_count))
             probs /= mass[:, None]
             chunk_density = np.log(mass) + (shift - residual * residual - 0.5 * _LOG_PI)
             # a record without finite, nonzero mass fails the norm check too; a
             # row constant that overflows leaves a finite row but no density
-            norm_dev = float(np.abs(probs.sum(axis=1) - 1.0).max())
+            norm_dev = float(np.abs(np.add.reduce(probs, axis=1) - 1.0).max())
             if not (norm_dev <= NORM_TOL and np.isfinite(chunk_density).all()):
                 bad = rows[~np.isfinite(chunk_density)]
                 if bad.size:
@@ -425,14 +438,14 @@ def _condition(log_prior, y, cx, cp, reduce):
                 else:
                     failures.append((rows[0], f"post state misses unit norm by {norm_dev}"))
                 continue
-            chunk_values = reduce(probs, rows, first[rows], band_count)
-            log_density[rows] = chunk_density
+            chunk_values = reduce(probs, rows, first[at], band_count)
+            log_density[at] = chunk_density
             if rows.size == y.size:  # one chunk, e.g. a single record at large N: no copy
                 values = chunk_values
                 continue
             if values is None:
                 values = np.empty((y.size, *chunk_values.shape[1:]), chunk_values.dtype)
-            values[rows] = chunk_values
+            values[at] = chunk_values
 
     # an overflowing residual or a non-finite record is caught by the density check
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -510,7 +523,7 @@ def _condition_one(prior, setting: MeasurementSetting, outcome, figure=None):
         return post, None if figure is None else float(figure(probs, rows, first, count)[0])
 
     (post, value), log_density = _condition(
-        prior if css else _state_prior(prior), np.array(outcome, dtype=float, ndmin=1),
+        prior if css else _state_prior(prior), _records(outcome),
         np.array((setting.chi_x,), dtype=float), np.array((setting.chi_p,), dtype=float),
         post_and_figure,
     )

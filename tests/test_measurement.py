@@ -139,10 +139,15 @@ _NAN, _INF = math.nan, math.inf
       for v in (-1.0, _NAN)),
     (lambda: dss_with_repeated_outcome(40, _INF, 4, 0.0), "chi_p must be finite and >= 0, got inf"),
     (lambda: repetitive_dss(40, _INF, 4), "chi_p must be finite and >= 0, got inf"),
+    (lambda: apply_measurement(make_css(40), MeasurementSetting(chi_p=1.0), []),
+     "records must be a scalar or a non-empty 1-d array, got shape (0,)"),
+    (lambda: apply_measurement(make_css(40), MeasurementSetting(chi_p=1.0), [[0.0]]),
+     "records must be a scalar or a non-empty 1-d array, got shape (1, 1)"),
 ])
-def test_single_record_strength_messages_are_pinned(update, message):
+def test_single_record_error_messages_are_pinned(update, message):
     # a setting's strengths are checked once, when it is built, and the kernel
-    # trusts them; each single-record path still names a bad strength as before
+    # trusts them; each single-record path still names a bad strength, or a
+    # record of the wrong shape, as before
     with pytest.raises(ValueError) as info:
         update()
     assert str(info.value) == message

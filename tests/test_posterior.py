@@ -413,6 +413,11 @@ def sparse_far_records(draw):
 # the record's centers is empty, and rows formed relative to it put the
 # probabilities 4.9e-5 off
 @example((1866, 6.02188, 0.0, -1.5557e7, 528, 15))
+# near-ties of levels on either side of the roots, found by hypothesis: 2.6e-15,
+# 5.9e-15 and 6.8e-13 off, at spreads of 30, 59 and 9253
+@example((93, 0.0, 3.7776940314756384, 3.75, 24, 41))
+@example((79, 0.0, 2.0, 6.000000000000001, 28, 2333640))
+@example((102, 0.0, 9.624433768622985, 9.624433768622985, 9, 9))
 def test_sparse_prior_far_record_matches_decimal_posterior(case):
     n_atoms, chi_x, chi_p, record, occupied, seed = case
     rng = np.random.default_rng(seed)
@@ -427,8 +432,9 @@ def test_sparse_prior_far_record_matches_decimal_posterior(case):
     # rows are formed from the offsets c_m - c_j of double centres, each rounded
     # once: where the posterior spreads over levels of different centres (two
     # levels on either side of the roots that nearly tie), that rounding moves
-    # the rows by about eps (c_m - c_j)^2, which the posterior's variance of c_m
-    # bounds; levels of equal centres, the defect's tie, keep the bare 1e-15
+    # the rows by about eps (c_m - c_j)^2, and the probabilities by 0.1 to 0.5
+    # eps times the posterior's variance of c_m (the spread) in 16,000 draws;
+    # levels of equal centres, the defect's tie, keep the bare 1e-15
     m = np.arange(n_atoms + 1) - n_atoms / 2
     centers = chi_x * (m * m) + chi_p * m
     spread = ref @ (centers - ref @ centers) ** 2
