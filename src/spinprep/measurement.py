@@ -393,9 +393,7 @@ def _condition(log_prior, y, cx, cp, reduce):
         # one chunk buffer for the whole group: a fresh records x W matrix per
         # chunk can cost more in page faults than the arithmetic on it
         work = np.empty(min((r1 - r0) * width, max(_CHUNK_ELEMENTS, width)))
-        for rows, band_width in _chunks(count, r0, r1, width):
-            # consecutive records, such as a single one, read their entries as views
-            at = slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] + 1 == rows.size else rows
+        for rows, at, band_width in _chunks(count, r0, r1, width):
             bands = band_start[at]
             log_p = work[: rows.size * band_width].reshape(-1, band_width)
             c_j = c_ref[at]
@@ -422,7 +420,7 @@ def _condition(log_prior, y, cx, cp, reduce):
             lost = log_p < _LOG_PROB_FLOOR
             np.maximum(log_p, _LOG_PROB_FLOOR, out=log_p)
             probs = np.exp(log_p, log_p)
-            probs[lost] = 0.0
+            np.putmask(probs, lost, 0.0)
             band_count = count[at]
             mass = span_sums(probs, span_bounds(band_width, band_count))
             probs /= mass[:, None]
@@ -464,15 +462,16 @@ def _condition(log_prior, y, cx, cp, reduce):
 
 
 def _chunks(count, r0, r1, width):
-    """Records r0 ... r1 - 1 of bands ``count`` wide, at most ``width``, as (rows, W) chunks.
+    """Records r0 ... r1 - 1 of bands ``count`` wide, at most ``width``, as (rows, at, W) chunks.
 
     Each chunk holds about ``_CHUNK_ELEMENTS`` elements, W its widest band,
-    and its rows in record order.  Records that fit one chunk form it as
-    they are; more are taken widest band first, so that narrow bands are
-    not padded to the widest.
+    and its rows in record order; ``at`` indexes them, as a slice where they
+    are consecutive, so that their per-record entries are read as views.
+    Records that fit one chunk form it as they are; more are taken widest
+    band first, so that narrow bands are not padded to the widest.
     """
     if r1 - r0 <= max(1, _CHUNK_ELEMENTS // width):
-        yield np.arange(r0, r1), width
+        yield np.arange(r0, r1), slice(r0, r1), width
         return
     order = r0 + np.argsort(-count[r0:r1], kind="stable")
     start = 0
@@ -480,7 +479,7 @@ def _chunks(count, r0, r1, width):
         band_width = int(count[order[start]])
         rows = np.sort(order[start : start + max(1, _CHUNK_ELEMENTS // band_width)])
         start += rows.size
-        yield rows, band_width
+        yield rows, rows, band_width
 
 
 def _state_prior(state: SpinEnsembleState) -> _ArrayPrior:
