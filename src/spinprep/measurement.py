@@ -193,12 +193,14 @@ def _band_limits(log_prior, y, cx, cp):
     record, however far it lies from top.
 
     Y + c_m is convex in m, with slope g = sqrt(chi_p^2 - 4 chi_x Y) at the
-    upper root and -g at the lower one, and at least chi_x d^2 above 0 at
-    d levels outside both.  So every level with |Y + c_m| <= R lies within
-    min(R / g, sqrt(R / chi_x)) levels of the roots, or of the vertex where
-    there is none, or between them: the band is that interval (for
-    chi_x = 0, around the one root), widened by a level on each side
-    against rounding and cut to the ladder; it holds j.  The roots
+    upper root and -g at the lower one, so d levels outside either root it
+    is g d + chi_x d^2.  So every level with |Y + c_m| <= R lies within
+    d = 2R / (g + sqrt(g^2 + 4 chi_x R)) levels of the roots, where that
+    sum reaches R, or between them; where there is no root, Y + c_m
+    exceeds chi_x d^2 at d levels from the vertex, and d = sqrt(R / chi_x)
+    bounds it.  The band is that interval (for chi_x = 0, around the one
+    root), widened by a level on each side against rounding and cut to the
+    ladder; it holds j.  The roots
     q / chi_x <= Y / q, q = -(chi_p + g) / 2, are free of cancellation,
     and g of overflow.  A non-finite record gives nan ends, which the cut
     makes level 0; the kernel's row checks see it, and a record whose row
@@ -229,7 +231,9 @@ def _band_limits(log_prior, y, cx, cp):
     pick = np.abs(residuals).reshape(-1, y.size).argmin(axis=0) * y.size + np.arange(y.size)
     c_ref, residual = offsets.ravel()[pick], residuals.ravel()[pick]
     reach = np.hypot(residual, np.sqrt(drops.ravel()[pick] - _LOG_PROB_FLOOR))
-    reach = np.fmin(reach / (half_slope + half_slope), np.sqrt(reach / cx))
+    # d = R / (g/2 + hypot(g/2, sqrt(chi_x R))): nan where there is no root, which fmin passes over
+    beyond = reach / (half_slope + np.hypot(half_slope, np.sqrt(cx * reach)))
+    reach = np.fmin(beyond, np.sqrt(reach / cx))
     ends = np.floor(centers + reach * _END_SIGNS)
     ends += _END_MARGINS
     first, last = np.fmin(np.fmax(ends, 0.0, out=ends), s + s, out=ends).astype(np.intp)
