@@ -176,7 +176,7 @@ def _level_windows(levels: np.ndarray, width: int) -> np.ndarray:
 
 
 def _band_limits(log_prior, y, cx, cp):
-    """Each record's lowest and highest level its row keeps, reference level j, c_j and Y + c_j.
+    """Each record's lowest and highest level its row keeps, and c_j and Y + c_j of its reference level j.
 
     Level m survives the floor only if 2 log|a_m| - (Y + c_m)^2, with
     c_m = chi_x m^2 + chi_p m, lies within -_LOG_PROB_FLOOR of the row's
@@ -197,8 +197,8 @@ def _band_limits(log_prior, y, cx, cp):
     is g d + chi_x d^2.  So every level with |Y + c_m| <= R lies within
     d = 2R / (g + sqrt(g^2 + 4 chi_x R)) levels of the roots, where that
     sum reaches R, or between them; where there is no root, Y + c_m
-    exceeds chi_x d^2 at d levels from the vertex, and d = sqrt(R / chi_x)
-    bounds it.  The band is that interval (for chi_x = 0, around the one
+    exceeds chi_x d^2 at d levels from the vertex, and the same d with
+    g = 0, sqrt(R / chi_x), bounds it.  The band is that interval (for chi_x = 0, around the one
     root), widened by a level on each side against rounding and cut to the
     ladder; it holds j.  The roots
     q / chi_x <= Y / q, q = -(chi_p + g) / 2, are free of cancellation,
@@ -231,14 +231,13 @@ def _band_limits(log_prior, y, cx, cp):
     pick = np.abs(residuals).reshape(-1, y.size).argmin(axis=0) * y.size + np.arange(y.size)
     c_ref, residual = offsets.ravel()[pick], residuals.ravel()[pick]
     reach = np.hypot(residual, np.sqrt(drops.ravel()[pick] - _LOG_PROB_FLOOR))
-    # d = R / (g/2 + hypot(g/2, sqrt(chi_x R))): nan where there is no root, which fmin passes over
-    beyond = reach / (half_slope + np.hypot(half_slope, np.sqrt(cx * reach)))
-    reach = np.fmin(beyond, np.sqrt(reach / cx))
+    # d = R / (g/2 + hypot(g/2, sqrt(chi_x R))), with g = 0 where there is no root
+    half_slope = np.fmax(half_slope, 0.0)
+    reach /= half_slope + np.hypot(half_slope, np.sqrt(cx * reach))
     ends = np.floor(centers + reach * _END_SIGNS)
     ends += _END_MARGINS
     first, last = np.fmin(np.fmax(ends, 0.0, out=ends), s + s, out=ends).astype(np.intp)
-    reference = levels.ravel()[pick].astype(np.intp)
-    return first, last, reference, c_ref, residual
+    return first, last, c_ref, residual
 
 
 def _ladders(atoms, n_records: int) -> tuple[list, list]:
@@ -386,7 +385,8 @@ def _condition(log_prior, y, cx, cp, reduce):
             stop = min(end, n_atoms + 1)  # a band may run past the top level
             log_window = log_prior.window(n_atoms, low, stop)
             np.add(log_window, log_window, out=two_log_mag[base : base + stop - low])
-            two_log_mag[base + stop - low : base + end - low] = -np.inf
+            if stop < end:
+                two_log_mag[base + stop - low : base + end - low] = -np.inf
             m_ladder(n_atoms, low, end, out=m[base : base + end - low])
             rows = slice(bounds[i], bounds[i + 1])
             np.add(first[rows], base - low, out=band_start[rows])
@@ -451,7 +451,7 @@ def _condition(log_prior, y, cx, cp, reduce):
 
     # an overflowing residual or a non-finite record is caught by the density check
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first, last, _, c_ref, r_ref = _band_limits(log_prior, y, cx, cp)
+        first, last, c_ref, r_ref = _band_limits(log_prior, y, cx, cp)
         count = last - first + 1
         starts = bounds[:-1]
         lo = np.minimum.reduceat(first, starts).tolist()

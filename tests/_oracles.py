@@ -64,12 +64,12 @@ def mixture_pdf(x, state, setting):
     return np.exp(-diff * diff) @ p / math.sqrt(math.pi)
 
 
-def log_domain_rows(amplitudes, records, chi_x, chi_p, references):
+def log_domain_rows(amplitudes, records, chi_x, chi_p, reference_centers):
     """Posterior of each record over all N+1 levels, in the log domain.
 
     Row r is 2 log|a_m| - (Y_r + c_m)^2, c_m = chi_x m^2 + chi_p m, at every
     level, relative to its maximum and with no floor.  It is formed relative
-    to the level j of index ``references[r]``, as
+    to a level j, whose center c_j is ``reference_centers[r]``, as
     2 log|a_m| - (c_m - c_j)(c_m - c_j + 2 (Y_r + c_j)), each c rounded as
     chi_x m^2 + chi_p m, so that a level near the floor's edge of a far
     record, or one of two nearly tied levels, is judged as an evaluation of
@@ -81,7 +81,7 @@ def log_domain_rows(amplitudes, records, chi_x, chi_p, references):
     with np.errstate(divide="ignore"):
         two_log_mag = 2.0 * np.log(np.abs(amplitudes))
     centers = chi_x * (m * m) + chi_p * m
-    c_ref = centers[np.asarray(references)][:, None]
+    c_ref = np.asarray(reference_centers, dtype=float)[:, None]
     residual = np.asarray(records, dtype=float)[:, None] + c_ref
     offset = centers - c_ref
     log_w = two_log_mag - offset * (offset + 2.0 * residual)

@@ -383,8 +383,8 @@ def test_band_keeps_every_level_the_floor_keeps(data):
     state = data.draw(priors(n_atoms))
     with np.errstate(all="ignore"):
         strengths = np.array([chi_x]), np.array([chi_p])
-        references = _band_limits(_state_prior(state), records, *strengths)[2]
-    log_w, ref = log_domain_rows(state.amplitudes, records, chi_x, chi_p, references)
+        reference_centers = _band_limits(_state_prior(state), records, *strengths)[2]
+    log_w, ref = log_domain_rows(state.amplitudes, records, chi_x, chi_p, reference_centers)
     setting = MeasurementSetting(chi_x=chi_x, chi_p=chi_p, eta=eta)
     for row, y in enumerate(records):
         post, _ = apply_measurement(state, setting, y)
