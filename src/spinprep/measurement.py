@@ -33,6 +33,7 @@ from .spin_core import (
     CssPrior,
     SpinEnsembleState,
     _check_atom_count,
+    band_window,
     m_ladder,
     span_bounds,
     span_sums,
@@ -55,26 +56,34 @@ class PosteriorError(ArithmeticError):
 
 
 class _ArrayPrior:
-    """A real log|a_m| over N+1 levels, -inf where unoccupied."""
+    """A real log|a_m| on levels ``first`` ... of ``atom_count`` atoms, -inf where unoccupied.
 
-    def __init__(self, log_magnitudes):
+    Without ``atom_count`` the array holds all N+1 levels, and is validated
+    as :func:`posterior_batch`'s input; with it, it holds a state's band, and
+    every level outside it is unoccupied.
+    """
+
+    def __init__(self, log_magnitudes, atom_count=None, first=0):
         log_mag = np.asarray(log_magnitudes)
-        if np.iscomplexobj(log_mag):
-            raise ValueError(
-                "log_prior must be the real log|a_m|; "
-                "condition a phased state with apply_measurement"
-            )
-        if log_mag.ndim != 1 or log_mag.size < 2:
-            raise ValueError(f"log_prior must hold N+1 >= 2 levels, got shape {log_mag.shape}")
-        self.atom_count, self._log_top = log_mag.size - 1, log_mag.max()
+        if atom_count is None:
+            if np.iscomplexobj(log_mag):
+                raise ValueError(
+                    "log_prior must be the real log|a_m|; "
+                    "condition a phased state with apply_measurement"
+                )
+            if log_mag.ndim != 1 or log_mag.size < 2:
+                raise ValueError(f"log_prior must hold N+1 >= 2 levels, got shape {log_mag.shape}")
+            atom_count = log_mag.size - 1
+        self.atom_count, self._log_top = atom_count, log_mag.max()
         if self._log_top == -np.inf:
             raise PosteriorError("prior has empty support")
-        self._log_mag = log_mag
-        self._support = np.flatnonzero(log_mag > -np.inf)  # the occupied levels, ascending
+        self._log_mag, self._first = log_mag, first
+        # the occupied levels, ascending
+        self._support = first + np.flatnonzero(log_mag > -np.inf)
 
     def window(self, n_atoms: int, first: int, stop: int) -> np.ndarray:
-        """Levels ``first`` ... ``stop - 1`` of the array; ``n_atoms`` is its ``atom_count``."""
-        return self._log_mag[first:stop]
+        """Levels ``first`` ... ``stop - 1``, -inf outside the array; ``n_atoms`` is its ``atom_count``."""
+        return band_window(self._log_mag, self._first, first, stop, -np.inf)
 
     def reference(self, points):
         """The occupied levels next to each of ``points``, and twice their log fall below the top.
@@ -89,7 +98,7 @@ class _ArrayPrior:
         above = np.searchsorted(support, points)
         sides = np.minimum(np.maximum(np.array((above, above - 1)), 0), support.size - 1)
         levels = support[sides]
-        return levels, 2.0 * (self._log_top - self._log_mag[levels])
+        return levels, 2.0 * (self._log_top - self._log_mag[levels - self._first])
 
 
 @dataclass(frozen=True)
@@ -487,12 +496,13 @@ def _chunks(count, r0, r1, width):
 
 
 def _state_prior(state: SpinEnsembleState) -> _ArrayPrior:
-    """log|a_m| of the state as the real prior :func:`posterior_batch` conditions.
+    """log|a_m| of the state's band as the real prior :func:`posterior_batch` conditions.
 
-    Unoccupied levels give -inf, which the kernel leaves at probability 0.
+    Unoccupied levels, inside the band or outside it, give -inf, which the
+    kernel leaves at probability 0.
     """
     with np.errstate(divide="ignore"):
-        return _ArrayPrior(np.log(np.abs(state.amplitudes)))
+        return _ArrayPrior(np.log(np.abs(state.band)), state.atom_count, state.first)
 
 
 def _densities_only(probs, rows, first, count):
@@ -521,7 +531,7 @@ def _condition_one(prior, setting: MeasurementSetting, outcome, figure=None):
         band = slice(first[0], first[0] + count[0])
         phase = setting.eta * m_ladder(n_atoms, band.start, band.stop)
         if not css:
-            phase = np.angle(prior.amplitudes[band]) + phase
+            phase = np.angle(prior._levels(band.start, band.stop)) + phase
         post = SpinEnsembleState.from_probabilities(n_atoms, probs[0, : count[0]], phase, band.start)
         return post, None if figure is None else float(figure(probs, rows, first, count)[0])
 
@@ -590,16 +600,20 @@ def sample_outcomes(
 ) -> np.ndarray:
     """Vectorized i.i.d. records: m with probability P(m), then Y ~ N(center_m, 1/2).
 
-    P(m) is a state's, or Binomial(N, 1/2) for a :class:`CssPrior` of one atom count.
+    P(m) is a state's, drawn from its band, or Binomial(N, 1/2) for a
+    :class:`CssPrior` of one atom count.
     """
+    if not isinstance(n_shots, (int, np.integer)) or isinstance(n_shots, bool):
+        raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
     if n_shots < 1:
         raise ValueError(f"n_shots must be >= 1, got {n_shots}")
     rng = np.random.default_rng(seed)
     if isinstance(state, CssPrior):
         m = rng.binomial(_check_atom_count(state.atom_count), 0.5, n_shots) - state.atom_count / 2
     else:
-        p = np.abs(state.amplitudes) ** 2
-        m = m_ladder(state.atom_count)[rng.choice(p.size, size=n_shots, p=p / p.sum())]
+        p = np.abs(state.band) ** 2
+        levels = m_ladder(state.atom_count, state.first, state.first + p.size)
+        m = levels[rng.choice(p.size, size=n_shots, p=p / p.sum())]
     return rng.normal(_centers(setting, m), math.sqrt(0.5))
 
 
@@ -665,6 +679,7 @@ def acceptance_probability(
         raise ValueError(f"half_width must be positive, got {half_width}")
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
-    p = np.abs(state.amplitudes) ** 2
-    offset = np.abs(target - _centers(setting, m_ladder(state.atom_count)))
+    p = np.abs(state.band) ** 2
+    levels = m_ladder(state.atom_count, state.first, state.first + p.size)
+    offset = np.abs(target - _centers(setting, levels))
     return float(0.5 * (erfc(offset - half_width) - erfc(offset + half_width)) @ p)

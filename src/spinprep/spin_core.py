@@ -2,7 +2,8 @@
 
 The symmetric subspace of N spin-1/2 atoms carries total spin S = N/2 and is
 spanned by the Dicke states |S, m>, m = -S ... S (half-integer lattice for odd
-N).  A pure state is a complex amplitude vector of length N+1 over that basis.
+N).  A pure state is a complex amplitude vector of length N+1 over that basis,
+held as its band: the amplitudes from its first to its last nonzero level.
 Every z-axis observable is a diagonal sum over |a_m|^2, and within the fixed-S
 subspace <Sx^2 + Sy^2> = S(S+1) - <Sz^2>, an identity that the tests check
 against explicit spin matrices for small N.
@@ -20,6 +21,8 @@ NORM_TOL = 1e-12
 
 _LATTICE_TOL = 1e-9
 _LN2 = math.log(2.0)
+# exp(x) rounds to 0 at and below log(2^-1075), half the smallest subnormal
+_EXP_UNDERFLOW = -1075 * _LN2
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # the largest atom count: above 2^53 the level indices k and m = k - N/2 are not exact floats
 _MAX_ATOMS = 1 << 53
@@ -45,42 +48,66 @@ def _locked(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SpinEnsembleState:
     """Normalized pure state of ``atom_count`` atoms in the Dicke basis.
 
-    ``amplitudes[k]`` multiplies |S, m> with m = k - S, S = atom_count / 2.
-    Instances are immutable; the amplitude array is write-locked.  Equality
-    is identity, so states can be compared and hashed; compare amplitudes
-    (or take :func:`fidelity`) to compare two states' contents.
+    The state holds its band: ``band[i]`` multiplies |S, m> with
+    m = ``first`` + i - S, S = atom_count / 2, and every level outside the
+    band has amplitude exactly 0.  ``amplitudes`` is the dense vector over
+    all N+1 levels, built on request.  Instances are immutable; the band
+    and every dense vector built from it are write-locked.  Equality is
+    identity, so states can be compared and hashed; compare amplitudes (or
+    take :func:`fidelity`) to compare two states' contents.
     """
 
     atom_count: int
-    amplitudes: np.ndarray
+    first: int
+    band: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "atom_count", _check_atom_count(self.atom_count))
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.atom_count + 1,):
-            raise ValueError(
-                f"expected {self.atom_count + 1} amplitudes, got shape {amps.shape}"
-            )
-        norm2 = float(np.vdot(amps, amps).real)
+    def __init__(self, atom_count: int, amplitudes):
+        """The state of the dense ``amplitudes`` over all N+1 levels, holding the
+        span from its first to its last nonzero level."""
+        n = _check_atom_count(atom_count)
+        amps = np.asarray(amplitudes, dtype=complex)
+        if amps.shape != (n + 1,):
+            raise ValueError(f"expected {n + 1} amplitudes, got shape {amps.shape}")
+        occupied = np.flatnonzero(amps)
+        first, stop = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 1)
+        self._hold(n, first, amps[first:stop])
+
+    def _hold(self, atom_count: int, first: int, band: np.ndarray):
+        """Take ``band`` (complex, 1-d) as levels ``first`` ... of the state, once its norm is checked."""
+        norm2 = float(np.vdot(band, band).real)
         # a non-finite amplitude makes the norm inf or nan, so this check runs only then
         if not abs(norm2 - 1.0) <= NORM_TOL:
-            if not np.isfinite(amps).all():
+            if not np.isfinite(band).all():
                 raise ValueError("amplitudes must be finite")
             raise ValueError(f"squared norm {norm2} deviates from 1 by more than {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", _locked(amps))
+        object.__setattr__(self, "atom_count", atom_count)
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "band", _locked(band))
+
+    @classmethod
+    def _of_band(cls, atom_count: int, first: int, band: np.ndarray) -> "SpinEnsembleState":
+        """The state whose levels ``first`` ... hold ``band``, 0 on every other level."""
+        state = cls.__new__(cls)
+        state._hold(atom_count, first, band)
+        return state
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense amplitudes over all N+1 levels, a write-locked vector built on request."""
+        return _locked(self._levels(0, self.atom_count + 1))
+
+    def _levels(self, first: int, stop: int) -> np.ndarray:
+        """Amplitudes of levels ``first`` ... ``stop - 1``, 0 outside the band (see :func:`band_window`)."""
+        return band_window(self.band, self.first, first, stop, 0.0)
 
     @classmethod
     def from_unnormalized(cls, atom_count: int, amplitudes) -> "SpinEnsembleState":
-        """Build a state from raw amplitudes, dividing out the norm."""
-        amps = np.asarray(amplitudes, dtype=complex)
-        norm = np.linalg.norm(amps)
-        if not np.isfinite(norm) or norm == 0.0:
-            raise ValueError("cannot normalize amplitudes with zero or non-finite norm")
-        return cls(atom_count, amps / norm)
+        """Build a state from raw amplitudes, dividing out the norm (see :func:`_normalized`)."""
+        return cls(atom_count, _normalized(np.asarray(amplitudes, dtype=complex)))
 
     @classmethod
     def from_probabilities(
@@ -90,17 +117,54 @@ class SpinEnsembleState:
 
         ``probs`` and ``phase`` hold the levels ``first``, ``first + 1``, ...:
         all N+1 levels (``first`` 0, the default) or a band of them, such as
-        a record's band from :func:`spinprep.measurement.posterior_batch`.
-        Every level outside them gets amplitude 0, and ``sqrt``, ``cos`` and
-        ``sin`` run on the given levels only.
+        a record's band from :func:`spinprep.measurement.posterior_batch`,
+        which becomes the state's band.  Every level outside them gets
+        amplitude 0, and nothing runs on those levels.
         """
         magnitude = np.sqrt(probs)
-        amps = np.zeros(atom_count + 1, dtype=complex)
-        band = amps[first : first + magnitude.size]
+        band = np.empty(magnitude.size, dtype=complex)
         # magnitude * exp(i phase) through cos and sin: several times faster than complex exp
         np.multiply(magnitude, np.cos(phase), out=band.real)
         np.multiply(magnitude, np.sin(phase), out=band.imag)
-        return cls(atom_count, amps)
+        return cls._of_band(atom_count, first, band)
+
+
+def band_window(values: np.ndarray, at: int, first: int, stop: int, fill) -> np.ndarray:
+    """Levels ``first`` ... ``stop - 1`` of a band ``values`` that starts at level ``at``.
+
+    A view where the band holds them all, else a fresh array with ``fill``
+    on the levels outside the band.
+    """
+    lo, hi = first - at, stop - at
+    if 0 <= lo and hi <= values.size:
+        return values[lo:hi]
+    window = np.full(stop - first, fill, dtype=values.dtype)
+    inside = slice(max(lo, 0), min(hi, values.size))
+    if inside.start < inside.stop:
+        window[inside.start - lo : inside.stop - lo] = values[inside]
+    return window
+
+
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    """Complex ``amps`` divided by their norm.
+
+    Where the plain norm over- or underflows, the amplitudes are first
+    scaled by a power of two, which is exact but for levels that the
+    division would take below the float range anyway; an input whose plain
+    norm is finite and nonzero keeps every bit of ``amps / norm``.
+    """
+    with np.errstate(over="ignore"):  # an overflowing sum of squares is caught below
+        norm = np.linalg.norm(amps)
+    if not 0.0 < norm < math.inf:
+        peak = max(np.abs(amps.real).max(initial=0.0), np.abs(amps.imag).max(initial=0.0))
+        if not 0.0 < peak < math.inf:
+            raise ValueError("cannot normalize amplitudes with zero or non-finite norm")
+        exponent = -math.frexp(peak)[1]
+        scaled = np.empty_like(amps)
+        np.ldexp(amps.real, exponent, out=scaled.real)
+        np.ldexp(amps.imag, exponent, out=scaled.imag)
+        amps, norm = scaled, np.linalg.norm(scaled)
+    return amps / norm
 
 
 @dataclass(frozen=True)
@@ -300,20 +364,33 @@ def make_css(n_atoms: int) -> SpinEnsembleState:
     """Coherent spin state along +x, Sx |psi> = S |psi>.
 
     Amplitudes are the square roots of the symmetric binomial distribution,
-    2^{-S} C(2S, S+m)^{1/2}, exponentiated from :func:`css_log_window` over
-    all N+1 levels; levels below the float range become exact zeros.
+    2^{-S} C(2S, S+m)^{1/2}, exponentiated from :func:`css_log_window`; the
+    state's band is the levels whose amplitude lies in the float range, every
+    other level an exact 0.  With m = k - N/2, the fall of level k below the
+    top level c = N // 2 is log C(N, c) - log C(N, k) >= m^2 / (N/2 + |m|) - 1/4
+    (log C(N, N/2 + m) - log C(N, N/2) <= -m^2 / (N/2 + |m|), and C(N, N/2)
+    exceeds C(N, c) by less than e^{1/4}), so the window is taken only over
+    the levels where that bound leaves room above the float range, and
+    ``exp`` runs only on the levels that do not underflow.
     """
     n = _check_atom_count(n_atoms)
-    return SpinEnsembleState.from_unnormalized(n, np.exp(css_log_window(n, 0, n + 1)))
+    s = 0.5 * n
+    # twice the room between the top level and the float range, plus the 1/4
+    room = 2.0 * (0.5 * _log_binomial_half(n, n // 2) - _EXP_UNDERFLOW) + 0.25
+    reach = 0.5 * (room + math.sqrt(room * (room + 4.0 * s)))
+    first, stop = max(0, math.floor(s - reach)), min(n + 1, math.ceil(s + reach) + 1)
+    log_mag = css_log_window(n, first, stop)
+    # log C(N, k) is concave in k, so the levels in the float range are consecutive
+    kept = np.flatnonzero(log_mag > _EXP_UNDERFLOW)
+    lo, hi = int(kept[0]), int(kept[-1]) + 1
+    band = np.exp(log_mag[lo:hi]).astype(complex)
+    return SpinEnsembleState._of_band(n, first + lo, _normalized(band))
 
 
 def make_dicke(n_atoms: int, m: float) -> SpinEnsembleState:
-    """Dicke state |S, m> with S = n_atoms / 2."""
+    """Dicke state |S, m> with S = n_atoms / 2: a band of one level."""
     n = _check_atom_count(n_atoms)
-    idx = _lattice_index(n, m)
-    amps = np.zeros(n + 1, dtype=complex)
-    amps[idx] = 1.0
-    return SpinEnsembleState(n, amps)
+    return SpinEnsembleState._of_band(n, _lattice_index(n, m), np.ones(1, dtype=complex))
 
 
 def make_superposition_target(n_atoms: int, m_c: float, eta: float = 0.0) -> SpinEnsembleState:
@@ -328,13 +405,14 @@ def make_superposition_target(n_atoms: int, m_c: float, eta: float = 0.0) -> Spi
         raise ValueError(f"m_c must be non-negative, got {m_c}")
     idx_plus = _lattice_index(n, m_c)
     idx_minus = _lattice_index(n, -m_c)
-    amps = np.zeros(n + 1, dtype=complex)
+    # a band of 2 m_c + 1 levels, from -m_c to m_c
+    band = np.zeros(idx_plus - idx_minus + 1, dtype=complex)
     if idx_plus == idx_minus:
-        amps[idx_plus] = 1.0
+        band[0] = 1.0
     else:
-        amps[idx_plus] = np.exp(1j * eta * m_c) / math.sqrt(2.0)
-        amps[idx_minus] = np.exp(-1j * eta * m_c) / math.sqrt(2.0)
-    return SpinEnsembleState(n, amps)
+        band[-1] = np.exp(1j * eta * m_c) / math.sqrt(2.0)
+        band[0] = np.exp(-1j * eta * m_c) / math.sqrt(2.0)
+    return SpinEnsembleState._of_band(n, idx_minus, band)
 
 
 def span_bounds(width: int, count) -> np.ndarray:
@@ -385,8 +463,8 @@ def _z_moments(probs, n_atoms: int, first=0, count=None):
 
 
 def observables(state: SpinEnsembleState) -> ObservableReport:
-    """Spin-z moments, transverse second moment, and the squeezing parameter."""
-    moments = _z_moments(np.abs(state.amplitudes) ** 2, state.atom_count)
+    """Spin-z moments, transverse second moment, and the squeezing parameter, from the band."""
+    moments = _z_moments(np.abs(state.band) ** 2, state.atom_count, state.first)
     return ObservableReport(*(float(v[0]) for v in moments))
 
 
@@ -403,9 +481,11 @@ def dicke_squeezing(probs, n_atoms, first=0, count=None) -> np.ndarray:
 
 
 def fidelity(a: SpinEnsembleState, b: SpinEnsembleState) -> float:
-    """|<a|b>|^2; invariant under a global phase of either argument."""
+    """|<a|b>|^2 over the levels the two bands share; invariant under a global phase of either."""
     if a.atom_count != b.atom_count:
         raise ValueError(
             f"fidelity requires equal atom counts, got {a.atom_count} and {b.atom_count}"
         )
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    first = max(a.first, b.first)
+    stop = max(first, min(a.first + a.band.size, b.first + b.band.size))
+    return float(abs(np.vdot(a._levels(first, stop), b._levels(first, stop))) ** 2)

@@ -248,6 +248,35 @@ def lattice_gaussian_log_density(n_atoms, chi_p, record, reach=40):
     return log_sum + 0.5 * math.log(2.0 / (math.pi * n_atoms)) - 0.5 * math.log(math.pi)
 
 
+def dense_moments(amplitudes):
+    """(<Sz>, <Sz^2>, Var Sz, <Sx^2 + Sy^2>, xi_D) of dense amplitudes over all N+1 levels.
+
+    Plain dot products over the whole ladder, in the absolute coordinate m,
+    and <Sx^2 + Sy^2> = S(S+1) - <Sz^2>.
+    """
+    p = np.abs(amplitudes) ** 2
+    n_atoms = p.size - 1
+    m = np.arange(n_atoms + 1) - n_atoms / 2
+    mean = p @ m
+    var = p @ (m - mean) ** 2
+    s = n_atoms / 2
+    perp = s * (s + 1) - var - mean * mean
+    return mean, var + mean * mean, var, perp, n_atoms * (var + 0.25) / perp
+
+
+def dense_acceptance(amplitudes, chi_x, chi_p, target, half_width):
+    """Probability that the record falls within ``half_width`` of ``target``, over all N+1 levels.
+
+    sum_m P(m) (1/2) [erf(target + h - c_m) - erf(target - h - c_m)], with
+    c_m = -(chi_x m^2 + chi_p m): the plain erf difference, which loses
+    relative precision only in far tails.
+    """
+    p = np.abs(amplitudes) ** 2
+    m = np.arange(p.size) - (p.size - 1) / 2
+    centers = -(chi_x * m * m + chi_p * m)
+    return 0.5 * (erf(target + half_width - centers) - erf(target - half_width - centers)) @ p
+
+
 def mixture_cdf(x, state, setting):
     """Exact CDF of the outcome: mixture of variance-1/2 Gaussians."""
     p = np.abs(state.amplitudes) ** 2

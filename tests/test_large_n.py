@@ -1,17 +1,24 @@
-"""The coherent-state prior on a window of levels, and post states built from a band.
+"""The coherent-state prior on a window of levels, and states that hold a band.
 
 Every CSS-conditioned path reads the prior only on the window of Dicke levels
 its records' bands index, through ``css_log_window``, and builds a post state
-only on its record's band.  These tests pin that against the whole-ladder
-constructions, against exact rational arithmetic, and in memory at N = 10^7.
+only on its record's band, which the state holds; every reader of a state
+reads that band alone.  These tests pin that against the whole-ladder
+constructions and dense forms, against exact rational arithmetic, and in
+memory at N = 10^7.
 """
 
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from _oracles import (
+    dense_acceptance,
+    dense_moments,
     exact_css_log_density,
     exact_dss_xi_d,
     exact_log_binomial_ratio,
@@ -24,10 +31,15 @@ from spinprep import (
     CssPrior,
     MeasurementSetting,
     SpinEnsembleState,
+    acceptance_probability,
     apply_measurement,
     css_log_window,
     dss_rows,
+    fidelity,
     make_css,
+    make_dicke,
+    observables,
+    outcome_pdf,
     posterior_batch,
     prepare_dss,
     prepare_superposition,
@@ -206,6 +218,26 @@ def test_dss_rows_at_ten_million_atoms_never_holds_the_ladder():
     assert np.all(np.isfinite(log_density))
 
 
+def test_states_at_ten_million_atoms_hold_their_band_only():
+    # the post state holds its band of 31 levels (27 nonzero), and the next
+    # update, the moments and the overlap read it alone; a dense post state
+    # peaked at 153 MB, and apply_measurement and observables of it at 381 and 534 MB
+    n_atoms = 10**7
+    tracemalloc.start()
+    try:
+        post = prepare_dss(n_atoms, 2.0, 0.0).post_state
+        again, density = apply_measurement(post, MeasurementSetting(chi_p=2.0, eta=0.3), 0.4)
+        report = observables(again)
+        overlap = fidelity(again, make_dicke(n_atoms, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # one complex array over the ladder alone is 160 MB
+    assert post.band.size < 100 and again.band.size <= post.band.size
+    assert 1.0 / (n_atoms + 2) <= report.xi_d < 1.0 and np.isfinite(density)
+    assert 0.5 < overlap < 1.0
+
+
 def test_far_records_at_huge_atom_counts_read_their_band_only():
     # a record 3 sigma from the centre of the CSS level law: its band, bounded
     # from the top level, held about 2^20 levels at N = 2^40 (179 MB) and was
@@ -233,3 +265,64 @@ def test_superposition_rows_read_the_prior_on_their_window_only():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert np.all((fid >= 0.0) & (fid <= 1.0 + 1e-12))
+
+
+@st.composite
+def banded_states(draw, n_atoms=None):
+    """(state, dense amplitudes): a random band, zeros inside it, at a random place on the ladder."""
+    if n_atoms is None:
+        n_atoms = draw(st.integers(1, 3000))
+    first = draw(st.integers(0, n_atoms))
+    width = draw(st.integers(1, min(n_atoms + 1 - first, 400)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = rng.random(width)
+    probs[rng.random(width) < 0.4] = 0.0
+    probs[rng.integers(width)] = 1.0  # never the zero vector
+    probs /= probs.sum()
+    phase = rng.uniform(-math.pi, math.pi, width)
+    state = SpinEnsembleState.from_probabilities(n_atoms, probs, phase, first)
+    dense = np.zeros(n_atoms + 1, dtype=complex)
+    dense[first : first + width] = full_ladder_amplitudes(probs, phase)
+    return state, dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_banded_states_read_as_their_dense_forms(data):
+    state, dense = data.draw(banded_states())
+    n_atoms = state.atom_count
+    levels = m_ladder(n_atoms)
+    np.testing.assert_array_equal(state.amplitudes, dense)
+    # the public constructor holds the span of the nonzero levels: the same dense vector
+    np.testing.assert_array_equal(SpinEnsembleState(n_atoms, dense).amplitudes, dense)
+    np.testing.assert_allclose(astuple(observables(state)), dense_moments(dense),
+                               rtol=1e-12, atol=1e-12 * n_atoms)
+    # bands that overlap this one or not, and a Dicke state anywhere on the ladder
+    dicke = make_dicke(n_atoms, levels[data.draw(st.integers(0, n_atoms))])
+    for other, other_dense in (data.draw(banded_states(n_atoms)), (dicke, dicke.amplitudes)):
+        assert fidelity(state, other) == pytest.approx(
+            abs(np.vdot(dense, other_dense)) ** 2, rel=1e-12, abs=1e-15)
+    # a record near the center of an occupied level
+    m = levels[data.draw(st.sampled_from(np.flatnonzero(dense).tolist()))]
+    chi_x = data.draw(st.sampled_from([0.0, 1e-3, 0.05, 0.4]))
+    chi_p = data.draw(st.sampled_from([0.0, 0.02, 0.3, 1.5]))
+    setting = MeasurementSetting(chi_x=chi_x, chi_p=chi_p, eta=data.draw(st.sampled_from([0.0, 0.7])))
+    record = data.draw(st.floats(-2.0, 2.0)) - (chi_x * m * m + chi_p * m)
+    half_width = data.draw(st.sampled_from([0.1, 1.0, 4.0]))
+    # both round target - c_m (the oracle twice) at the scale of the record, and the
+    # window mass moves at most 2/sqrt(pi) times as much
+    assert acceptance_probability(state, setting, record, half_width) == pytest.approx(
+        dense_acceptance(dense, chi_x, chi_p, record, half_width),
+        rel=1e-12, abs=2e-15 * (1.0 + abs(record)))
+    # c_m rounded as the kernel rounds it: the record lies at the scale of c_m, and a
+    # residual rounded otherwise moves exp(-residual^2) by 1e-11 at |c_m| ~ 10^5
+    residuals = record + (chi_x * (levels * levels) + chi_p * levels)
+    mixture = (np.abs(dense) ** 2) @ np.exp(-residuals * residuals) / math.sqrt(math.pi)
+    assert outcome_pdf(state, setting, record) == pytest.approx(mixture, rel=1e-11)
+    # the post state's dense form is the full-ladder post of the dense prior, bit for bit
+    post, density = apply_measurement(state, setting, record)
+    assert density == outcome_pdf(state, setting, record)
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(dense))
+    phase = np.angle(dense) + setting.eta * levels
+    np.testing.assert_array_equal(post.amplitudes, _full_ladder_post(log_mag, setting, record, phase))

@@ -389,8 +389,12 @@ def test_sample_css_variance_matches_mixture_oracle():
 
 
 def test_sample_outcomes_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("n_shots must be >= 1, got 0")):
         sample_outcomes(make_css(4), MeasurementSetting(), 0, 1)
+    for n_shots in (2.0, True, "2", None):
+        with pytest.raises(ValueError, match=re.escape(f"n_shots must be an integer, got {n_shots!r}")):
+            sample_outcomes(make_css(40), MeasurementSetting(chi_p=0.1), n_shots, 1)
+    assert sample_outcomes(make_css(40), MeasurementSetting(chi_p=0.1), np.int64(2), 1).shape == (2,)
     with pytest.raises(ValueError, match="atom count"):
         sample_outcomes(CssPrior(np.array([40, 41])), MeasurementSetting(chi_p=0.4), 10, 1)
 

@@ -273,12 +273,26 @@ def sparse_log_prior(n_atoms, seed):
     return log_mag
 
 
+def banded_state(n_atoms, first, width, seed):
+    """A state on levels ``first`` ... ``first + width - 1`` alone, 60 % of them unoccupied."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random(width)
+    probs[rng.random(width) < 0.6] = 0.0
+    probs[width // 2] = 1.0  # some level is occupied
+    probs /= probs.sum()
+    return SpinEnsembleState.from_probabilities(n_atoms, probs, rng.uniform(-3, 3, width), first)
+
+
 @pytest.mark.parametrize("prior, records, chi_p", [
     (CssPrior(1000), np.linspace(-400.0, 400.0, 9), np.array([0.06, 0.4, 2.0])[:, None]),
     # fig3 c: one record per atom count, 56 ladders on shared level axes
     (CssPrior(np.arange(10, 121, 2)), np.zeros(56), 2.0),
     (_ArrayPrior(sparse_log_prior(300, 7)), np.linspace(-200.0, 200.0, 9), 1.5),
-], ids=["css", "css_56_counts", "array"])
+    # a state's band, levels 4000 ... 4059 of 10^4: its windows are offset, and
+    # records outside the band read -inf past its ends
+    (_state_prior(banded_state(10_000, 4000, 60, 3)), np.linspace(-15.0, 15.0, 9),
+     np.array([0.1, 1.5])[:, None]),
+], ids=["css", "css_56_counts", "array", "banded_state"])
 def test_kernel_reads_a_prior_only_through_its_window(prior, records, chi_p):
     # every window the kernel asks for lies on its ladder and holds each
     # record's band, and a prior that only forwards window calls changes nothing

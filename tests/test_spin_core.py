@@ -255,6 +255,32 @@ def test_state_validation():
         SpinEnsembleState.from_unnormalized(4, np.zeros(5))
 
 
+@pytest.mark.parametrize("raw", [[1e200, 1e200, 0.0], [1e-200, 1e-200, 0.0], [1e-170, 0.0, 0.0]])
+def test_from_unnormalized_takes_amplitudes_whose_plain_norm_leaves_the_float_range(raw):
+    # the squares overflow or underflow, so the plain norm is inf or 0; a
+    # power-of-two scale, which is exact, brings them back
+    state = SpinEnsembleState.from_unnormalized(2, raw)
+    expected = [1 / math.sqrt(2)] * 2 + [0.0] if raw[1] else [1.0, 0.0, 0.0]
+    np.testing.assert_allclose(state.amplitudes, expected, rtol=1e-15, atol=0)
+
+
+def test_from_unnormalized_keeps_the_bits_of_a_plain_norm():
+    raw = np.random.default_rng(5).normal(size=41) + 1j
+    state = SpinEnsembleState.from_unnormalized(40, raw)
+    np.testing.assert_array_equal(state.amplitudes, raw / np.linalg.norm(raw))
+
+
+def test_state_holds_the_span_of_its_nonzero_levels():
+    amps = np.zeros(11, dtype=complex)
+    amps[[3, 5, 7]] = 0.6, 0.0, 0.8j
+    state = SpinEnsembleState(10, amps)
+    assert state.first == 3 and state.band.tolist() == [0.6, 0, 0, 0, 0.8j]
+    np.testing.assert_array_equal(state.amplitudes, amps)
+    assert (make_dicke(10**7, 2).first, make_dicke(10**7, 2).band.size) == (5_000_002, 1)
+    target = make_superposition_target(10**7, 3, 0.4)
+    assert (target.first, target.band.size) == (4_999_997, 7)
+
+
 def test_state_amplitudes_are_immutable():
     css = make_css(4)
     with pytest.raises(ValueError):
