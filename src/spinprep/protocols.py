@@ -130,9 +130,9 @@ def _of_rows(n_atoms, rows):
 
 
 def _xi_rows(n_atoms):
-    """Kernel ``reduce``: xi_D of each record's band."""
-    return lambda probs, rows, first, count: dicke_squeezing(
-        probs, _of_rows(n_atoms, rows), first, count
+    """Kernel ``reduce``: xi_D of each record's band, normalized in place."""
+    return lambda weights, mass, rows, first, count: dicke_squeezing(
+        np.divide(weights, mass[:, None], out=weights), _of_rows(n_atoms, rows), first, count
     )
 
 
@@ -144,12 +144,12 @@ def _fidelity_rows(n_atoms, m_c):
     index, so a failing record's m_c, nan for a nan record, is never cast.
     """
 
-    def fidelity_rows(probs, rows, first, count):
+    def fidelity_rows(weights, mass, rows, first, count):
         atoms = _of_rows(n_atoms, rows)
         k = np.rint(m_c[rows] + atoms / 2.0).astype(int)
         column = np.array((k, atoms - k)) - first
-        inside = (column >= 0) & (column < probs.shape[1])
-        p_plus, p_minus = probs[np.arange(k.size), column * inside] * inside
+        inside = (column >= 0) & (column < weights.shape[1])
+        p_plus, p_minus = weights[np.arange(k.size), column * inside] / mass * inside
         return _target_fidelity(p_plus, p_minus, m_c[rows])
 
     return fidelity_rows

@@ -90,6 +90,25 @@ def log_domain_rows(amplitudes, records, chi_x, chi_p, reference_centers):
     return log_w, probs / probs.sum(axis=1, keepdims=True)
 
 
+def normalized_first(reduce, chunks=None):
+    """A kernel ``reduce`` handed rows that are normalized before it reads them.
+
+    The reference for the kernel's ``reduce(weights, mass, rows, first,
+    count)``: every element of a chunk is divided by its row's mass, one
+    pass over the whole chunk, and ``reduce`` then reads those probabilities
+    with a mass of 1, which it divides by exactly (x / 1 is x).  So its
+    values are those of a reduce that reads rows normalized in full.
+    ``chunks``, if given, collects each chunk's shape.
+    """
+
+    def reference(weights, mass, rows, first, count):
+        if chunks is not None:
+            chunks.append(weights.shape)
+        return reduce(weights / mass[:, None], np.ones_like(mass), rows, first, count)
+
+    return reference
+
+
 def decimal_posterior(amplitudes, chi_x, chi_p, record):
     """Level probabilities after one record, from the amplitudes in 60-digit decimal.
 

@@ -130,8 +130,8 @@ def test_css_window_must_lie_inside_the_ladder(bad):
 @pytest.mark.parametrize("n_atoms", [40, 1001, 10**5])
 def test_css_prior_conditions_as_its_array(n_atoms):
     records = np.array([-4.0, 0.0, 0.7, 3.0, 25.0])
-    reduce = lambda probs, rows, first, count: np.concatenate(  # noqa: E731
-        (probs, first[:, None], count[:, None]), axis=1
+    reduce = lambda weights, mass, rows, first, count: np.concatenate(  # noqa: E731
+        (weights / mass[:, None], first[:, None], count[:, None]), axis=1
     )
     for chi_x, chi_p in ((0.0, 0.5), (0.01, 0.0), (0.02, 0.3)):
         band, log_density = posterior_batch(CssPrior(n_atoms), records, chi_x, chi_p, reduce)

@@ -4,10 +4,11 @@ The kernel's oracle is the plain linear-domain product binomial prior x
 Gaussian weights, evaluated in decimal arithmetic whose exponent range no
 weight can underflow, so it needs no log-sum-exp shift and shares no code
 with the kernel.  POVM completeness, int M(Y)^dagger M(Y) dY = I, is checked
-by adaptive quadrature of each level's outcome density.
+by Gauss-Legendre quadrature of each level's outcome density.
 """
 
 import math
+import re
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -15,12 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from _oracles import decimal_posterior, decimal_xi_d, log_domain_rows, mixture_pdf
-from scipy.integrate import quad
+from _oracles import (
+    decimal_posterior,
+    decimal_xi_d,
+    log_domain_rows,
+    mixture_pdf,
+    normalized_first,
+)
 
 from spinprep import (
     CssPrior,
     MeasurementSetting,
+    PosteriorError,
     SpinEnsembleState,
     acceptance_probability,
     apply_measurement,
@@ -34,8 +41,14 @@ from spinprep import (
     posterior_batch,
     superposition_rows,
 )
-from spinprep.measurement import _ArrayPrior, _band_limits, _state_prior
-from spinprep.protocols import _xi_rows
+from spinprep.measurement import (
+    _ArrayPrior,
+    _band_limits,
+    _densities_only,
+    _state_prior,
+    level_rows,
+)
+from spinprep.protocols import _fidelity_rows, _packet_geometry, _xi_rows
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -213,8 +226,8 @@ def test_kernel_writes_each_chunk_at_its_records():
     chis = np.tile([0.1, 3.0, 0.4, 1.5], 500)
     widths = []
 
-    def reduce(probs, rows, first, count):
-        widths.append(probs.shape[1])
+    def reduce(weights, mass, rows, first, count):
+        widths.append(weights.shape[1])
         return rows
 
     rows, _ = posterior_batch(CssPrior(n_atoms), 0.5, chi_p=chis, reduce=reduce)
@@ -225,6 +238,126 @@ def test_kernel_writes_each_chunk_at_its_records():
     assert posterior_batch(CssPrior(1000), 0.5, chi_p=0.4, reduce=lambda *_: value)[0] is value
 
 
+# (N, records, chi_p, chi_x): bands of at most 41 levels, under numpy's own
+# ufunc buffer, and of about 130 to 5200 levels, each multi-row chunk under a
+# buffer of its row width; in one chunk, and in several
+REDUCE_CASES = {
+    "40x5": (40, 5, 0.4, 0.1),
+    "40x2000": (40, 2000, 0.4, 0.1),
+    "1e4x5": (10**4, 5, 0.03, 1e-4),
+    "1e4x150": (10**4, 150, 0.03, 1e-4),
+}
+
+
+def figure_records(n_atoms, size, chi_p, chi_x, per_record):
+    """Phase- and amplitude-quadrature records, within two sigma and on the packets,
+    with strengths shared or spread over x1 to x3 per record."""
+    scale = np.linspace(1.0, 3.0, size) if per_record else 1.0
+    chi_p, chi_x = chi_p * scale, chi_x * scale
+    sigma = np.sqrt(0.5 + chi_p * chi_p * n_atoms / 4.0)
+    dss = np.linspace(-2.0, 2.0, size) * sigma
+    packets = -chi_x * (n_atoms / 2.0 * np.linspace(0.1, 0.5, size)) ** 2
+    return chi_p, dss, chi_x, packets
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("per_record", [False, True], ids=["shared", "per_record"])
+@pytest.mark.parametrize("case", REDUCE_CASES.values(), ids=REDUCE_CASES.keys())
+def test_reduces_equal_reading_rows_normalized_first(case, per_record):
+    # the kernel hands a reduce unnormalized weights and their mass, and each
+    # reduce divides only what it reads: every value must equal, bit for bit,
+    # the reduce's value on rows divided in full by their mass first
+    n_atoms, size = case[:2]
+    chi_p, dss, chi_x, packets = figure_records(*case, per_record)
+    prior = CssPrior(n_atoms)
+    m_c = _packet_geometry(n_atoms, chi_x + np.zeros(size), packets)[0]
+    for reduce, records, strengths in (
+        (_xi_rows(n_atoms), dss, {"chi_p": chi_p}),
+        (_densities_only, dss, {"chi_p": chi_p}),
+        (_fidelity_rows(n_atoms, m_c), packets, {"chi_x": chi_x}),
+    ):
+        chunks = []
+        got = posterior_batch(prior, records, reduce=reduce, **strengths)
+        want = posterior_batch(prior, records, reduce=normalized_first(reduce, chunks), **strengths)
+        assert_same_bits(got, want)
+        # the case holds the chunks and band widths it names
+        assert (len(chunks) > 1) == (size > 5)
+        widths = [width for _, width in chunks]
+        assert max(widths) < 96 if n_atoms == 40 else min(widths) >= 96
+    # fig2 a and b: the default reduce scatters the normalized rows over the ladder
+    full_rows = normalized_first(lambda probs, mass, rows, first, count: level_rows(
+        probs, first, n_atoms + 1))
+    for records, strengths in ((dss, {"chi_p": chi_p}), (packets, {"chi_x": chi_x})):
+        assert_same_bits(posterior_batch(prior, records, **strengths),
+                         posterior_batch(prior, records, reduce=full_rows, **strengths))
+
+
+@pytest.mark.parametrize("bufsize", [None, 4096], ids=["numpy_default", "caller_set"])
+def test_kernel_leaves_numpy_state_as_the_caller_set_it(bufsize):
+    # each multi-row chunk runs under a ufunc buffer of its row width; the
+    # caller's buffer size and error state hold after every return and raise
+    records = np.linspace(-3.0, 3.0, 150)  # several chunks, bands of about 1770 levels
+    overflowing = records.copy()
+    overflowing[0] = -1e160
+    state, setting = make_css(10**4), MeasurementSetting(chi_p=0.03)
+    calls = (
+        lambda y: posterior_batch(CssPrior(10**4), y, chi_p=0.03),
+        lambda y: outcome_pdf(state, setting, y),
+        lambda y: apply_measurement(state, setting, y[0]),
+    )
+    with np.errstate(divide="raise", invalid="raise"):
+        if bufsize is not None:
+            np.setbufsize(bufsize)
+        caller = np.geterr(), np.getbufsize()
+        for call in calls:
+            call(records)
+            assert (np.geterr(), np.getbufsize()) == caller
+            with pytest.raises(PosteriorError):
+                call(overflowing)
+            assert (np.geterr(), np.getbufsize()) == caller
+
+
+def test_figures_keep_their_bits_under_any_caller_buffer():
+    def figures():
+        values = []
+        for case in ((40, 150, 0.4, 0.1), (10**4, 150, 0.03, 1e-4)):
+            chi_p, dss, chi_x, packets = figure_records(*case, per_record=False)
+            values += dss_rows(case[0], chi_p, dss)
+            values += superposition_rows(case[0], chi_x, packets)
+            values.append(outcome_pdf(make_css(case[0]), MeasurementSetting(chi_p=chi_p), dss))
+        return values
+
+    runs = []
+    for bufsize in (16, 8192):
+        with np.errstate():
+            np.setbufsize(bufsize)
+            runs.append(figures())
+    assert_same_bits(*runs)
+
+
+@pytest.mark.parametrize("failing", [(40, 100), (100, 40)], ids=["nan_first", "overflow_first"])
+def test_batch_names_its_first_failing_record_across_chunks(failing):
+    # a nan record and one whose squared residual overflows fail their rows'
+    # densities in different chunks, which do not run in record order
+    records = np.linspace(-3.0, 3.0, 150)
+    records[list(failing)] = math.nan, -1e160
+    first = records[min(failing)]
+    for reduce in (_densities_only, _xi_rows(10**4)):
+        chunks = []
+
+        def counted(weights, *rest, reduce=reduce):
+            chunks.append(weights.shape)
+            return reduce(weights, *rest)
+
+        with pytest.raises(PosteriorError, match=re.escape(f"record {first} lost")):
+            posterior_batch(CssPrior(10**4), records, chi_p=0.03, reduce=counted)
+        assert len(chunks) > 1
+
+
 def test_band_never_reads_a_neighbouring_ladder():
     # the N = 3000 record -1250 has a band of 125 levels, so its group's windows
     # run 125 levels past each band start; the 11- and 12-level ladders beside
@@ -232,7 +365,7 @@ def test_band_never_reads_a_neighbouring_ladder():
     n_atoms = np.array([10, 3000, 11, 10])
     records = np.array([0.0, -1250.0, 0.3, 2.0])
     count, _ = posterior_batch(CssPrior(n_atoms), records, chi_p=1.0,
-                               reduce=lambda probs, rows, first, count: count)
+                               reduce=lambda weights, mass, rows, first, count: count)
     assert count.tolist() == [11, 125, 12, 11]
     assert_rows_equal_per_record_calls(n_atoms, 1.0, records)
     probs, log_density = posterior_batch(CssPrior(n_atoms), records, chi_p=1.0)
@@ -300,7 +433,7 @@ def test_kernel_reads_a_prior_only_through_its_window(prior, records, chi_p):
     records, chi_p = records.ravel(), chi_p.ravel()
     logged = WindowLog(prior)
     bands, _ = posterior_batch(logged, records, chi_p=chi_p,
-                               reduce=lambda probs, rows, first, count: np.c_[first, count])
+                               reduce=lambda weights, mass, rows, first, count: np.c_[first, count])
     atoms = np.broadcast_to(prior.atom_count, records.shape)
     assert logged.windows
     for n, first, stop in logged.windows:
@@ -519,6 +652,11 @@ povm_settings = st.builds(
 )
 
 
+# a 256-node Gauss-Legendre rule over centre +- 40 integrates a variance-1/2
+# Gaussian to about 1e-13, and the tails beyond hold erfc(40), below 1e-690
+LEGENDRE_NODES, LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(256)
+
+
 @POVM
 @given(st.integers(1, 200), povm_settings, st.data())
 def test_level_densities_integrate_to_one(n_atoms, setting, data):
@@ -528,10 +666,7 @@ def test_level_densities_integrate_to_one(n_atoms, setting, data):
         m = k - n_atoms / 2
         state = make_dicke(n_atoms, m)
         center = -(setting.chi_x * m * m + setting.chi_p * m)
-        mass = sum(
-            quad(lambda y: outcome_pdf(state, setting, y), a, b, epsabs=1e-14, epsrel=1e-13)[0]
-            for a, b in ((-np.inf, center), (center, np.inf))
-        )
+        mass = 40.0 * LEGENDRE_WEIGHTS @ outcome_pdf(state, setting, center + 40.0 * LEGENDRE_NODES)
         assert mass == pytest.approx(1.0, rel=0, abs=1e-10)
 
 
