@@ -110,28 +110,6 @@ def write_json(result: SweepResult, stream) -> None:
     stream.write("\n")
 
 
-def read_result(path) -> dict:
-    """Parse an emitted CSV/JSON file back into spec + columns + rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return json.loads(text)
-    spec = version = None
-    columns, rows = None, []
-    for line in text.splitlines():
-        if line.startswith("# spec="):
-            spec = json.loads(line[len("# spec="):])
-        elif line.startswith("# version="):
-            version = line[len("# version="):]
-        elif line.startswith("#") or not line:
-            continue
-        elif columns is None:
-            columns = line.split(",")
-        else:
-            rows.append([float(v) for v in line.split(",")])
-    return {"spec": spec, "version": version, "columns": columns, "rows": rows}
-
-
 def _emit(result: SweepResult, out: str | None, fmt: str) -> None:
     writer = write_csv if fmt == "csv" else write_json
     if out is None:

@@ -252,6 +252,80 @@ def _band_limits(log_prior, y, cx, cp):
     return first, last, c_ref, residual
 
 
+def _record_band(log_prior, n_atoms: int, y: float, cx: float, cp: float):
+    """:func:`_band_limits` of one record, line for line on float64 scalars.
+
+    The same rule, with the same bits: (first, last, c_j, Y + c_j) equal
+    :func:`_band_limits`' entries for the record.  ``+ - * /``, ``sqrt``
+    and ``floor`` round as numpy's do; ``hypot`` is numpy's (``math``'s
+    differs in the last bit), and a division by 0 gives numpy's inf or nan
+    (:func:`_divide`).  The candidates for j come from the prior's
+    ``reference``, and the first of least |Y + c_m| is kept, a nan first,
+    as ``argmin`` keeps it.
+    """
+    s = 0.5 * n_atoms
+    half_cp = 0.5 * cp
+    v = _sqrt(cx) * _sqrt(abs(y))
+    half_slope = float(np.hypot(half_cp, v)) if y <= 0.0 else _sqrt(half_cp - v) * _sqrt(half_cp + v)
+    q = -half_cp
+    vertex = _divide(q, cx)
+    q = q - half_slope
+    upper = _fmax(_divide(y, q), vertex)
+    lower = _fmin(_divide(q, cx), vertex)
+    if lower == -math.inf:  # chi_x = 0: one root
+        lower = upper
+    top = s + s
+    centers = [_clip(lower + s, top), _clip(upper + s, top)]
+    levels, drops = log_prior.reference(np.array(centers)[:, None])
+    pick = least = None
+    for level, drop in zip(levels.ravel().tolist(), drops.ravel().tolist()):
+        m = level - s
+        offset = cx * (m * m) + cp * m
+        residual = y + offset
+        if least is None or least == least and not abs(residual) >= least:
+            pick, least = (offset, residual, drop), abs(residual)
+    c_ref, residual, drop = pick
+    reach = float(np.hypot(residual, _sqrt(drop - _LOG_PROB_FLOOR)))
+    half_slope = half_slope if half_slope >= 0.0 else 0.0  # and 0 for nan
+    reach = _divide(reach, half_slope + float(np.hypot(half_slope, _sqrt(cx * reach))))
+    first = _band_end(centers[0] - reach, -1.0, top)
+    return first, _band_end(centers[1] + reach, 2.0, top), c_ref, residual
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b as numpy divides floats: inf or nan where b is 0."""
+    if b:
+        return a / b
+    return math.nan if a == 0.0 or a != a else math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _sqrt(x: float) -> float:
+    """np.sqrt of a float: nan below 0."""
+    return math.sqrt(x) if x >= 0.0 else math.nan
+
+
+def _fmax(a, b):
+    """np.fmax of two floats: the other one where either is nan."""
+    return b if a != a or b > a else a
+
+
+def _fmin(a, b):
+    """np.fmin of two floats: the other one where either is nan."""
+    return b if a != a or b < a else a
+
+
+def _clip(x: float, top: float) -> float:
+    """np.fmin(np.fmax(x, 0), top): nan to 0."""
+    return x if 0.0 <= x <= top else top if x > top else 0.0
+
+
+def _band_end(x: float, margin: float, top: float) -> int:
+    """floor(x) + margin cut to 0 ... top, as :func:`_band_limits` cuts its ends (nan to 0)."""
+    if not math.isfinite(x):
+        return int(top) if x == math.inf else 0
+    return int(_clip(math.floor(x) + margin, top))
+
+
 def _ladders(atoms, n_records: int) -> tuple[list, list]:
     """The atom count of each ladder, a run of records with one count, and the runs' bounds.
 
@@ -334,7 +408,9 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
     records are taken in chunks of about 2^16 elements, each chunk of
     records x W levels with W its own widest band and its rows in record
     order; a group of several chunks is taken widest band first, so that
-    narrow bands are not padded to the widest.
+    narrow bands are not padded to the widest.  A single record skips this
+    layout: its band limits come from :func:`_record_band`, the same rule
+    on float64 scalars, and the prior's window over its band is its row.
     ``reduce(weights, mass, rows, first, count)`` maps each chunk to one
     value (or array) per record.  ``weights`` holds the unnormalized band
     weights of records ``rows`` (ascending) of the batch, records x W, entry
@@ -367,7 +443,20 @@ def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
 
 
 def _condition(log_prior, y, cx, cp, reduce):
-    """:func:`posterior_batch` on 1-d records and strengths that are already checked."""
+    """:func:`posterior_batch` on 1-d records and strengths that are already checked.
+
+    One record is conditioned on its band alone (:func:`_condition_record`),
+    several through the batch layout (:func:`_condition_batch`).
+    """
+    # an overflowing residual or a non-finite record is caught by the density check
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if y.size == 1:
+            return _condition_record(log_prior, y, float(cx[0]), float(cp[0]), reduce)
+        return _condition_batch(log_prior, y, cx, cp, reduce)
+
+
+def _condition_batch(log_prior, y, cx, cp, reduce):
+    """:func:`_condition` of several records, laid out in ladders, groups and chunks."""
     atoms = log_prior.atom_count
     ladder_n, bounds = _ladders(atoms, y.size)
     # strengths shared by every record (each sampled shot) give shared level offsets
@@ -414,8 +503,7 @@ def _condition(log_prior, y, cx, cp, reduce):
             log_p = work[: rows.size * band_width].reshape(-1, band_width)
             c_j = c_ref[at]
             if shared:
-                scratch = _level_windows(offsets, band_width)[bands]  # a copy, reused below
-                np.subtract(scratch, c_j[:, None], log_p)
+                np.subtract(_level_windows(offsets, band_width)[bands], c_j[:, None], log_p)
             else:
                 scratch = _level_windows(m, band_width)[bands]
                 np.multiply(scratch, scratch, log_p)
@@ -423,31 +511,16 @@ def _condition(log_prior, y, cx, cp, reduce):
                 scratch *= cp[at][:, None]
                 log_p += scratch
                 log_p -= c_j[:, None]
-            # (Y + c_m)^2 = (Y + c_j)^2 + (c_m - c_j)(c_m - c_j + 2 (Y + c_j)), j the
-            # reference level: the first term, shared by the row, goes to its shift
-            residual = r_ref[at]
-            np.add(log_p, (residual + residual)[:, None], scratch)  # c_m + c_j + 2Y
-            log_p *= scratch
-            del scratch  # freed before the next copy: two at once cost page faults
-            # 2 log|a_m w_m| up to the row constant -(Y + c_j)^2 - (1/2) log pi, in place
-            np.subtract(_level_windows(two_log_mag, band_width)[bands], log_p, log_p)
-            shift = np.maximum.reduce(log_p, axis=1)
-            log_p -= shift[:, None]
-            lost = log_p < _LOG_PROB_FLOOR
-            np.copyto(log_p, _LOG_PROB_FLOOR, where=lost)  # a masked copy: 2x a maximum's speed
-            weights = np.exp(log_p, log_p)
-            np.copyto(weights, 0.0, where=lost)
-            band_count = count[at]
-            mass = span_sums(weights, span_bounds(band_width, band_count))
-            # log(mass) is not finite where the mass is 0, inf or nan; a row
-            # constant that overflows leaves a finite mass but no density
-            chunk_density = np.log(mass) + (shift - residual * residual - 0.5 * _LOG_PI)
+                del scratch  # freed before the next copy: two at once cost page faults
+            weights, mass, chunk_density = _weigh(
+                log_p, r_ref[at], two_log_mag, bands, span_bounds(band_width, count[at])
+            )
             bad = rows[~np.isfinite(chunk_density)]
             if bad.size:
                 record = f"measurement update of record {y[bad[0]]} lost all amplitude mass"
                 failures.append((bad[0], record))
                 continue
-            chunk_values = reduce(weights, mass, rows, first[at], band_count)
+            chunk_values = reduce(weights, mass, rows, first[at], count[at])
             log_density[at] = chunk_density
             if rows.size == y.size:  # one chunk, e.g. a single record at large N: no copy
                 values = chunk_values
@@ -456,20 +529,69 @@ def _condition(log_prior, y, cx, cp, reduce):
                 values = np.empty((y.size, *chunk_values.shape[1:]), chunk_values.dtype)
             values[at] = chunk_values
 
-    # an overflowing residual or a non-finite record is caught by the density check
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first, last, c_ref, r_ref = _band_limits(log_prior, y, cx, cp)
-        count = last - first + 1
-        starts = bounds[:-1]
-        lo = np.minimum.reduceat(first, starts).tolist()
-        hi = np.maximum.reduceat(first, starts).tolist()
-        widest = np.maximum.reduceat(count, starts).tolist()
-        band_start = np.empty_like(first)  # each band's row on its group's level axis
-        for group in _ladder_groups(lo, hi, widest):
-            condition_group(*group)
+    first, last, c_ref, r_ref = _band_limits(log_prior, y, cx, cp)
+    count = last - first + 1
+    starts = bounds[:-1]
+    lo = np.minimum.reduceat(first, starts).tolist()
+    hi = np.maximum.reduceat(first, starts).tolist()
+    widest = np.maximum.reduceat(count, starts).tolist()
+    band_start = np.empty_like(first)  # each band's row on its group's level axis
+    for group in _ladder_groups(lo, hi, widest):
+        condition_group(*group)
     if failures:
         raise PosteriorError(min(failures)[1])
     return values, log_density
+
+
+def _condition_record(log_prior, y, cx, cp, reduce):
+    """:func:`_condition` of one record, on its band alone: no batch layout.
+
+    The band limits come from :func:`_record_band`, the prior is read on
+    the band, and the band is the record's one row.
+    """
+    n_atoms = _ladders(log_prior.atom_count, 1)[0][0]
+    first, last, c_j, residual = _record_band(log_prior, n_atoms, float(y[0]), cx, cp)
+    log_window = log_prior.window(n_atoms, first, last + 1)
+    m = m_ladder(n_atoms, first, last + 1)
+    log_p = cx * (m * m) + cp * m
+    log_p -= c_j
+    count = np.array((log_p.size,))
+    weights, mass, log_density = _weigh(
+        log_p.reshape(1, -1), np.array((residual,)), log_window + log_window, slice(0, 1),
+        span_bounds(log_p.size, count),
+    )
+    if not math.isfinite(log_density[0]):
+        raise PosteriorError(f"measurement update of record {y[0]} lost all amplitude mass")
+    return reduce(weights, mass, np.arange(1), np.array((first,)), count), log_density
+
+
+def _weigh(log_p, residual, two_log_mag, bands, bounds):
+    """Rows' weights, in place of their offsets, with each row's mass and log record density.
+
+    ``log_p`` holds c_m - c_j on each row's band, j its reference level,
+    ``residual`` each row's Y + c_j, and row r of the band starts at
+    ``bands[r]`` (an index array or a slice) on the level axis of
+    ``two_log_mag``, 2 log|a_m|; ``bounds`` are the rows' spans
+    (:func:`spinprep.spin_core.span_bounds`).  Each row is shifted by its
+    maximum, and levels more than e^-700 below it are set to 0.
+    """
+    # (Y + c_m)^2 = (Y + c_j)^2 + (c_m - c_j)(c_m - c_j + 2 (Y + c_j)), j the
+    # reference level: the first term, shared by the row, goes to its shift
+    scratch = log_p + (residual + residual)[:, None]  # c_m + c_j + 2Y
+    log_p *= scratch
+    del scratch  # freed before the next copy: two at once cost page faults
+    # 2 log|a_m w_m| up to the row constant -(Y + c_j)^2 - (1/2) log pi, in place
+    np.subtract(_level_windows(two_log_mag, log_p.shape[1])[bands], log_p, log_p)
+    shift = np.maximum.reduce(log_p, axis=1)
+    log_p -= shift[:, None]
+    lost = log_p < _LOG_PROB_FLOOR
+    np.copyto(log_p, _LOG_PROB_FLOOR, where=lost)  # a masked copy: 2x a maximum's speed
+    weights = np.exp(log_p, log_p)
+    np.copyto(weights, 0.0, where=lost)
+    mass = span_sums(weights, bounds)
+    # log(mass) is not finite where the mass is 0, inf or nan; a row
+    # constant that overflows leaves a finite mass but no density
+    return weights, mass, np.log(mass) + (shift - residual * residual - 0.5 * _LOG_PI)
 
 
 def _chunks(count, r0, r1, width):
@@ -526,7 +648,9 @@ def _condition_one(prior, setting: MeasurementSetting, outcome, figure=None):
 
     def post_and_figure(weights, mass, rows, first, count):
         band = slice(first[0], first[0] + count[0])
-        phase = setting.eta * m_ladder(n_atoms, band.start, band.stop)
+        phase = None  # the real CSS at eta = 0
+        if setting.eta != 0.0 or not css:
+            phase = setting.eta * m_ladder(n_atoms, band.start, band.stop)
         if not css:
             phase = np.angle(prior._levels(band.start, band.stop)) + phase
         probs = weights[0, : count[0]] / mass[0]

@@ -261,7 +261,8 @@ def prepare_dss(
     flagged with a warning.
     """
     _require_positive("chi_p", chi_p)
-    result = _dss_rounds(n_atoms, chi_p, 1, 1.0, outcome, eta)
+    setting = MeasurementSetting(chi_p=chi_p, eta=eta)
+    result = _dss_rounds(CssPrior(n_atoms), setting, 1, 1.0, outcome)
     edge = chi_p * n_atoms / 2.0
     if abs(outcome) > edge:
         warnings.warn(
@@ -280,16 +281,18 @@ def dss_with_repeated_outcome(
     equal one round at (sqrt(n) chi_p, sqrt(n) outcome, n eta).
     """
     _require_positive("chi_p", chi_p)
-    return _dss_rounds(n_atoms, chi_p, n_rounds, _root_rounds(n_rounds), outcome, eta)
-
-
-def _dss_rounds(n_atoms, chi_p, n_rounds, root_n, outcome, eta) -> DssResult:
-    """:func:`dss_with_repeated_outcome` for a strength and round count already checked.
-
-    ``root_n`` is sqrt(n_rounds); each caller checks its inputs once, in its own order.
-    """
+    root_n = _root_rounds(n_rounds)
     setting = MeasurementSetting(chi_p=root_n * chi_p, eta=n_rounds * eta)
-    post, xi_d, _ = _condition_one(CssPrior(n_atoms), setting, root_n * outcome, _xi_rows(n_atoms))
+    return _dss_rounds(CssPrior(n_atoms), setting, n_rounds, root_n, outcome)
+
+
+def _dss_rounds(prior, setting, n_rounds, root_n, outcome) -> DssResult:
+    """:func:`dss_with_repeated_outcome` for n rounds acting as one ``setting``, sqrt(n) chi_p and n eta.
+
+    ``root_n`` is sqrt(n_rounds); each caller checks its inputs once, in its
+    own order, and builds the setting once.
+    """
+    post, xi_d, _ = _condition_one(prior, setting, root_n * outcome, _xi_rows(prior.atom_count))
     return DssResult(post_state=post, xi_d=xi_d, outcome=outcome, n_rounds=int(n_rounds))
 
 
@@ -313,18 +316,18 @@ def repetitive_dss(
     """
     root_n = _root_rounds(n_rounds)
     _require_positive("chi_p", chi_p)  # the value passed, before sqrt(n) scales it
-    if outcome_policy == "all_zero":
-        outcome = 0.0
-    elif outcome_policy == "sampled":
-        if seed is None:
-            raise ValueError("sampled outcome policy requires a seed")
-        setting = MeasurementSetting(chi_p=root_n * chi_p)
-        outcome = float(sample_outcomes(CssPrior(n_atoms), setting, 1, seed)[0]) / root_n
-    else:
+    if outcome_policy not in OUTCOME_POLICIES:
         raise ValueError(
             f"unknown outcome policy {outcome_policy!r}; expected one of {OUTCOME_POLICIES}"
         )
-    return _dss_rounds(n_atoms, chi_p, n_rounds, root_n, outcome, eta)
+    sampled = outcome_policy == "sampled"
+    if sampled and seed is None:
+        raise ValueError("sampled outcome policy requires a seed")
+    # one setting and one prior serve the draw (which reads no eta) and the update
+    setting = MeasurementSetting(chi_p=root_n * chi_p, eta=n_rounds * eta)
+    prior = CssPrior(n_atoms)
+    outcome = float(sample_outcomes(prior, setting, 1, seed)[0]) / root_n if sampled else 0.0
+    return _dss_rounds(prior, setting, n_rounds, root_n, outcome)
 
 
 def long_pulse_plan(

@@ -119,9 +119,13 @@ class SpinEnsembleState:
         all N+1 levels (``first`` 0, the default) or a band of them, such as
         a record's band from :func:`spinprep.measurement.posterior_batch`,
         which becomes the state's band.  Every level outside them gets
-        amplitude 0, and nothing runs on those levels.
+        amplitude 0, and nothing runs on those levels.  ``phase`` None is
+        phase 0, with no trigonometric pass: cos(0) and sin(0) are exact, so
+        only the sign of a zero imaginary part can differ.
         """
         magnitude = np.sqrt(probs)
+        if phase is None:
+            return cls._of_band(atom_count, first, magnitude.astype(complex))
         band = np.empty(magnitude.size, dtype=complex)
         # magnitude * exp(i phase) through cos and sin: several times faster than complex exp
         np.multiply(magnitude, np.cos(phase), out=band.real)
@@ -417,6 +421,8 @@ def make_superposition_target(n_atoms: int, m_c: float, eta: float = 0.0) -> Spi
 
 def span_bounds(width: int, count) -> np.ndarray:
     """``np.add.reduceat`` bounds of the first ``count[r]`` entries of rows of ``width``."""
+    if count.size == 1:  # one row, as a single record's update sums it: the same bounds, built at once
+        return np.array((0, count[0]) if count[0] < width else (0,), dtype=np.intp)
     size = width * count.size
     bounds = np.empty(2 * count.size, dtype=np.intp)
     bounds[0::2] = np.arange(0, size, width)

@@ -47,6 +47,28 @@ def stdlib_json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
+def read_result(path) -> dict:
+    """Parse a CSV or JSON table that the CLI wrote back into spec, version, columns and rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        return json.loads(text)
+    spec = version = None
+    columns, rows = None, []
+    for line in text.splitlines():
+        if line.startswith("# spec="):
+            spec = json.loads(line[len("# spec="):])
+        elif line.startswith("# version="):
+            version = line[len("# version="):]
+        elif line.startswith("#") or not line:
+            continue
+        elif columns is None:
+            columns = line.split(",")
+        else:
+            rows.append([float(v) for v in line.split(",")])
+    return {"spec": spec, "version": version, "columns": columns, "rows": rows}
+
+
 def mixture_centers(state, setting):
     m = np.arange(state.atom_count + 1) - state.atom_count / 2
     return -(setting.chi_x * m * m + setting.chi_p * m)

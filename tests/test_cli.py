@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinprep
-from _oracles import chi_square_gof, flat_top_peak, mixture_pdf, stdlib_json_text
+from _oracles import chi_square_gof, flat_top_peak, mixture_pdf, read_result, stdlib_json_text
 from spinprep import (
     MeasurementSetting,
     __version__,
@@ -36,7 +36,6 @@ from spinprep.cli import (
     SweepResult,
     SweepSpec,
     main,
-    read_result,
     write_csv,
     write_json,
 )

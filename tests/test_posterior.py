@@ -10,6 +10,7 @@ by Gauss-Legendre quadrature of each level's outcome density.
 import math
 import re
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -39,16 +40,20 @@ from spinprep import (
     make_dicke,
     outcome_pdf,
     posterior_batch,
+    prepare_dss,
+    prepare_superposition,
     superposition_rows,
 )
 from spinprep.measurement import (
     _ArrayPrior,
     _band_limits,
     _densities_only,
+    _record_band,
     _state_prior,
     level_rows,
 )
 from spinprep.protocols import _fidelity_rows, _packet_geometry, _xi_rows
+from spinprep.spin_core import m_ladder
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -460,8 +465,9 @@ def test_kernel_reads_a_prior_only_through_its_window(prior, records, chi_p):
 def test_batch_over_atom_counts_peaks_as_one_call():
     # at chi_p 1e-6 each band holds all 10^5 + 1 levels, so each ladder forms a
     # group alone; a group's arrays are freed before the next group reads its
-    # window, so the batch peaks as one call does (a group kept alive while the
-    # next one is built reads 1.2x)
+    # window, so the batch peaks as a batch over one atom count does (a group
+    # kept alive while the next one is built reads 1.2x).  A single record
+    # skips the batch layout, and peaks lower still
     def peak(run):
         tracemalloc.start()
         run()
@@ -469,9 +475,10 @@ def test_batch_over_atom_counts_peaks_as_one_call():
         tracemalloc.stop()
         return traced
 
-    one = peak(lambda: dss_rows(100_000, 1e-6, 0.0))
+    one = peak(lambda: dss_rows(100_000, 1e-6, [0.0, 0.0]))
     batch = peak(lambda: dss_rows(np.arange(100_000, 100_020), 1e-6, 0.0))
     assert batch <= 1.1 * one
+    assert peak(lambda: dss_rows(100_000, 1e-6, 0.0)) <= one
 
 
 def test_largest_atom_count_is_two_to_the_53():
@@ -538,6 +545,143 @@ def test_band_keeps_every_level_the_floor_keeps(data):
         probs = np.abs(post.amplitudes) ** 2
         assert np.all(probs[log_w[row] > -690.0] > 0.0)
         np.testing.assert_allclose(probs, ref[row], rtol=0, atol=1e-12)
+
+
+@st.composite
+def band_rule_cases(draw):
+    """(prior, N, chi_x, chi_p, record): the CSS of 1 to 2^53 atoms, or the array
+    prior of a CSS, Dicke, sparse or banded state; each strength 0 or positive;
+    a record up to 3x past the outermost centre, or not finite."""
+    if draw(st.booleans()):
+        n_atoms = draw(st.one_of(st.integers(1, 2**53), st.integers(1, 200)))
+        prior = CssPrior(n_atoms)
+    else:
+        n_atoms = draw(st.integers(1, 2000))
+        first = draw(st.integers(0, n_atoms))
+        banded = banded_state(n_atoms, first, draw(st.integers(1, n_atoms + 1 - first)), 5)
+        prior = _state_prior(draw(st.one_of(priors(n_atoms), st.just(banded))))
+    chi_x, chi_p = (draw(st.one_of(st.just(0.0), st.floats(1e-8, 10.0))) for _ in range(2))
+    s = n_atoms / 2.0
+    reach = chi_x * s * s + chi_p * s + 5.0
+    record = draw(st.one_of(st.floats(-3.0 * reach, 3.0 * reach),
+                            st.sampled_from([math.nan, math.inf, -math.inf])))
+    return prior, n_atoms, chi_x, chi_p, record
+
+
+def far_tail_examples(test):
+    """The far-tail records of the large_n benchmark, prepare_dss(3000, 1, y), as examples."""
+    for y in range(-1250, 1, 50):
+        test = example((CssPrior(3000), 3000, 0.0, 1.0, float(y)))(test)
+    return test
+
+
+@PROPERTY
+@given(band_rule_cases())
+@far_tail_examples
+def test_one_record_band_rule_equals_band_limits(case):
+    # a single record takes its band limits from the scalar transcription of
+    # the batch's band rule: first, last, c_j and Y + c_j keep every bit
+    prior, n_atoms, chi_x, chi_p, record = case
+    with np.errstate(all="ignore"):
+        want = _band_limits(prior, np.array([record]), np.array([chi_x]), np.array([chi_p]))
+        got = _record_band(prior, n_atoms, record, chi_x, chi_p)
+    assert [type(v) for v in got] == [int, int, float, float]
+    assert got[:2] == (want[0][0], want[1][0])
+    for one, batch in zip(got[2:], want[2:]):
+        assert np.float64(one).tobytes() == batch[0].tobytes() or math.isnan(one) and np.isnan(batch[0])
+
+
+def batch_rows(prior, records, chi_x, chi_p, figure=_densities_only):
+    """Each record's first level and band probabilities, ``figure`` and log density, in one batch."""
+    bands = {}
+
+    def keep_bands(weights, mass, rows, first, count):
+        for row, record in enumerate(rows.tolist()):
+            bands[record] = int(first[row]), weights[row, : count[row]] / mass[row]
+        return figure(weights, mass, rows, first, count)
+
+    values, log_density = posterior_batch(prior, records, chi_x, chi_p, reduce=keep_bands)
+    return bands, values, log_density
+
+
+def assert_post_is_row(post, row, phase_of):
+    """``post`` holds the band of ``row``, with amplitudes sqrt(p) e^{i phase}."""
+    first, probs = row
+    stop = first + probs.size
+    want = SpinEnsembleState.from_probabilities(post.atom_count, probs, phase_of(first, stop), first)
+    assert post.first == first and np.array_equal(post.band, want.band)
+
+
+@PROPERTY
+@given(batches(max_atoms=3000, max_records=5), st.integers(0, 2**32 - 1))
+def test_one_record_entry_points_same_alone_and_in_batch(case, seed):
+    # every one-record entry point conditions its record on its band alone;
+    # its post state, figure and density must equal, bit for bit, that
+    # record's row in a batch, which takes the batch layout, and leave the
+    # caller's numpy state as it was, with no warning
+    n_atoms, chi_x, chi_p, eta, records = case
+    records = np.append(records, 0.0)  # a batch of at least two records
+    chi_x, chi_p = max(chi_x, 1e-3), max(chi_p, 1e-3)  # the protocols need > 0
+    rng = np.random.default_rng(seed)
+    first = int(rng.integers(0, n_atoms + 1))
+    state = banded_state(n_atoms, first, int(rng.integers(1, n_atoms + 2 - first)), seed)
+    setting = MeasurementSetting(chi_x, chi_p, eta)
+    m_c = _packet_geometry(n_atoms, np.full(records.size, chi_x), records)[0]
+    eta_m = lambda first, stop: eta * m_ladder(n_atoms, first, stop)  # noqa: E731
+    state_phase = lambda first, stop: np.angle(state._levels(first, stop)) + eta_m(first, stop)  # noqa: E731
+    dss, xi, _ = batch_rows(CssPrior(n_atoms), records, 0.0, chi_p, _xi_rows(n_atoms))
+    sup, fid, _ = batch_rows(CssPrior(n_atoms), records, chi_x, 0.0, _fidelity_rows(n_atoms, m_c))
+    bands, _, log_density = batch_rows(_state_prior(state), records, chi_x, chi_p)
+    probs, full_density = posterior_batch(_state_prior(state), records, chi_x, chi_p)
+    with np.errstate(divide="raise", over="raise", invalid="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", UserWarning)  # the protocols' records outside the likely window
+        np.setbufsize(4096)
+        caller = np.geterr(), np.getbufsize()
+        for row, y in enumerate(records.tolist()):
+            result = prepare_dss(n_atoms, chi_p, y, eta)
+            assert result.xi_d == xi[row]
+            assert_post_is_row(result.post_state, dss[row], eta_m)
+            result = prepare_superposition(n_atoms, chi_x, y, eta)
+            assert result.fidelity_vs_target == fid[row]
+            assert_post_is_row(result.post_state, sup[row], eta_m)
+            post, density = apply_measurement(state, setting, y)
+            assert density == np.exp(log_density[row])
+            assert_post_is_row(post, bands[row], state_phase)
+            pdf = outcome_pdf(state, setting, y)
+            assert type(pdf) is float and pdf == density
+            alone, alone_density = posterior_batch(_state_prior(state), y, chi_x, chi_p)
+            assert alone.tobytes() == probs[row].tobytes() and alone_density == full_density[row]
+            assert (np.geterr(), np.getbufsize()) == caller
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1e160], ids=["nan", "overflow"])
+def test_one_record_fails_as_its_row_in_a_batch(bad):
+    # a record that loses its mass names itself alike alone and first in a
+    # batch, at every entry point, and leaves the caller's numpy state as it was
+    state = banded_state(300, 100, 60, 3)
+    setting = MeasurementSetting(0.05, 0.5, 0.3)
+    calls = [
+        (lambda y: prepare_dss(300, 0.5, y), lambda ys: dss_rows(300, 0.5, ys)),
+        (lambda y: prepare_superposition(300, 0.05, y), lambda ys: superposition_rows(300, 0.05, ys)),
+        (lambda y: apply_measurement(state, setting, y), lambda ys: outcome_pdf(state, setting, ys)),
+        (lambda y: outcome_pdf(state, setting, y), lambda ys: outcome_pdf(state, setting, ys)),
+        (lambda y: posterior_batch(_state_prior(state), y, 0.05, 0.5),
+         lambda ys: posterior_batch(_state_prior(state), ys, 0.05, 0.5)),
+    ]
+    with np.errstate(divide="raise", over="raise", invalid="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.simplefilter("ignore", UserWarning)
+        np.setbufsize(4096)
+        caller = np.geterr(), np.getbufsize()
+        for alone, batch in calls:
+            messages = []
+            for call, arg in ((alone, bad), (batch, np.array([bad, 0.0]))):
+                with pytest.raises(PosteriorError) as info:
+                    call(arg)
+                messages.append(str(info.value))
+                assert (np.geterr(), np.getbufsize()) == caller
+            assert messages[0] == messages[1] == f"measurement update of record {bad} lost all amplitude mass"
 
 
 @st.composite
