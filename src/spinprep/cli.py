@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class SweepResult:
 
 
 def write_csv(result: SweepResult, stream) -> None:
-    stream.write(f"# spec={json.dumps(asdict(result.spec), sort_keys=True)}\n")
+    stream.write(f"# spec={json.dumps(vars(result.spec), sort_keys=True)}\n")
     stream.write(f"# version={__version__}\n")
     stream.write(",".join(result.columns) + "\n")
     row_format = ",".join(["%.17g"] * len(result.columns)) + "\n"
@@ -97,7 +97,7 @@ def write_json(result: SweepResult, stream) -> None:
     Numbers keep the stdlib's own formatting (``Infinity``, ``NaN``, ints).
     """
     payload = {
-        "spec": asdict(result.spec),
+        "spec": vars(result.spec),
         "version": __version__,
         "columns": result.columns,
         "rows": None,
@@ -340,7 +340,7 @@ def cmd_feasibility(a: argparse.Namespace) -> tuple[int, str]:
     if a.out:
         params = {"g_2pi_mhz": a.g, "delta_2pi_mhz": a.delta, "kappa_2pi_mhz": a.kappa,
                   "n_photons": a.np, "kind": a.kind, **stretch}
-        payload = {"params": params, "report": asdict(report), "version": __version__}
+        payload = {"params": params, "report": vars(report), "version": __version__}
         with open(a.out, "w", encoding="utf-8", newline="") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")

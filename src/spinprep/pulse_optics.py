@@ -91,8 +91,8 @@ class PulseGrid:
     """Sampled probe envelope and derived quantities on a uniform time grid.
 
     ``PulseGrid(times, beta_in)`` is the whole input, validated once,
-    here: ``times`` is a uniform grid in units of 1/kappa with an odd sample
-    count, as the composite Simpson rule needs, and its step ``dt`` comes
+    here: ``times`` is an increasing uniform grid in units of 1/kappa with an
+    odd sample count, as the composite Simpson rule needs, and its step ``dt`` comes
     from the span; ``beta_in`` is the real input envelope of unit L2 mass.
     The stage arrays are None until their stage runs:
     :func:`response_functions` attaches the cavity responses ``beta0/1/2``
@@ -115,9 +115,13 @@ class PulseGrid:
             raise ValueError("times must be a 1-d grid with at least 3 samples")
         if t.size % 2 == 0:
             raise ValueError(f"times must have an odd sample count, got {t.size}")
+        # rounding is monotone: the extreme steps bound every |step - first|; NaN fails
         steps = np.diff(t)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        first, tol = steps[0], 1e-9 * abs(steps[0])
+        if not (steps.max() - first <= tol and first - steps.min() <= tol):
             raise ValueError("times must be uniformly spaced")
+        if not first > 0.0:
+            raise ValueError("times must increase")
         beta = np.asarray(self.beta_in)
         if np.iscomplexobj(beta):
             raise ValueError("beta_in must be real")
@@ -183,31 +187,28 @@ def _simpson(times: np.ndarray, values: np.ndarray) -> float:
 
 
 def l2_mass(times: np.ndarray, values: np.ndarray) -> float:
-    """Simpson quadrature of |values|^2 over the grid."""
-    return _simpson(times, np.abs(np.asarray(values)) ** 2)
+    """Simpson quadrature of values^2 over the grid; ``values`` is real."""
+    return _simpson(times, np.square(values))
 
 
-def _time_grid(span: float, dt: float) -> np.ndarray:
-    # a multiple of 4 steps: an odd sample count for Simpson, and t = 0, the
-    # kink of e^{-|t|}, on a panel's edge rather than inside one
+def _half_grid(span: float, dt: float) -> np.ndarray:
+    # t >= 0 of a grid of 4k steps: an odd sample count for Simpson, and t = 0,
+    # the kink of e^{-|t|}, on a panel's edge rather than inside one
     n_steps = 4 * math.ceil(round(2.0 * span / dt) / 4)
-    return np.linspace(-span, span, n_steps + 1)
+    return np.linspace(0.0, span, n_steps // 2 + 1)
 
 
-def _spectral_envelope(times: np.ndarray) -> np.ndarray:
+def _spectral_envelope(t: np.ndarray) -> np.ndarray:
     """Closed-form inverse Fourier transform of the flat-top optimal spectrum.
 
     The spectrum sqrt(8/(3 pi)) (1 + w^2)^{-3/2} has unit L2(dw) mass, so its
     unitary cosine transform is a unit-L2(dt) pulse.  Basset's integral (DLMF
     10.32.11) gives int_0^inf (1 + w^2)^{-3/2} cos(w t) dw = |t| K_1(|t|),
-    whose limit at t = 0 is 1.
+    whose limit at t = 0 is 1.  ``t`` is the half grid, from t[0] = 0 up.
     """
     from scipy.special import k1  # deferred: most of the package's import time
 
-    t = np.abs(times)
-    shape = np.ones_like(t)
-    nonzero = t > 0.0
-    shape[nonzero] = t[nonzero] * k1(t[nonzero])
+    shape = np.concatenate(([1.0], t[1:] * k1(t[1:])))
     return math.sqrt(8.0 / (3.0 * math.pi)) * math.sqrt(2.0 / math.pi) * shape
 
 
@@ -243,42 +244,44 @@ def build_pulse(
     if not 0.0 < dt <= MAX_DT:
         raise ValueError(f"grid step dt must lie in (0, {MAX_DT}], got {dt}")
 
-    times = _time_grid(span, dt)
+    half = _half_grid(span, dt)  # every envelope is even: mirror its t >= 0 half
     if kind == EXPONENTIAL:
-        beta = np.exp(-np.abs(times))
+        beta = np.exp(-half)
     elif kind == LONG_EXPONENTIAL:
-        beta = math.sqrt(1.0 / n_t) * np.exp(-np.abs(times) / n_t)
+        beta = math.sqrt(1.0 / n_t) * np.exp(half / -n_t)
     else:
-        beta = _spectral_envelope(times)
-    return PulseGrid(times=times, beta_in=beta)
+        beta = _spectral_envelope(half)
+    times = np.concatenate((-half[:0:-1], half))
+    return PulseGrid(times=times, beta_in=np.concatenate((beta[:0:-1], beta)))
 
 
 def _decay_sums(f: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
-    """S_j[n] = sum_{i<=n} i^j r^i f[n-i] for j = 0, 1, 2, with r = e^{-dt}.
+    """S_j[n] = sum_{i<=n} i^j r^i g[n-i], j = 0, 1, 2, r = e^{-dt}, g = f but g[0] = f[0]/2.
 
-    Each obeys y[n] = r y[n-1] + g[n] from y[-1] = 0: g[n] is f[n] for S_0,
-    r S_0[n-1] for S_1 and r (S_0 + 2 S_1)[n-1] for S_2.  A block of the
-    recursion is the cumsum of g[i] e^{i dt} over e^{i dt}, the previous
-    block's last value carried into its first term.
+    The recursions S_0[n] = r S_0[n-1] + g[n], S_1[n] = r (S_1 + S_0)[n-1] and
+    S_2[n] = r (S_2 + S_0 + 2 S_1)[n-1] are running sums on the grown scale
+    A_j[n] = e^{n dt} S_j[n]: A_0 = cumsum(g e^{n dt}), A_1 = cumsum(shift(A_0)),
+    A_2 = cumsum(shift(A_0 + 2 A_1)).  A block spans 300 decay times, keeping
+    e^{n dt} below e^300, and starts from the previous block's last S_j.
     """
     r = math.exp(-dt)
-    size = min(f.size, max(1, int(300.0 / dt)))  # 300 decay times: weights below e^300
+    size = min(f.size, max(1, int(300.0 / dt)))
     grow = np.exp(dt * np.arange(size))
-
-    def recur(g: np.ndarray) -> np.ndarray:
-        out, carry = np.empty_like(g), 0.0
-        for start in range(0, g.size, size):
-            block = out[start : start + size]
-            np.multiply(g[start : start + size], grow[: block.size], out=block)
-            block[0] += r * carry
-            np.cumsum(block, out=block)
-            block /= grow[: block.size]
-            carry = block[-1]
-        return out
-
-    s0 = recur(f)
-    s1 = recur(np.concatenate(([0.0], r * s0[:-1])))
-    return s0, s1, recur(np.concatenate(([0.0], r * (s0[:-1] + 2.0 * s1[:-1]))))
+    sums = tuple(np.empty_like(f) for _ in range(3))
+    c0 = c1 = c2 = 0.0
+    for start in range(0, f.size, size):
+        a0, a1, a2 = (s[start : start + size] for s in sums)
+        scale = grow[: a0.size]
+        np.multiply(f[start : start + size], scale, out=a0)
+        a0[0] = a0[0] + r * c0 if start else 0.5 * a0[0]
+        np.cumsum(a0, out=a0)
+        a1[0], a1[1:] = r * (c1 + c0), a0[:-1]
+        np.cumsum(a1, out=a1)
+        a2[0] = r * (c2 + c0 + 2.0 * c1)
+        np.add(a0[:-1], 2.0 * a1[:-1], out=a2[1:])
+        np.cumsum(a2, out=a2)
+        c0, c1, c2 = (np.divide(a, scale, out=a)[-1] for a in (a0, a1, a2))
+    return sums
 
 
 def response_functions(pulse: PulseGrid) -> PulseGrid:
@@ -286,23 +289,20 @@ def response_functions(pulse: PulseGrid) -> PulseGrid:
 
     Causal convolutions of beta_in with sqrt(2) tau^j e^{-tau}, j = 0, 1, 2,
     evaluated by trapezoid quadrature; on the grid the kernel is
-    sqrt(2) dt^j i^j e^{-i dt}, so the sums come from exact recursions.
+    sqrt(2) dt^j i^j e^{-i dt}, so the sums come from exact recursions, whose
+    halved earliest sample is the trapezoid's start correction: beta_j[0] = 0.
     """
     f, dt = pulse.beta_in, pulse.dt
-    tau = pulse.times - pulse.times[0]
-    s0, s1, s2 = _decay_sums(f, dt)
-    # trapezoid end corrections: the tau = 0 sample and the earliest sample
-    # each carry half weight
-    edge = 0.5 * dt * f[0] * math.sqrt(2.0) * np.exp(-tau)
-    b0 = math.sqrt(2.0) * dt * (s0 - 0.5 * f) - edge
-    b1 = math.sqrt(2.0) * dt**2 * s1 - tau * edge
-    b2 = math.sqrt(2.0) * dt**3 * s2 - tau * tau * edge
+    b0, b1, b2 = _decay_sums(f, dt)
+    b0 -= 0.5 * f  # the tau = 0 sample of the beta0 kernel carries half weight
+    for j, b in enumerate((b0, b1, b2)):
+        b *= math.sqrt(2.0) * dt ** (j + 1)
     return _attach(pulse, beta0=b0, beta1=b1, beta2=b2)
 
 
 def peak_intracavity(pulse: PulseGrid) -> float:
     """max_t |beta0(t)|^2; multiply by N_p for the peak photon number."""
-    return float(np.max(np.abs(_stage(pulse, "beta0")) ** 2))
+    return float(np.max(np.square(_stage(pulse, "beta0"))))
 
 
 def _exponential_peak(stretch: float) -> float:

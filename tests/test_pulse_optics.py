@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 from scipy.optimize import brentq
 from scipy.signal import fftconvolve
@@ -150,6 +152,9 @@ def test_complex_envelope_is_rejected():
             lambda t, b: {"beta_in": b * math.sqrt(1.0 + 2e-6)}, "deviates from 1", id="mass"
         ),
         pytest.param(lambda t, b: {"beta_in": np.where(t == 0, np.nan, b)}, "mass nan", id="nan"),
+        # uniform steps of -dt or 0: the mass check would read -1 or 0
+        pytest.param(lambda t, b: {"times": t[::-1]}, "times must increase", id="reversed"),
+        pytest.param(lambda t, b: {"times": 0 * t}, "times must increase", id="constant"),
     ],
 )
 def test_pulse_grid_rejections(exp_pulse, change, match):
@@ -167,6 +172,15 @@ def test_pulse_grid_rejections(exp_pulse, change, match):
 def test_grid_arguments_fail_as_value_errors(grid):
     with pytest.raises(ValueError, match="grid (span|step)"):
         build_pulse("exponential", **grid)
+
+
+@pytest.mark.parametrize("kind", PULSE_KINDS)
+def test_grid_and_envelope_are_exact_mirrors(kind):
+    pulse = build_pulse(kind, n_t=2.0, span=25.0, dt=0.01)
+    mid = pulse.times.size // 2
+    assert pulse.times[mid] == 0.0
+    np.testing.assert_array_equal(pulse.times, -pulse.times[::-1])
+    np.testing.assert_array_equal(pulse.beta_in, pulse.beta_in[::-1])
 
 
 def test_step_comes_from_the_span(long10_pulse):
@@ -302,12 +316,53 @@ def test_responses_match_direct_sums_for_a_sign_changing_pulse():
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    half_steps=st.integers(1, 400),
+    dt=st.floats(1e-3, 2.0),
+    start=st.floats(-50.0, 50.0),
+    data=st.data(),
+)
+def test_responses_of_arbitrary_samples_start_at_zero(half_steps, dt, start, data):
+    # beta_j[0] is a zero-length integral: the earliest sample's half weight
+    # cancels its whole weight exactly.  dt up to 2 puts blocks of 150 samples,
+    # and so block carries, on the longer grids
+    size = 2 * half_steps + 1
+    times = start + dt * np.arange(size)
+    beta = np.array(data.draw(st.lists(
+        st.floats(-1.0, 1.0, allow_subnormal=False), min_size=size, max_size=size,
+    )))
+    mass = l2_mass(times, beta)
+    if not mass > 1e-12:
+        beta = np.ones(size)
+        mass = l2_mass(times, beta)
+    pulse = response_functions(PulseGrid(times=times, beta_in=beta / math.sqrt(mass)))
+    got = (pulse.beta0, pulse.beta1, pulse.beta2)
+    assert [b[0] for b in got] == [0.0, 0.0, 0.0]
+    for b, want in zip(got, _response_oracle(pulse, convolve=np.convolve)):
+        np.testing.assert_allclose(b, want, rtol=0, atol=1e-12)
+
+
 def test_responses_carry_across_recursion_blocks():
     # a block of the recursion spans 300 decay times; this grid needs more than four
     pulse = response_functions(build_pulse("long_exponential", n_t=25.0, dt=0.01))
     assert pulse.times.size > 4 * 300.0 / pulse.dt
     for got, want in zip((pulse.beta0, pulse.beta1, pulse.beta2), _response_oracle(pulse)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_responses_hold_few_grid_arrays():
+    # the three responses and one grid-sized temporary: 4 grid arrays, and 5
+    # when one recursion block, with its e^{n dt} scale, spans the whole grid
+    pulse = build_pulse("long_exponential", n_t=100.0)
+    assert pulse.times.size >= 10**6
+    tracemalloc.start()
+    try:
+        response_functions(pulse)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * pulse.beta_in.nbytes
 
 
 def test_peak_requires_responses():
