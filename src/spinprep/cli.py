@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .measurement import MeasurementSetting, posterior_batch, sample_outcomes
+from .measurement import MeasurementSetting, level_rows, posterior_batch, sample_outcomes
 from .pulse_optics import LONG_EXPONENTIAL, PULSE_KINDS, CavityParams, feasibility
 from .protocols import _require_positive, dss_rows, repetitive_dss_rows, superposition_rows
 from .spin_core import CssPrior, m_ladder
@@ -147,7 +147,7 @@ _FIG2_RATIOS = (("third", 1.0 / 3.0), ("half", 0.5), ("full", 1.0))
 def _superposition_pm(n_atoms: int, chi_x, outcomes) -> list[list[float]]:
     """P(m) of the CSS conditioned on each amplitude-quadrature record."""
     _require_positive("chi_x", chi_x)
-    probs, _ = posterior_batch(CssPrior(n_atoms), outcomes, chi_x=chi_x)
+    probs, _ = posterior_batch(CssPrior(n_atoms), outcomes, chi_x=chi_x, reduce=level_rows(n_atoms + 1))
     return probs.tolist()
 
 

@@ -12,13 +12,9 @@ density over Y (a mixture of variance-1/2 Gaussians weighted by P(m)).
 
 Every state update and every record density goes through one kernel,
 :func:`posterior_batch`, which conditions the level probabilities of a
-log-domain prior on a batch of records and exponentiates only once, after
-shifting each record's row by its combined maximum of log prior plus log
-weight.  Neither strong measurements (chi_x ~ 10, hundreds of atoms),
-far-tail records nor prior amplitudes below the float range can underflow
-the update.  The operator is diagonal, so phases pass through the update
-unchanged; they are applied afterwards, by
-:meth:`SpinEnsembleState.from_probabilities`.
+log-domain prior on a batch of records, so that neither strong measurements
+(chi_x ~ 10, hundreds of atoms), far-tail records nor prior amplitudes below
+the float range can underflow the update.
 """
 
 from __future__ import annotations
@@ -61,41 +57,26 @@ class PosteriorError(ArithmeticError):
 class _ArrayPrior:
     """A real log|a_m| on levels ``first`` ... of ``atom_count`` atoms, -inf where unoccupied.
 
-    Without ``atom_count`` the array holds all N+1 levels, and is validated
-    as :func:`posterior_batch`'s input; with it, it holds a state's band, and
-    every level outside it is unoccupied.
+    Every level outside the array is unoccupied.
     """
 
-    def __init__(self, log_magnitudes, atom_count=None, first=0):
-        log_mag = np.asarray(log_magnitudes)
-        if atom_count is None:
-            if np.iscomplexobj(log_mag):
-                raise ValueError(
-                    "log_prior must be the real log|a_m|; "
-                    "condition a phased state with apply_measurement"
-                )
-            if log_mag.ndim != 1 or log_mag.size < 2:
-                raise ValueError(f"log_prior must hold N+1 >= 2 levels, got shape {log_mag.shape}")
-            atom_count = log_mag.size - 1
-        self.atom_count, self._log_top = atom_count, log_mag.max()
+    def __init__(self, log_magnitudes: np.ndarray, atom_count: int, first: int):
+        self.atom_count, self._log_top = atom_count, log_magnitudes.max()
         if self._log_top == -np.inf:
             raise PosteriorError("prior has empty support")
-        self._log_mag, self._first = log_mag, first
+        self._log_mag, self._first = log_magnitudes, first
         # the occupied levels, ascending
-        self._support = first + np.flatnonzero(log_mag > -np.inf)
+        self._support = first + np.flatnonzero(log_magnitudes > -np.inf)
 
     def window(self, n_atoms: int, first: int, stop: int) -> np.ndarray:
         """Levels ``first`` ... ``stop - 1``, -inf outside the array; ``n_atoms`` is its ``atom_count``."""
         return band_window(self._log_mag, self._first, first, stop, -np.inf)
 
     def reference(self, points):
-        """The occupied levels next to each of ``points``, and twice their log fall below the top.
+        """As :meth:`spinprep.spin_core.CssPrior.reference`, on the array's occupied levels.
 
-        As :meth:`spinprep.spin_core.CssPrior.reference`: the nearest occupied
-        level at or above each point and the nearest below it (either side
-        falls back to the outermost occupied level), found by bisection of
-        the occupied levels, and 2 (log|a_top| - log|a_k|), read from the
-        array, with top the array's largest level.
+        They are found by bisection (either side falls back to the outermost
+        one), and the fall is read from the array.
         """
         support = self._support
         above = np.searchsorted(support, points)
@@ -253,15 +234,11 @@ def _band_limits(log_prior, y, cx, cp):
 
 
 def _record_band(log_prior, n_atoms: int, y: float, cx: float, cp: float):
-    """:func:`_band_limits` of one record, line for line on float64 scalars.
+    """:func:`_band_limits` of one record, line for line on float64 scalars, with the same bits.
 
-    The same rule, with the same bits: (first, last, c_j, Y + c_j) equal
-    :func:`_band_limits`' entries for the record.  ``+ - * /``, ``sqrt``
-    and ``floor`` round as numpy's do; ``hypot`` is numpy's (``math``'s
-    differs in the last bit), and a division by 0 gives numpy's inf or nan
-    (:func:`_divide`).  The candidates for j come from the prior's
-    ``reference``, and the first of least |Y + c_m| is kept, a nan first,
-    as ``argmin`` keeps it.
+    ``hypot`` is numpy's (``math``'s differs in the last bit), a division by
+    0 gives numpy's inf or nan (:func:`_divide`), and of the candidates for j
+    the first of least |Y + c_m| is kept, a nan first, as ``argmin`` keeps it.
     """
     s = 0.5 * n_atoms
     half_cp = 0.5 * cp
@@ -326,18 +303,6 @@ def _band_end(x: float, margin: float, top: float) -> int:
     return int(_clip(math.floor(x) + margin, top))
 
 
-def _ladders(atoms, n_records: int) -> tuple[list, list]:
-    """The atom count of each ladder, a run of records with one count, and the runs' bounds.
-
-    Records ``bounds[i]`` to ``bounds[i + 1] - 1`` form ladder i; ``atoms``
-    is one atom count (one ladder) or an array of one per record.
-    """
-    if not isinstance(atoms, np.ndarray):
-        return [atoms], [0, n_records]
-    bounds = [0, *(np.flatnonzero(atoms[1:] != atoms[:-1]) + 1).tolist(), n_records]
-    return atoms[bounds[:-1]].tolist(), bounds
-
-
 def _ladder_groups(lo, hi, widest):
     """Consecutive ladders that share one level axis, as (first, stop, W, levels).
 
@@ -360,85 +325,68 @@ def _ladder_groups(lo, hi, widest):
     return groups
 
 
-def level_rows(bands, first, n_levels: int) -> np.ndarray:
-    """Band rows of :func:`posterior_batch` scattered into zeros over all ``n_levels`` levels."""
-    rows, width = bands.shape
-    # bands may run past the top level; those columns hold zeros and are cut off
-    full = np.zeros((rows, n_levels + width))
-    _level_windows(full.reshape(-1), width)[np.arange(0, full.size, full.shape[1]) + first] = bands
-    return full[:, :n_levels]
+def level_rows(n_levels: int):
+    """A :func:`posterior_batch` ``reduce``: each record's probabilities on ``n_levels`` levels.
+
+    Each row is divided by its mass and scattered into zeros over levels 0
+    ... ``n_levels`` - 1, which must hold the largest ladder's N+1 levels; a
+    smaller ladder's row is 0 above its top level.
+    """
+
+    def scatter(weights, mass, rows, first, count):
+        bands = np.divide(weights, mass[:, None], out=weights)
+        width = bands.shape[1]
+        # bands may run past the top level; those columns hold zeros and are cut off
+        full = np.zeros((rows.size, n_levels + width))
+        _level_windows(full.reshape(-1), width)[np.arange(0, full.size, full.shape[1]) + first] = bands
+        return full[:, :n_levels]
+
+    return scatter
 
 
-def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, reduce=None):
+def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, *, reduce):
     """Condition one prior on many records at once, in the log domain.
 
     ``log_prior`` is read only through ``atom_count``, ``reference(points)``
     (the occupied levels next to points of the level axis, and how far each
     falls below the prior's largest level) and ``window(n_atoms, first,
-    stop)`` (log|a_m| on those levels), e.g. a :class:`CssPrior` of one atom
-    count or one per record; a real log|a_m| over N+1 levels (-inf where
-    unoccupied) is validated into the private array prior.  The operator is
-    diagonal, so the phases of the prior and the e^{i eta m} of the record
-    pass through unchanged and never enter here; a phased state is
-    conditioned by :func:`apply_measurement`.  Record r is taken at
-    strengths ``chi_x[r]`` and ``chi_p[r]``; each of these and ``outcomes``
-    may be a scalar shared by every record.
+    stop)`` (log|a_m| on those levels): a :class:`CssPrior` of one atom count
+    or one per record, or a real log|a_m| over N+1 levels, -inf where
+    unoccupied.  Phases never enter; a phased state is conditioned by
+    :func:`apply_measurement`.  Record r is taken at strengths ``chi_x[r]``
+    and ``chi_p[r]``; each of these and ``outcomes`` may be one value shared
+    by every record.  Each record is evaluated on its band
+    (:func:`_band_limits`); :func:`_condition_batch` lays out a batch.
 
-    A record selects a narrow packet of levels, so each record's row is
-    evaluated only on its band: the ``count[r]`` consecutive levels from
-    ``first[r]`` that hold every level within e^-700 of the row's peak,
-    bounded from the record's reference level j (see :func:`_band_limits`).
-    On the band, the row 2 log|a_m| - (Y_r + c_m)^2, c_m = chi_x m^2 +
-    chi_p m, is formed relative to j, as 2 log|a_m| - (c_m - c_j)(c_m + c_j
-    + 2 Y_r), so that the row's constant -(Y_r + c_j)^2, about 10^6 for a
-    record 10^3 from every center, joins its shift instead of rounding the
-    levels' differences.  The row is shifted by its maximum, exponentiated
-    once (levels more than e^-700 below the peak set to 0) and summed over
-    the band, a mass that depends on the record alone.
-
-    The band limits come first, and the prior is read only on the window of
-    levels its bands index.  A ladder is a run of consecutive records with
-    one atom count (an array prior is one ladder).  Consecutive ladders form
-    a group while their windows, each running from its lowest band start to
-    W levels past its highest, W the group's widest band, fit in about 2^16
-    levels; a larger ladder forms a group alone.  Each group lays its
-    ladders' windows end to end on one level axis, each read once through
-    ``window``, so a batch of narrow bands on a :class:`CssPrior` costs
-    O(window), not O(N), and no band reads a neighbour's levels.  A group's
-    records are taken in chunks of about 2^16 elements, each chunk of
-    records x W levels with W its own widest band and its rows in record
-    order; a group of several chunks is taken widest band first, so that
-    narrow bands are not padded to the widest.  A single record skips this
-    layout: its band limits come from :func:`_record_band`, the same rule
-    on float64 scalars, and the prior's window over its band is its row.
     ``reduce(weights, mass, rows, first, count)`` maps each chunk to one
-    value (or array) per record.  ``weights`` holds the unnormalized band
-    weights of records ``rows`` (ascending) of the batch, records x W, entry
-    [r, i] level ``first[r] + i`` of the record's ladder (zero from
-    ``count[r]`` on), and ``mass[r]`` (finite, > 0) is row r's sum over its
-    band.  The kernel divides nothing: a ``reduce`` divides the entries it
-    reads by their row's mass, so each probability keeps its bits.
-    ``weights`` is reused by the next chunk: ``reduce`` may overwrite it but
-    must not return a view of it.
-    Without ``reduce`` the normalized bands are scattered into zeros over the
-    levels of the largest ladder (:func:`level_rows`) and the records x
-    (N+1) probabilities are returned.  Each chunk's values are written at its
-    records' rows, and the values are returned in record order (a batch of
-    one chunk, such as a single record, returns what ``reduce`` gave, as it
-    is) with the log record densities log ||M(Y_r) psi||^2.
+    value (or array) per record: ``weights`` holds the unnormalized band
+    weights of records ``rows`` (ascending), records x W, entry [r, i] level
+    ``first[r] + i`` of the record's ladder (zero from ``count[r]`` on), and
+    ``mass[r]`` (finite, > 0) is row r's sum over its band.  The kernel
+    divides nothing: a ``reduce`` divides the entries it reads by their
+    row's mass.  ``weights`` is the kernel's, reused by the next chunk:
+    ``reduce`` may overwrite it but must not return a view of it.
+    :func:`level_rows` gives the probabilities over all levels.
 
-    Raises :class:`PosteriorError` if a record leaves no finite, nonzero mass
-    or no finite density (naming the batch's first such record), and
-    ``ValueError`` for invalid strengths or a complex prior.
+    Returns the values in record order (a batch of one chunk, such as a
+    single record, returns what ``reduce`` gave, as it is) and the log record
+    densities log ||M(Y_r) psi||^2.  Raises :class:`PosteriorError` if the
+    prior has no occupied level or a record leaves no finite, nonzero mass
+    or density (naming the batch's first such record), and ``ValueError``
+    for invalid strengths, inputs that do not broadcast, or an array prior
+    that is complex or not 1-d over at least two levels.
     """
-    if not hasattr(log_prior, "window"):  # an array of log|a_m|
-        log_prior = _ArrayPrior(log_prior)
-    atoms = log_prior.atom_count
-    y, cx, cp = _per_record(outcomes, chi_x, chi_p, np.size(atoms))
-    if reduce is None:
-        n_levels = int(np.max(atoms)) + 1
-        def reduce(weights, mass, rows, first, count):
-            return level_rows(np.divide(weights, mass[:, None], out=weights), first, n_levels)
+    if not hasattr(log_prior, "window"):  # an array of log|a_m| over N+1 levels
+        log_mag = np.asarray(log_prior)
+        if np.iscomplexobj(log_mag):
+            raise ValueError(
+                "log_prior must be the real log|a_m|; "
+                "condition a phased state with apply_measurement"
+            )
+        if log_mag.ndim != 1 or log_mag.size < 2:
+            raise ValueError(f"log_prior must hold N+1 >= 2 levels, got shape {log_mag.shape}")
+        log_prior = _ArrayPrior(log_mag, log_mag.size - 1, 0)
+    y, cx, cp = _per_record(outcomes, chi_x, chi_p, np.size(log_prior.atom_count))
     return _condition(log_prior, y, cx, cp, reduce)
 
 
@@ -446,25 +394,40 @@ def _condition(log_prior, y, cx, cp, reduce):
     """:func:`posterior_batch` on 1-d records and strengths that are already checked.
 
     One record is conditioned on its band alone (:func:`_condition_record`),
-    several through the batch layout (:func:`_condition_batch`).
+    several through the batch layout (:func:`_condition_batch`); neither
+    calls ``reduce`` on a row without a finite density.
     """
     # an overflowing residual or a non-finite record is caught by the density check
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if y.size == 1:
-            return _condition_record(log_prior, y, float(cx[0]), float(cp[0]), reduce)
-        return _condition_batch(log_prior, y, cx, cp, reduce)
+            values, log_density = _condition_record(log_prior, y, float(cx[0]), float(cp[0]), reduce)
+        else:
+            values, log_density = _condition_batch(log_prior, y, cx, cp, reduce)
+    lost = ~np.isfinite(log_density)
+    if lost.any():
+        raise PosteriorError(f"measurement update of record {y[lost.argmax()]} lost all amplitude mass")
+    return values, log_density
 
 
 def _condition_batch(log_prior, y, cx, cp, reduce):
-    """:func:`_condition` of several records, laid out in ladders, groups and chunks."""
+    """:func:`_condition` of several records, laid out in ladders, groups and chunks.
+
+    The prior is read only on the window of levels the bands index.  A
+    ladder is a run of consecutive records with one atom count, ladder i
+    records ``bounds[i]`` ... ``bounds[i + 1] - 1``.  Consecutive ladders
+    share one level axis (:func:`_ladder_groups`), each ladder's window read
+    once, so a batch of narrow bands on a :class:`CssPrior` costs O(window),
+    not O(N), and no band reads a neighbour's levels.  A group's records are
+    taken in chunks (:func:`_chunks`).
+    """
     atoms = log_prior.atom_count
-    ladder_n, bounds = _ladders(atoms, y.size)
+    ladder_n, bounds = [atoms], [0, y.size]
+    if isinstance(atoms, np.ndarray):  # one atom count per record
+        bounds = [0, *(np.flatnonzero(atoms[1:] != atoms[:-1]) + 1).tolist(), y.size]
+        ladder_n = atoms[bounds[:-1]].tolist()
     # strengths shared by every record (each sampled shot) give shared level offsets
     shared = cx.size == 1
     values, log_density = None, np.empty(y.size)
-    # (first record, message) of each failing chunk; chunks do not run in
-    # record order, so the batch's first failure is named once all have run
-    failures = []
 
     def condition_group(g0, g1, width, levels):
         """Condition the records of ladders g0 ... g1 - 1, W = ``width``, on one level axis.
@@ -515,14 +478,11 @@ def _condition_batch(log_prior, y, cx, cp, reduce):
             weights, mass, chunk_density = _weigh(
                 log_p, r_ref[at], two_log_mag, bands, span_bounds(band_width, count[at])
             )
-            bad = rows[~np.isfinite(chunk_density)]
-            if bad.size:
-                record = f"measurement update of record {y[bad[0]]} lost all amplitude mass"
-                failures.append((bad[0], record))
-                continue
-            chunk_values = reduce(weights, mass, rows, first[at], count[at])
             log_density[at] = chunk_density
-            if rows.size == y.size:  # one chunk, e.g. a single record at large N: no copy
+            if not np.isfinite(chunk_density).all():
+                continue  # _condition names the record
+            chunk_values = reduce(weights, mass, rows, first[at], count[at])
+            if rows.size == y.size:  # one chunk covers the batch: no copy
                 values = chunk_values
                 continue
             if values is None:
@@ -538,18 +498,12 @@ def _condition_batch(log_prior, y, cx, cp, reduce):
     band_start = np.empty_like(first)  # each band's row on its group's level axis
     for group in _ladder_groups(lo, hi, widest):
         condition_group(*group)
-    if failures:
-        raise PosteriorError(min(failures)[1])
     return values, log_density
 
 
 def _condition_record(log_prior, y, cx, cp, reduce):
-    """:func:`_condition` of one record, on its band alone: no batch layout.
-
-    The band limits come from :func:`_record_band`, the prior is read on
-    the band, and the band is the record's one row.
-    """
-    n_atoms = _ladders(log_prior.atom_count, 1)[0][0]
+    """:func:`_condition` of one record, on its band alone (:func:`_record_band`): no batch layout."""
+    n_atoms = log_prior.atom_count
     first, last, c_j, residual = _record_band(log_prior, n_atoms, float(y[0]), cx, cp)
     log_window = log_prior.window(n_atoms, first, last + 1)
     m = m_ladder(n_atoms, first, last + 1)
@@ -561,7 +515,7 @@ def _condition_record(log_prior, y, cx, cp, reduce):
         span_bounds(log_p.size, count),
     )
     if not math.isfinite(log_density[0]):
-        raise PosteriorError(f"measurement update of record {y[0]} lost all amplitude mass")
+        return None, log_density  # _condition names the record
     return reduce(weights, mass, np.arange(1), np.array((first,)), count), log_density
 
 
@@ -575,8 +529,8 @@ def _weigh(log_p, residual, two_log_mag, bands, bounds):
     (:func:`spinprep.spin_core.span_bounds`).  Each row is shifted by its
     maximum, and levels more than e^-700 below it are set to 0.
     """
-    # (Y + c_m)^2 = (Y + c_j)^2 + (c_m - c_j)(c_m - c_j + 2 (Y + c_j)), j the
-    # reference level: the first term, shared by the row, goes to its shift
+    # (Y + c_m)^2 = (Y + c_j)^2 + (c_m - c_j)(c_m - c_j + 2 (Y + c_j)), j the reference
+    # level: the first term, shared by the row, joins its shift instead of rounding the row
     scratch = log_p + (residual + residual)[:, None]  # c_m + c_j + 2Y
     log_p *= scratch
     del scratch  # freed before the next copy: two at once cost page faults
@@ -616,20 +570,13 @@ def _chunks(count, r0, r1, width):
 
 
 def _state_prior(state: SpinEnsembleState) -> _ArrayPrior:
-    """log|a_m| of the state's band as the real prior :func:`posterior_batch` conditions.
-
-    Unoccupied levels, inside the band or outside it, give -inf, which the
-    kernel leaves at probability 0.
-    """
+    """The state's band as a real log|a_m| prior: -inf, probability 0, on its unoccupied levels."""
     with np.errstate(divide="ignore"):
         return _ArrayPrior(np.log(np.abs(state.band)), state.atom_count, state.first)
 
 
 def _densities_only(weights, mass, rows, first, count):
-    """A ``reduce`` for :func:`posterior_batch` that keeps no post state and divides nothing.
-
-    An empty row per record, a fresh array, not a view of the reused ``weights``.
-    """
+    """A :func:`posterior_batch` ``reduce`` that keeps nothing: an empty row per record."""
     return np.empty((rows.size, 0))
 
 
@@ -687,10 +634,8 @@ def outcome_pdf(state: SpinEnsembleState, setting: MeasurementSetting, outcome):
 
     The density sum_m P(m) pi^{-1/2} exp[-(Y + chi_x m^2 + chi_p m)^2], a
     mixture of variance-1/2 Gaussians, is the log record density that
-    :func:`posterior_batch` returns for log|a_m| of the state, exponentiated;
-    records are taken in the kernel's chunks, so no records x levels matrix
-    is built (the band limits keep about 0.3 kB per record).  A record's
-    density is the same alone and inside a batch, and equals
+    :func:`posterior_batch` returns for log|a_m| of the state, exponentiated.
+    A record's density is the same alone and inside a batch, and equals
     :func:`apply_measurement`'s.  ``outcome`` may be a scalar (a float is
     returned) or a non-empty array (its shape is kept); the density
     integrates to 1 over Y for any normalized state.  A non-finite record,
@@ -698,7 +643,7 @@ def outcome_pdf(state: SpinEnsembleState, setting: MeasurementSetting, outcome):
     """
     y = np.asarray(outcome, dtype=float)
     _, log_density = posterior_batch(
-        _state_prior(state), y.ravel(), setting.chi_x, setting.chi_p, _densities_only
+        _state_prior(state), y.ravel(), setting.chi_x, setting.chi_p, reduce=_densities_only
     )
     density = np.exp(log_density)
     return float(density[0]) if y.ndim == 0 else density.reshape(y.shape)

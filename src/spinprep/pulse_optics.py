@@ -115,9 +115,13 @@ class PulseGrid:
             raise ValueError("times must be a 1-d grid with at least 3 samples")
         if t.size % 2 == 0:
             raise ValueError(f"times must have an odd sample count, got {t.size}")
-        # rounding is monotone: the extreme steps bound every |step - first|; NaN fails
+        # rounding is monotone: the extreme steps bound every |step - first|; NaN fails.
+        # A step of a long, fine grid differs from the first by the rounding of
+        # its times (np.linspace rounds each by up to 2 ulps of max|t|), so the
+        # bound is the larger of 1e-9 dt and 8 ulps of max|t|
         steps = np.diff(t)
-        first, tol = steps[0], 1e-9 * abs(steps[0])
+        first = steps[0]
+        tol = max(1e-9 * abs(first), 8.0 * float(np.spacing(max(abs(t[0]), abs(t[-1])))))
         if not (steps.max() - first <= tol and first - steps.min() <= tol):
             raise ValueError("times must be uniformly spaced")
         if not first > 0.0:

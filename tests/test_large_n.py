@@ -45,6 +45,7 @@ from spinprep import (
     prepare_superposition,
     superposition_rows,
 )
+from spinprep.measurement import level_rows
 from spinprep.spin_core import m_ladder
 
 # (N, chi, record) per protocol: a band of a few levels at N = 40 and of
@@ -54,8 +55,8 @@ SUPERPOSITION_CASES = ((40, 0.2, -5.0), (10**5, 2e-4, -2.0))
 
 
 def _full_ladder_post(prior, setting, outcome, phase):
-    """Post state's amplitudes through the full-ladder rows of the kernel's default ``reduce``."""
-    probs, _ = posterior_batch(prior, outcome, setting.chi_x, setting.chi_p)
+    """Post state's amplitudes through the full-ladder rows of :func:`level_rows`."""
+    probs, _ = posterior_batch(prior, outcome, setting.chi_x, setting.chi_p, reduce=level_rows(len(phase)))
     return full_ladder_amplitudes(probs[0], phase)
 
 
@@ -134,9 +135,9 @@ def test_css_prior_conditions_as_its_array(n_atoms):
         (weights / mass[:, None], first[:, None], count[:, None]), axis=1
     )
     for chi_x, chi_p in ((0.0, 0.5), (0.01, 0.0), (0.02, 0.3)):
-        band, log_density = posterior_batch(CssPrior(n_atoms), records, chi_x, chi_p, reduce)
+        band, log_density = posterior_batch(CssPrior(n_atoms), records, chi_x, chi_p, reduce=reduce)
         band_ref, log_density_ref = posterior_batch(
-            css_log_window(n_atoms, 0, n_atoms + 1), records, chi_x, chi_p, reduce
+            css_log_window(n_atoms, 0, n_atoms + 1), records, chi_x, chi_p, reduce=reduce
         )
         np.testing.assert_array_equal(band, band_ref)
         np.testing.assert_array_equal(log_density, log_density_ref)

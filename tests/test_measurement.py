@@ -25,6 +25,7 @@ from spinprep import (
     sample_outcome,
     sample_outcomes,
 )
+from spinprep.measurement import _densities_only, level_rows
 from spinprep.protocols import (
     dss_with_repeated_outcome,
     prepare_dss,
@@ -75,7 +76,9 @@ def test_kernel_identity_at_zero_setting():
     # update passes the phases of a phased state through
     state = random_state(10, np.random.default_rng(5))
     outcomes = np.array([0.0, -1.3, 2.0])
-    probs, log_density = posterior_batch(np.log(np.abs(state.amplitudes)), outcomes)
+    probs, log_density = posterior_batch(
+        np.log(np.abs(state.amplitudes)), outcomes, reduce=level_rows(11)
+    )
     np.testing.assert_allclose(probs, np.tile(np.abs(state.amplitudes) ** 2, (3, 1)), atol=1e-14)
     np.testing.assert_allclose(log_density, -0.5 * math.log(math.pi) - outcomes**2, atol=1e-14)
     for y, y_log_density in zip(outcomes, log_density):
@@ -88,20 +91,20 @@ def test_kernel_rejects_a_complex_prior():
     # phases never enter the kernel; a phased state goes through apply_measurement
     log_prior = np.log(random_state(6, np.random.default_rng(2)).amplitudes)
     with pytest.raises(ValueError, match="apply_measurement"):
-        posterior_batch(log_prior, 0.3, chi_p=0.5)
+        posterior_batch(log_prior, 0.3, chi_p=0.5, reduce=_densities_only)
 
 
 @pytest.mark.parametrize("shape", [(0,), (1,), (2, 2)])
 def test_kernel_rejects_a_prior_that_is_not_a_ladder(shape):
     # N + 1 >= 2 levels in one dimension
     with pytest.raises(ValueError, match=re.escape(f"N+1 >= 2 levels, got shape {shape}")):
-        posterior_batch(np.zeros(shape), 0.3, chi_p=0.5)
+        posterior_batch(np.zeros(shape), 0.3, chi_p=0.5, reduce=_densities_only)
 
 
 def test_kernel_peak_at_record_matched_level():
     # record -5 with chi_x = 0.2 leaves zero exponent exactly at m^2 = 25, so a
     # flat prior's posterior peaks there
-    probs, _ = posterior_batch(np.zeros(31), -5.0, chi_x=0.2)
+    probs, _ = posterior_batch(np.zeros(31), -5.0, chi_x=0.2, reduce=level_rows(31))
     top = np.flatnonzero(probs[0] == probs[0].max())
     assert list(top) == [15 - 5, 15 + 5]
 
@@ -125,9 +128,10 @@ _NAN, _INF = math.nan, math.inf
     (lambda: MeasurementSetting(eta=_INF), "eta must be finite, got inf"),
     (lambda: apply_measurement(make_css(40), MeasurementSetting(chi_p=-1.0), 0.0),
      "chi_p must be finite and >= 0, got -1.0"),
-    (lambda: posterior_batch(CssPrior(40), 0.0, chi_p=-1.0),
+    (lambda: posterior_batch(CssPrior(40), 0.0, chi_p=-1.0, reduce=_densities_only),
      "chi_p must be finite and >= 0, got -1.0"),
-    (lambda: posterior_batch(CssPrior(40), 0.0, chi_x=_NAN), "chi_x must be finite and >= 0, got nan"),
+    (lambda: posterior_batch(CssPrior(40), 0.0, chi_x=_NAN, reduce=_densities_only),
+     "chi_x must be finite and >= 0, got nan"),
     *((lambda v=v: prepare_dss(40, v, 0.0), f"chi_p must be positive, got {v}") for v in (-1.0, _NAN)),
     (lambda: prepare_dss(40, _INF, 0.0), "chi_p must be finite and >= 0, got inf"),
     *((lambda v=v: prepare_superposition(40, v, -1.0), f"chi_x must be positive, got {v}")
@@ -232,10 +236,10 @@ def test_kernel_numeric_failures_are_arithmetic_errors():
     ]
     for log_prior, outcome in cases:
         with pytest.raises(ArithmeticError) as info:
-            posterior_batch(log_prior, outcome, chi_p=1.0)
+            posterior_batch(log_prior, outcome, chi_p=1.0, reduce=_densities_only)
         assert not isinstance(info.value, ValueError)
     with pytest.raises(ValueError):
-        posterior_batch(np.zeros(5), 0.0, chi_p=-1.0)
+        posterior_batch(np.zeros(5), 0.0, chi_p=-1.0, reduce=_densities_only)
 
 
 def test_density_equals_outcome_pdf():
@@ -320,7 +324,9 @@ def test_pdf_far_tail_records_are_positive():
     records = np.arange(-1250.0, 1.0, 50.0)
     density = outcome_pdf(state, MeasurementSetting(chi_p=1.0), records)
     with np.errstate(divide="ignore"):
-        _, log_density = posterior_batch(np.log(np.abs(state.amplitudes)), records, chi_p=1.0)
+        _, log_density = posterior_batch(
+            np.log(np.abs(state.amplitudes)), records, chi_p=1.0, reduce=_densities_only
+        )
     np.testing.assert_array_equal(density, np.exp(log_density))
     normal = log_density >= math.log(np.finfo(float).tiny)
     assert normal.sum() == 20

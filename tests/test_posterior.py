@@ -97,7 +97,7 @@ def batches(draw, max_atoms=10_000, window=3.0, max_records=4):
 def test_rows_have_unit_norm(case):
     n_atoms, chi_x, chi_p, _, records = case
     probs, log_density = posterior_batch(
-        css_log_window(n_atoms, 0, n_atoms + 1), records, chi_x, chi_p
+        css_log_window(n_atoms, 0, n_atoms + 1), records, chi_x, chi_p, reduce=level_rows(n_atoms + 1)
     )
     assert probs.shape == (records.size, n_atoms + 1)
     np.testing.assert_allclose(np.sum(probs, axis=1), 1.0, rtol=0, atol=1e-12)
@@ -109,9 +109,9 @@ def test_rows_have_unit_norm(case):
 def test_batched_row_equals_one_record_call(case):
     n_atoms, chi_x, chi_p, _, records = case
     log_prior = css_log_window(n_atoms, 0, n_atoms + 1)
-    probs, log_density = posterior_batch(log_prior, records, chi_x, chi_p)
+    probs, log_density = posterior_batch(log_prior, records, chi_x, chi_p, reduce=level_rows(n_atoms + 1))
     for row, y in enumerate(records):
-        one, one_density = posterior_batch(log_prior, y, chi_x, chi_p)
+        one, one_density = posterior_batch(log_prior, y, chi_x, chi_p, reduce=level_rows(n_atoms + 1))
         np.testing.assert_allclose(probs[row], one[0], rtol=0, atol=1e-12)
         assert log_density[row] == pytest.approx(one_density[0], rel=1e-12)
 
@@ -123,7 +123,7 @@ def test_batched_row_equals_one_record_call(case):
 def test_rows_match_linear_domain_product(case):
     n_atoms, chi_x, chi_p, _, records = case
     probs, log_density = posterior_batch(
-        css_log_window(n_atoms, 0, n_atoms + 1), records, chi_x, chi_p
+        css_log_window(n_atoms, 0, n_atoms + 1), records, chi_x, chi_p, reduce=level_rows(n_atoms + 1)
     )
     for row, y in enumerate(records):
         ref_probs, ref_density = linear_posterior(n_atoms, chi_x, chi_p, [y])
@@ -138,7 +138,7 @@ def test_density_equals_outcome_pdf(case):
     setting = MeasurementSetting(chi_x=chi_x, chi_p=chi_p, eta=eta)
     state = make_css(n_atoms)
     _, log_density = posterior_batch(
-        css_log_window(n_atoms, 0, n_atoms + 1), records, chi_x, chi_p
+        css_log_window(n_atoms, 0, n_atoms + 1), records, chi_x, chi_p, reduce=_densities_only
     )
     pdf = outcome_pdf(state, setting, records)
     ref = mixture_pdf(records, state, setting)
@@ -284,6 +284,9 @@ def test_reduces_equal_reading_rows_normalized_first(case, per_record):
         (_xi_rows(n_atoms), dss, {"chi_p": chi_p}),
         (_densities_only, dss, {"chi_p": chi_p}),
         (_fidelity_rows(n_atoms, m_c), packets, {"chi_x": chi_x}),
+        # fig2 a and b: the normalized rows scattered over the ladder
+        (level_rows(n_atoms + 1), dss, {"chi_p": chi_p}),
+        (level_rows(n_atoms + 1), packets, {"chi_x": chi_x}),
     ):
         chunks = []
         got = posterior_batch(prior, records, reduce=reduce, **strengths)
@@ -293,12 +296,6 @@ def test_reduces_equal_reading_rows_normalized_first(case, per_record):
         assert (len(chunks) > 1) == (size > 5)
         widths = [width for _, width in chunks]
         assert max(widths) < 96 if n_atoms == 40 else min(widths) >= 96
-    # fig2 a and b: the default reduce scatters the normalized rows over the ladder
-    full_rows = normalized_first(lambda probs, mass, rows, first, count: level_rows(
-        probs, first, n_atoms + 1))
-    for records, strengths in ((dss, {"chi_p": chi_p}), (packets, {"chi_x": chi_x})):
-        assert_same_bits(posterior_batch(prior, records, **strengths),
-                         posterior_batch(prior, records, reduce=full_rows, **strengths))
 
 
 @pytest.mark.parametrize("bufsize", [None, 4096], ids=["numpy_default", "caller_set"])
@@ -310,7 +307,7 @@ def test_kernel_leaves_numpy_state_as_the_caller_set_it(bufsize):
     overflowing[0] = -1e160
     state, setting = make_css(10**4), MeasurementSetting(chi_p=0.03)
     calls = (
-        lambda y: posterior_batch(CssPrior(10**4), y, chi_p=0.03),
+        lambda y: posterior_batch(CssPrior(10**4), y, chi_p=0.03, reduce=level_rows(10**4 + 1)),
         lambda y: outcome_pdf(state, setting, y),
         lambda y: apply_measurement(state, setting, y[0]),
     )
@@ -373,11 +370,26 @@ def test_band_never_reads_a_neighbouring_ladder():
                                reduce=lambda weights, mass, rows, first, count: count)
     assert count.tolist() == [11, 125, 12, 11]
     assert_rows_equal_per_record_calls(n_atoms, 1.0, records)
-    probs, log_density = posterior_batch(CssPrior(n_atoms), records, chi_p=1.0)
+    probs, log_density = posterior_batch(CssPrior(n_atoms), records, chi_p=1.0, reduce=level_rows(3001))
     assert probs.shape == (4, 3001)
     for row, (n, y) in enumerate(zip(n_atoms, records)):
-        alone, alone_density = posterior_batch(CssPrior(int(n)), y, chi_p=1.0)
+        alone, alone_density = posterior_batch(CssPrior(int(n)), y, chi_p=1.0, reduce=level_rows(n + 1))
         np.testing.assert_array_equal(probs[row, : n + 1], alone[0])
+        assert not probs[row, n + 1 :].any()
+        assert log_density[row] == alone_density[0]
+
+
+@pytest.mark.parametrize("chi_p", [0.5, 4.0], ids=["bands_past_the_top", "narrow_bands"])
+def test_level_rows_over_atom_counts_equal_each_record_alone(chi_p):
+    # level_rows(n_levels) scatters every row over the largest ladder's levels:
+    # a smaller ladder's row is its record's own row, and 0 above its top level
+    n_atoms = [40, 41, 60]
+    records = np.array([0.7, -2.0, 3.0])
+    probs, log_density = posterior_batch(CssPrior(n_atoms), records, chi_p=chi_p, reduce=level_rows(61))
+    assert probs.shape == (3, 61)
+    for row, (n, y) in enumerate(zip(n_atoms, records)):
+        alone, alone_density = posterior_batch(CssPrior(n), y, chi_p=chi_p, reduce=level_rows(n + 1))
+        assert probs[row, : n + 1].tobytes() == alone[0].tobytes()
         assert not probs[row, n + 1 :].any()
         assert log_density[row] == alone_density[0]
 
@@ -425,7 +437,7 @@ def banded_state(n_atoms, first, width, seed):
     (CssPrior(1000), np.linspace(-400.0, 400.0, 9), np.array([0.06, 0.4, 2.0])[:, None]),
     # fig3 c: one record per atom count, 56 ladders on shared level axes
     (CssPrior(np.arange(10, 121, 2)), np.zeros(56), 2.0),
-    (_ArrayPrior(sparse_log_prior(300, 7)), np.linspace(-200.0, 200.0, 9), 1.5),
+    (_ArrayPrior(sparse_log_prior(300, 7), 300, 0), np.linspace(-200.0, 200.0, 9), 1.5),
     # a state's band, levels 4000 ... 4059 of 10^4: its windows are offset, and
     # records outside the band read -inf past its ends
     (_state_prior(banded_state(10_000, 4000, 60, 3)), np.linspace(-15.0, 15.0, 9),
@@ -455,7 +467,7 @@ def test_kernel_reads_a_prior_only_through_its_window(prior, records, chi_p):
         log_mag = prior.window(int(n), 0, int(n) + 1)
         assert log_mag[int(k)] > -np.inf
         assert drop >= 2.0 * (log_mag.max() - log_mag[int(k)]) - 1e-12
-    for reduce in (None, _xi_rows(prior.atom_count)):
+    for reduce in (level_rows(int(atoms.max()) + 1), _xi_rows(prior.atom_count)):
         got = posterior_batch(WindowLog(prior), records, chi_p=chi_p, reduce=reduce)
         want = posterior_batch(prior, records, chi_p=chi_p, reduce=reduce)
         for a, b in zip(got, want):
@@ -632,7 +644,9 @@ def test_one_record_entry_points_same_alone_and_in_batch(case, seed):
     dss, xi, _ = batch_rows(CssPrior(n_atoms), records, 0.0, chi_p, _xi_rows(n_atoms))
     sup, fid, _ = batch_rows(CssPrior(n_atoms), records, chi_x, 0.0, _fidelity_rows(n_atoms, m_c))
     bands, _, log_density = batch_rows(_state_prior(state), records, chi_x, chi_p)
-    probs, full_density = posterior_batch(_state_prior(state), records, chi_x, chi_p)
+    probs, full_density = posterior_batch(
+        _state_prior(state), records, chi_x, chi_p, reduce=level_rows(n_atoms + 1)
+    )
     with np.errstate(divide="raise", over="raise", invalid="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         warnings.simplefilter("ignore", UserWarning)  # the protocols' records outside the likely window
@@ -650,7 +664,9 @@ def test_one_record_entry_points_same_alone_and_in_batch(case, seed):
             assert_post_is_row(post, bands[row], state_phase)
             pdf = outcome_pdf(state, setting, y)
             assert type(pdf) is float and pdf == density
-            alone, alone_density = posterior_batch(_state_prior(state), y, chi_x, chi_p)
+            alone, alone_density = posterior_batch(
+                _state_prior(state), y, chi_x, chi_p, reduce=level_rows(n_atoms + 1)
+            )
             assert alone.tobytes() == probs[row].tobytes() and alone_density == full_density[row]
             assert (np.geterr(), np.getbufsize()) == caller
 
@@ -666,8 +682,8 @@ def test_one_record_fails_as_its_row_in_a_batch(bad):
         (lambda y: prepare_superposition(300, 0.05, y), lambda ys: superposition_rows(300, 0.05, ys)),
         (lambda y: apply_measurement(state, setting, y), lambda ys: outcome_pdf(state, setting, ys)),
         (lambda y: outcome_pdf(state, setting, y), lambda ys: outcome_pdf(state, setting, ys)),
-        (lambda y: posterior_batch(_state_prior(state), y, 0.05, 0.5),
-         lambda ys: posterior_batch(_state_prior(state), ys, 0.05, 0.5)),
+        (lambda y: posterior_batch(_state_prior(state), y, 0.05, 0.5, reduce=level_rows(301)),
+         lambda ys: posterior_batch(_state_prior(state), ys, 0.05, 0.5, reduce=level_rows(301))),
     ]
     with np.errstate(divide="raise", over="raise", invalid="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -718,7 +734,7 @@ def test_sparse_prior_far_record_matches_decimal_posterior(case):
     state = SpinEnsembleState.from_unnormalized(n_atoms, amps)
     with np.errstate(divide="ignore"):
         log_prior = np.log(np.abs(state.amplitudes))
-    probs, _ = posterior_batch(log_prior, record, chi_x, chi_p)
+    probs, _ = posterior_batch(log_prior, record, chi_x, chi_p, reduce=level_rows(n_atoms + 1))
     ref = decimal_posterior(state.amplitudes, chi_x, chi_p, record)
     # rows are formed from the offsets c_m - c_j of double centres, each rounded
     # once: where the posterior spreads over levels of different centres (two
@@ -740,7 +756,9 @@ def test_xi_d_matches_decimal_centred_moments(n_atoms, chi_p, fraction):
     # a record far from m = 0 leaves a narrow packet there; uncentred moments
     # lost up to 6e-7 of xi_D to cancellation, centred ones keep it to 1e-13
     y = -chi_p * fraction * n_atoms / 2
-    probs, _ = posterior_batch(css_log_window(n_atoms, 0, n_atoms + 1), y, chi_p=chi_p)
+    probs, _ = posterior_batch(
+        css_log_window(n_atoms, 0, n_atoms + 1), y, chi_p=chi_p, reduce=level_rows(n_atoms + 1)
+    )
     ref = decimal_xi_d(probs[0], n_atoms)
     assert dicke_squeezing(probs, n_atoms)[0] == pytest.approx(ref, rel=1e-13, abs=0)
     assert dss_rows(n_atoms, chi_p, y)[0][0] == pytest.approx(ref, rel=1e-13, abs=0)
@@ -758,7 +776,8 @@ def test_two_records_compose_to_one_at_sqrt2_chi(case):
     assert eff.chi_x == pytest.approx(math.sqrt(2.0) * chi_x)
     assert eff.chi_p == pytest.approx(math.sqrt(2.0) * chi_p)
     probs, log_density = posterior_batch(
-        css_log_window(n_atoms, 0, n_atoms + 1), eff_outcome, eff.chi_x, eff.chi_p
+        css_log_window(n_atoms, 0, n_atoms + 1), eff_outcome, eff.chi_x, eff.chi_p,
+        reduce=level_rows(n_atoms + 1),
     )
     ref_probs, ref_density = linear_posterior(n_atoms, chi_x, chi_p, [y1, y2])
     np.testing.assert_allclose(probs[0], ref_probs, rtol=0, atol=1e-10)

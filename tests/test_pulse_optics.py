@@ -164,6 +164,20 @@ def test_pulse_grid_rejections(exp_pulse, change, match):
         PulseGrid(**fields)
 
 
+def test_steps_may_differ_by_the_rounding_of_their_times():
+    # 1,001 times from t = 3000 at dt = 3e-4: the steps spread over 1.5e-9 dt,
+    # one ulp of t, as those of build_pulse's long, fine grids do
+    times = np.linspace(3000.0, 3000.3, 1001)
+    beta = np.exp(-10.0 * np.abs(times - 3000.15))
+    beta /= math.sqrt(l2_mass(times, beta))
+    assert PulseGrid(times, beta).dt == pytest.approx(3e-4, rel=1e-12)
+    # one step off by 1e-6 dt is no rounding
+    off = times.copy()
+    off[500:] += 1e-6 * 3e-4
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        PulseGrid(off, beta)
+
+
 @pytest.mark.parametrize(
     "grid",
     [{"dt": 0.0}, {"dt": -0.005}, {"dt": math.nan}, {"span": math.nan}, {"span": math.inf}],
