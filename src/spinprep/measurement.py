@@ -57,7 +57,8 @@ class PosteriorError(ArithmeticError):
 class _ArrayPrior:
     """A real log|a_m| on levels ``first`` ... of ``atom_count`` atoms, -inf where unoccupied.
 
-    Every level outside the array is unoccupied.
+    Every level outside the array is unoccupied; ``interval`` is the lowest
+    and the highest occupied level.
     """
 
     def __init__(self, log_magnitudes: np.ndarray, atom_count: int, first: int):
@@ -67,6 +68,7 @@ class _ArrayPrior:
         self._log_mag, self._first = log_magnitudes, first
         # the occupied levels, ascending
         self._support = first + np.flatnonzero(log_magnitudes > -np.inf)
+        self.interval = int(self._support[0]), int(self._support[-1])
 
     def window(self, n_atoms: int, first: int, stop: int) -> np.ndarray:
         """Levels ``first`` ... ``stop - 1``, -inf outside the array; ``n_atoms`` is its ``atom_count``."""
@@ -193,13 +195,14 @@ def _band_limits(log_prior, y, cx, cp):
     exceeds chi_x d^2 at d levels from the vertex, and the same d with
     g = 0, sqrt(R / chi_x), bounds it.  The band is that interval (for chi_x = 0, around the one
     root), widened by a level on each side against rounding and cut to the
-    ladder; it holds j.  The roots
-    q / chi_x <= Y / q, q = -(chi_p + g) / 2, are free of cancellation,
-    and g of overflow.  A non-finite record gives nan ends, which the cut
-    makes level 0; the kernel's row checks see it, and a record whose row
-    overflows, in any band.  (At chi_x = chi_p = 0 every level has the same
-    residual, and the band is the ladder.)  c_j is rounded as the kernel
-    rounds c_m, so that the row is 0 at j exactly.
+    prior's ``interval``, its lowest to its highest occupied level; it holds
+    j.  The roots q / chi_x <= Y / q, q = -(chi_p + g) / 2, are free of
+    cancellation, and g of overflow.  A non-finite record gives nan ends,
+    which the cut makes the interval's lowest level; the kernel's row checks
+    see it, and a record whose row overflows, in any band.  (At chi_x =
+    chi_p = 0 every level has the same residual, and the band is the
+    interval.)  c_j is rounded as the kernel rounds c_m, so that the row is
+    0 at j exactly.
     """
     s = 0.5 * log_prior.atom_count
     half_cp = 0.5 * cp
@@ -229,7 +232,8 @@ def _band_limits(log_prior, y, cx, cp):
     reach /= half_slope + np.hypot(half_slope, np.sqrt(cx * reach))
     ends = np.floor(centers + reach * _END_SIGNS)
     ends += _END_MARGINS
-    first, last = np.fmin(np.fmax(ends, 0.0, out=ends), s + s, out=ends).astype(np.intp)
+    low, high = log_prior.interval
+    first, last = np.fmin(np.fmax(ends, low, out=ends), high, out=ends).astype(np.intp)
     return first, last, c_ref, residual
 
 
@@ -252,7 +256,7 @@ def _record_band(log_prior, n_atoms: int, y: float, cx: float, cp: float):
     if lower == -math.inf:  # chi_x = 0: one root
         lower = upper
     top = s + s
-    centers = [_clip(lower + s, top), _clip(upper + s, top)]
+    centers = [_clip(lower + s, 0.0, top), _clip(upper + s, 0.0, top)]
     levels, drops = log_prior.reference(np.array(centers)[:, None])
     pick = least = None
     for level, drop in zip(levels.ravel().tolist(), drops.ravel().tolist()):
@@ -265,8 +269,9 @@ def _record_band(log_prior, n_atoms: int, y: float, cx: float, cp: float):
     reach = float(np.hypot(residual, _sqrt(drop - _LOG_PROB_FLOOR)))
     half_slope = half_slope if half_slope >= 0.0 else 0.0  # and 0 for nan
     reach = _divide(reach, half_slope + float(np.hypot(half_slope, _sqrt(cx * reach))))
-    first = _band_end(centers[0] - reach, -1.0, top)
-    return first, _band_end(centers[1] + reach, 2.0, top), c_ref, residual
+    low, high = log_prior.interval
+    first = _band_end(centers[0] - reach, -1.0, low, high)
+    return first, _band_end(centers[1] + reach, 2.0, low, high), c_ref, residual
 
 
 def _divide(a: float, b: float) -> float:
@@ -291,16 +296,16 @@ def _fmin(a, b):
     return b if a != a or b < a else a
 
 
-def _clip(x: float, top: float) -> float:
-    """np.fmin(np.fmax(x, 0), top): nan to 0."""
-    return x if 0.0 <= x <= top else top if x > top else 0.0
+def _clip(x: float, low, high):
+    """np.fmin(np.fmax(x, low), high): nan to ``low``."""
+    return x if low <= x <= high else high if x > high else low
 
 
-def _band_end(x: float, margin: float, top: float) -> int:
-    """floor(x) + margin cut to 0 ... top, as :func:`_band_limits` cuts its ends (nan to 0)."""
+def _band_end(x: float, margin: float, low: int, high: int) -> int:
+    """floor(x) + margin cut to ``low`` ... ``high``, as :func:`_band_limits` cuts its ends."""
     if not math.isfinite(x):
-        return int(top) if x == math.inf else 0
-    return int(_clip(math.floor(x) + margin, top))
+        return high if x == math.inf else low
+    return int(_clip(math.floor(x) + margin, low, high))
 
 
 def _ladder_groups(lo, hi, widest):
@@ -347,10 +352,11 @@ def level_rows(n_levels: int):
 def posterior_batch(log_prior, outcomes, chi_x=0.0, chi_p=0.0, *, reduce):
     """Condition one prior on many records at once, in the log domain.
 
-    ``log_prior`` is read only through ``atom_count``, ``reference(points)``
-    (the occupied levels next to points of the level axis, and how far each
-    falls below the prior's largest level) and ``window(n_atoms, first,
-    stop)`` (log|a_m| on those levels): a :class:`CssPrior` of one atom count
+    ``log_prior`` is read only through ``atom_count``, ``interval`` (its
+    lowest and highest occupied level), ``reference(points)`` (the occupied
+    levels next to points of the level axis, and how far each falls below
+    the prior's largest level) and ``window(n_atoms, first, stop)``
+    (log|a_m| on those levels): a :class:`CssPrior` of one atom count
     or one per record, or a real log|a_m| over N+1 levels, -inf where
     unoccupied.  Phases never enter; a phased state is conditioned by
     :func:`apply_measurement`.  Record r is taken at strengths ``chi_x[r]``

@@ -120,9 +120,10 @@ class PulseGrid:
         # its times (np.linspace rounds each by up to 2 ulps of max|t|), so the
         # bound is the larger of 1e-9 dt and 8 ulps of max|t|
         steps = np.diff(t)
-        first = steps[0]
+        first, low, high = steps[0], steps.min(), steps.max()
+        del steps  # a grid-sized array, freed before the mass check squares the envelope
         tol = max(1e-9 * abs(first), 8.0 * float(np.spacing(max(abs(t[0]), abs(t[-1])))))
-        if not (steps.max() - first <= tol and first - steps.min() <= tol):
+        if not (high - first <= tol and first - low <= tol):
             raise ValueError("times must be uniformly spaced")
         if not first > 0.0:
             raise ValueError("times must increase")
@@ -255,8 +256,9 @@ def build_pulse(
         beta = math.sqrt(1.0 / n_t) * np.exp(half / -n_t)
     else:
         beta = _spectral_envelope(half)
-    times = np.concatenate((-half[:0:-1], half))
-    return PulseGrid(times=times, beta_in=np.concatenate((beta[:0:-1], beta)))
+    times, beta = np.concatenate((-half[:0:-1], half)), np.concatenate((beta[:0:-1], beta))
+    del half  # the halves are freed before the grid's checks
+    return PulseGrid(times=times, beta_in=beta)
 
 
 def _decay_sums(f: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:

@@ -54,11 +54,13 @@ class SpinEnsembleState:
 
     The state holds its band: ``band[i]`` multiplies |S, m> with
     m = ``first`` + i - S, S = atom_count / 2, and every level outside the
-    band has amplitude exactly 0.  ``amplitudes`` is the dense vector over
-    all N+1 levels, built on request.  Instances are immutable; the band
-    and every dense vector built from it are write-locked.  Equality is
-    identity, so states can be compared and hashed; compare amplitudes (or
-    take :func:`fidelity`) to compare two states' contents.
+    band has amplitude exactly 0.  The band runs from the first to the last
+    nonzero level, whichever constructor built the state.  ``amplitudes`` is
+    the dense vector over all N+1 levels, built on request.  Instances are
+    immutable; the band and every dense vector built from it are
+    write-locked.  Equality is identity, so states can be compared and
+    hashed; compare amplitudes (or take :func:`fidelity`) to compare two
+    states' contents.
     """
 
     atom_count: int
@@ -66,24 +68,25 @@ class SpinEnsembleState:
     band: np.ndarray
 
     def __init__(self, atom_count: int, amplitudes):
-        """The state of the dense ``amplitudes`` over all N+1 levels, holding the
-        span from its first to its last nonzero level."""
+        """The state of the dense ``amplitudes`` over all N+1 levels."""
         n = _check_atom_count(atom_count)
         amps = np.asarray(amplitudes, dtype=complex)
         if amps.shape != (n + 1,):
             raise ValueError(f"expected {n + 1} amplitudes, got shape {amps.shape}")
-        occupied = np.flatnonzero(amps)
-        first, stop = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 1)
-        self._hold(n, first, amps[first:stop])
+        self._hold(n, 0, amps)
 
     def _hold(self, atom_count: int, first: int, band: np.ndarray):
-        """Take ``band`` (complex, 1-d) as levels ``first`` ... of the state, once its norm is checked."""
+        """Take ``band`` (complex, 1-d) as levels ``first`` ... of the state, once its norm is
+        checked, cut to its first to last nonzero level: every constructor ends here."""
         norm2 = float(np.vdot(band, band).real)
         # a non-finite amplitude makes the norm inf or nan, so this check runs only then
         if not abs(norm2 - 1.0) <= NORM_TOL:
             if not np.isfinite(band).all():
                 raise ValueError("amplitudes must be finite")
             raise ValueError(f"squared norm {norm2} deviates from 1 by more than {NORM_TOL}")
+        if not (band[0] and band[-1]):  # a zero end; the unit norm leaves a nonzero level
+            occupied = band.nonzero()[0]
+            first, band = first + int(occupied[0]), band[occupied[0] : occupied[-1] + 1]
         object.__setattr__(self, "atom_count", atom_count)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "band", _locked(band))
@@ -117,11 +120,12 @@ class SpinEnsembleState:
 
         ``probs`` and ``phase`` hold the levels ``first``, ``first + 1``, ...:
         all N+1 levels (``first`` 0, the default) or a band of them, such as
-        a record's band from :func:`spinprep.measurement.posterior_batch`,
-        which becomes the state's band.  Every level outside them gets
-        amplitude 0, and nothing runs on those levels.  ``phase`` None is
-        phase 0, with no trigonometric pass: cos(0) and sin(0) are exact, so
-        only the sign of a zero imaginary part can differ.
+        a record's band from :func:`spinprep.measurement.posterior_batch`;
+        the state keeps them from the first to the last nonzero probability.
+        Every level outside them gets amplitude 0, and nothing runs on those
+        levels.  ``phase`` None is phase 0, with no trigonometric pass: cos(0)
+        and sin(0) are exact, so only the sign of a zero imaginary part can
+        differ.
         """
         magnitude = np.sqrt(probs)
         if phase is None:
@@ -325,6 +329,11 @@ class CssPrior:
     def window(self, n_atoms: int, first: int, stop: int) -> np.ndarray:
         """log|a_m| on levels ``first`` ... ``stop - 1`` of the CSS of ``n_atoms`` atoms."""
         return css_log_window(n_atoms, first, stop)
+
+    @property
+    def interval(self):
+        """The lowest and highest occupied level: every level, 0 and N (per record for several N)."""
+        return 0, self.atom_count
 
     def reference(self, points):
         """The occupied levels next to each of ``points``, and twice their log fall below the top.

@@ -10,6 +10,7 @@ memory at N = 10^7.
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -38,6 +39,7 @@ from spinprep import (
     fidelity,
     make_css,
     make_dicke,
+    make_superposition_target,
     observables,
     outcome_pdf,
     posterior_batch,
@@ -45,7 +47,7 @@ from spinprep import (
     prepare_superposition,
     superposition_rows,
 )
-from spinprep.measurement import level_rows
+from spinprep.measurement import _state_prior, level_rows
 from spinprep.spin_core import m_ladder
 
 # (N, chi, record) per protocol: a band of a few levels at N = 40 and of
@@ -220,7 +222,7 @@ def test_dss_rows_at_ten_million_atoms_never_holds_the_ladder():
 
 
 def test_states_at_ten_million_atoms_hold_their_band_only():
-    # the post state holds its band of 31 levels (27 nonzero), and the next
+    # the post state holds its 27 nonzero levels, and the next
     # update, the moments and the overlap read it alone; a dense post state
     # peaked at 153 MB, and apply_measurement and observables of it at 381 and 534 MB
     n_atoms = 10**7
@@ -266,6 +268,86 @@ def test_superposition_rows_read_the_prior_on_their_window_only():
         tracemalloc.stop()
     assert peak < 16 * 2**20
     assert np.all((fid >= 0.0) & (fid <= 1.0 + 1e-12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(-1.5, 1.5),
+       st.sampled_from([0.05, 1.0, 4.0]))
+def test_every_state_holds_its_first_to_last_nonzero_level(n_atoms, seed, z, chi):
+    # whichever constructor builds a state, its band starts and ends on a
+    # nonzero level, and its dense form is the dense vector it was built from
+    rng = np.random.default_rng(seed)
+    first = int(rng.integers(0, n_atoms + 1))
+    width = int(rng.integers(1, n_atoms + 2 - first))
+    probs = np.zeros(n_atoms + 1)
+    probs[first : first + width] = rng.random(width) * (rng.random(width) < 0.5)
+    probs[rng.integers(first, first + width)] = 1.0  # never the zero vector
+    probs /= probs.sum()
+    phase = rng.uniform(-math.pi, math.pi, n_atoms + 1)
+    dense = full_ladder_amplitudes(probs, phase)
+    band = slice(first, first + width)
+    raw = 3.0 * dense
+    m = m_ladder(n_atoms)
+    y = z * chi * n_atoms / 2.0  # out to half again past the likely records
+    with np.errstate(divide="ignore"):
+        log_mag = np.log(np.abs(dense))
+    zero = np.zeros(n_atoms + 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # records outside the likely window
+        dss = prepare_dss(n_atoms, chi, y).post_state
+        sup = prepare_superposition(n_atoms, chi, -abs(y)).post_state
+    states = [
+        (SpinEnsembleState(n_atoms, dense), dense),
+        (SpinEnsembleState.from_probabilities(n_atoms, probs, phase), dense),
+        (SpinEnsembleState.from_probabilities(n_atoms, probs[band], phase[band], first), dense),
+        (SpinEnsembleState.from_unnormalized(n_atoms, raw), raw / np.linalg.norm(raw)),
+        (make_css(n_atoms), None),
+        (make_dicke(n_atoms, m[first]), None),
+        (make_superposition_target(n_atoms, abs(m[first]), 0.4), None),
+        (apply_measurement(SpinEnsembleState(n_atoms, dense), MeasurementSetting(0.01, chi), y)[0],
+         _full_ladder_post(log_mag, MeasurementSetting(0.01, chi), y, np.angle(dense))),
+        (dss, _full_ladder_post(CssPrior(n_atoms), MeasurementSetting(chi_p=chi), y, zero)),
+        (sup, _full_ladder_post(CssPrior(n_atoms), MeasurementSetting(chi_x=chi), -abs(y), zero)),
+    ]
+    for state, want in states:
+        assert state.band[0] != 0 and state.band[-1] != 0
+        if want is not None:
+            np.testing.assert_array_equal(state.amplitudes, want)
+
+
+@pytest.mark.parametrize("n_atoms, setting", [
+    (10**6, MeasurementSetting(chi_p=1e-5)), (2**53, MeasurementSetting()),
+], ids=["weak", "zero_strength"])
+def test_update_of_a_dicke_state_reads_its_one_level(n_atoms, setting):
+    # a weak or zero-strength record bounds nothing, so the band is the prior's
+    # interval: one level, where a band cut to the ladder read 10^6 + 1 levels
+    # (72 MB, and a post state of 10^6 + 1 levels) or asked for 64 PiB at 2^53
+    state = make_dicke(n_atoms, 0)
+    tracemalloc.start()
+    try:
+        post, density = apply_measurement(state, setting, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (post.first, post.band.tolist()) == (n_atoms // 2, [1.0])
+    assert density == pytest.approx(math.pi**-0.5, rel=1e-15)
+
+
+def test_second_update_of_a_far_tail_post_reads_its_nonzero_levels_only():
+    # repeated measurement conditions a post state again: no band of the next
+    # update, in a batch or alone, runs past the first one's nonzero levels,
+    # however weak the measurement (the post state held 125 levels for 53
+    # nonzero, and a band cut to the ladder ran past them)
+    post = prepare_dss(3000, 1.0, -1250.0).post_state
+    kept = np.flatnonzero(post.amplitudes)
+    records = np.linspace(-1300.0, -1200.0, 5)
+    for chi_p in (1e-3, 1.0):
+        bands, _ = posterior_batch(_state_prior(post), records, 0.0, chi_p,
+                                   reduce=lambda weights, mass, rows, first, count: np.c_[first, count])
+        assert np.all((kept[0] <= bands[:, 0]) & (bands.sum(axis=1) - 1 <= kept[-1]))
+        again, _ = apply_measurement(post, MeasurementSetting(chi_p=chi_p), -1250.0)
+        assert kept[0] <= again.first and again.first + again.band.size - 1 <= kept[-1]
 
 
 @st.composite

@@ -397,13 +397,14 @@ def test_level_rows_over_atom_counts_equal_each_record_alone(chi_p):
 class WindowLog:
     """A prior read through another one, that records every window and reference asked of it.
 
-    It holds the prior's ``atom_count`` and forwards ``reference`` and
-    ``window`` alone, so a kernel that read any other fact would fail.
+    It holds the prior's ``atom_count`` and ``interval`` and forwards
+    ``reference`` and ``window`` alone, so a kernel that read any other fact
+    would fail.
     """
 
     def __init__(self, prior):
         self.prior, self.windows, self.references = prior, [], []
-        self.atom_count = prior.atom_count
+        self.atom_count, self.interval = prior.atom_count, prior.interval
 
     def reference(self, points):
         levels, drops = self.prior.reference(points)
@@ -452,10 +453,13 @@ def test_kernel_reads_a_prior_only_through_its_window(prior, records, chi_p):
     bands, _ = posterior_batch(logged, records, chi_p=chi_p,
                                reduce=lambda weights, mass, rows, first, count: np.c_[first, count])
     atoms = np.broadcast_to(prior.atom_count, records.shape)
+    lows, highs = (np.broadcast_to(end, records.shape) for end in prior.interval)
     assert logged.windows
     for n, first, stop in logged.windows:
         assert n in atoms and 0 <= first < stop <= n + 1
-    for n, (first, count) in zip(atoms, bands):
+    # each band lies on the prior's occupied interval, inside a window
+    for n, low, high, (first, count) in zip(atoms, lows, highs, bands):
+        assert low <= first and first + count - 1 <= high
         assert any(w_n == n and w_first <= first and first + count <= w_stop
                    for w_n, w_first, w_stop in logged.windows)
     # one reference call for the batch, at points on each record's ladder: the
@@ -617,8 +621,12 @@ def batch_rows(prior, records, chi_x, chi_p, figure=_densities_only):
 
 
 def assert_post_is_row(post, row, phase_of):
-    """``post`` holds the band of ``row``, with amplitudes sqrt(p) e^{i phase}."""
+    """``post`` holds the band of ``row`` from its first to its last nonzero level,
+    with amplitudes sqrt(p) e^{i phase}."""
     first, probs = row
+    occupied = np.flatnonzero(probs)
+    probs = probs[occupied[0] : occupied[-1] + 1]
+    first += int(occupied[0])
     stop = first + probs.size
     want = SpinEnsembleState.from_probabilities(post.atom_count, probs, phase_of(first, stop), first)
     assert post.first == first and np.array_equal(post.band, want.band)
